@@ -25,8 +25,6 @@ from .cf import (
     cf_expand,
     complete_quotient,
     convergents,
-    d_value,
-    xi,
 )
 from .conic import (
     Automorph,

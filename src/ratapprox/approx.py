@@ -27,7 +27,7 @@ from .exactnum import (
     QuadIrr,
     RatInterval,
     RealTarget,
-    enclose,
+    as_interval,
     exp_bounds,
     exp_exceeds_pow10,
     exp_le,
@@ -217,19 +217,11 @@ class DecayReport:
         return self.verdict
 
 
-def _upper_of(x) -> Fraction:
-    if isinstance(x, RatInterval):
-        return x.hi
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return enclose(x, _TIGHT).hi
-
-
 def _window_verdict(values: list, window: int, rel_tol: Fraction) -> tuple[bool, str]:
     if not values:
         return False, "no verification pairs"
     w = values[-min(window, len(values)):]
-    uppers = [_upper_of(v) for v in w]
+    uppers = [as_interval(v, _TIGHT).hi for v in w]
     if all(u == 0 for u in uppers):
         return True, "scaled residuals identically zero on the window"
     for a, b in zip(uppers, uppers[1:]):
@@ -238,20 +230,10 @@ def _window_verdict(values: list, window: int, rel_tol: Fraction) -> tuple[bool,
     if uppers[-1] == 0:
         return True, "scaled residuals reach exact zero"
     # the threshold is relative to the first scaled residual of the report
-    tol = rel_tol * _upper_of(values[0])
+    tol = rel_tol * as_interval(values[0], _TIGHT).hi
     if uppers[-1] < tol:
         return True, f"final scaled residual below {rel_tol} of the first"
     return False, "final scaled residual above tolerance"
-
-
-def _as_interval(x) -> RatInterval:
-    if isinstance(x, RatInterval):
-        return x
-    if isinstance(x, Certified):
-        return x.enclosure
-    if isinstance(x, (int, Fraction)):
-        return RatInterval.point(Fraction(x))
-    return enclose(x, _TIGHT)
 
 
 def _residual_rows(pairs, alpha, gamma, order: int) -> list[ReportRow]:
@@ -262,9 +244,9 @@ def _residual_rows(pairs, alpha, gamma, order: int) -> list[ReportRow]:
     for r, s in pairs:
         weight = (abs(r) + abs(s)) ** order
         if interval_mode:
-            rho = -_as_interval(alpha) + Fraction(r, s)
+            rho = -as_interval(alpha, _TIGHT) + Fraction(r, s)
             for j, g in enumerate(gamma, start=1):
-                rho = rho - _as_interval(g) * Fraction(1, s**j)
+                rho = rho - as_interval(g, _TIGHT) * Fraction(1, s**j)
             scaled = rho.abs() * weight
         else:
             rho = Fraction(r, s) - alpha
@@ -384,11 +366,7 @@ class PsiConstruction:
         return all(line.ok for line in self.certificate)
 
     def gamma_interval(self) -> RatInterval:
-        base = (
-            self.gamma_partial
-            if isinstance(self.gamma_partial, RatInterval)
-            else enclose(self.gamma_partial, _TIGHT)
-        )
+        base = as_interval(self.gamma_partial, _TIGHT)
         return RatInterval(base.lo - self.tail, base.hi + self.tail)
 
 

@@ -234,25 +234,6 @@ def complete_quotient(cf: CFExpansion, n: int):
     return RatInterval(min(last, second_last), max(last, second_last))
 
 
-def xi(convs: list[Convergent], n: int) -> Fraction:
-    """xi_n = q_{n-1}/q_n, already in lowest terms."""
-    if n < 1:
-        raise IndexError("xi is defined for n >= 1")
-    return Fraction(convs[n - 1].q, convs[n].q)
-
-
-def d_value(x: RealTarget, conv: Convergent):
-    """D_n = q_n*alpha - p_n: exact in Q(sqrt(D)) for quadratic targets,
-    a certified interval for certified targets."""
-    if isinstance(x, (int, Fraction)):
-        raise RationalTarget("D_n requires an irrational target")
-    if isinstance(x, QuadIrr):
-        v = x * conv.q - conv.p
-        assert isinstance(v, QuadIrr)
-        return v
-    return x.enclosure * conv.q - conv.p
-
-
 class CFContext:
     """Shared workspace for one target: expansion, convergents, and D_n.
 

@@ -39,7 +39,7 @@ from .conic import (
     quad_detect,
 )
 from .errors import RatApproxError
-from .exactnum import Certified, QuadIrr, RatInterval, enclose, qi_normalize
+from .exactnum import Certified, QuadIrr, RatInterval, as_interval, qi_normalize
 from .ostrowski import delta_profile, dist_bound, dist_direct, dist_formula, ostrowski_int, ostrowski_real
 
 CONFIG_ENV_VAR = "RATAPPROX_CONFIG"
@@ -72,14 +72,16 @@ def schema_path(name: str) -> str:
 
 @dataclass
 class Config:
-    """Runtime knobs; file values (key=value lines) are overridden by flags."""
+    """Runtime knobs; file values (key=value lines) are overridden by flags.
+
+    Each field is also the top-level flag --field-name, typed like its default.
+    """
 
     precision_digits: int = 200
     decay_window: int = 5
     decay_tolerance: Fraction = Fraction(1, 1000)
     digit_budget: int = 100_000
     seed_bound: int = 10_000
-    orbit_bound: int = 1_000_000
     prefix_exceptions: int = 2
 
     def validate(self) -> None:
@@ -93,19 +95,16 @@ class Config:
     @staticmethod
     def from_text(text: str) -> "Config":
         cfg = Config()
+        kinds = {f.name: type(f.default) for f in fields(Config)}
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key not in {f.name for f in fields(Config)}:
+            if key not in kinds:
                 raise ValueError(f"unknown config key: {key}")
-            if key == "decay_tolerance":
-                setattr(cfg, key, Fraction(value))
-            else:
-                setattr(cfg, key, int(value))
+            setattr(cfg, key, kinds[key](value.strip()))
         cfg.validate()
         return cfg
 
@@ -135,9 +134,8 @@ def parse_psi(text: str) -> PsiSpec:
     if kind == "power" and body:
         return PsiSpec.power(int(body))
     if kind == "table" and body:
-        with open(body, encoding="utf-8") as fh:
-            rows = json.load(fh)
-        return PsiSpec.rational_table([(int(s), Fraction(v)) for s, v in rows])
+        rows = read_input(body, lambda doc: [(int(s), Fraction(v)) for s, v in doc])
+        return PsiSpec.rational_table(rows)
     raise ValueError(f"cannot parse psi {text!r}; use exp:c, power:k or table:FILE")
 
 
@@ -212,11 +210,7 @@ def report_json(rep: DecayReport) -> dict:
 
 
 def _approx_str(v) -> str:
-    if isinstance(v, RatInterval):
-        return sci_str(v.mid)
-    if isinstance(v, (int, Fraction)):
-        return sci_str(Fraction(v))
-    return sci_str(enclose(v, Fraction(1, 10**40)).mid)
+    return sci_str(as_interval(v, Fraction(1, 10**40)).mid)
 
 
 def report_csv(rep: DecayReport) -> str:
@@ -228,51 +222,62 @@ def report_csv(rep: DecayReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_pairs(path: str) -> list[tuple[int, int]]:
+def _interval_from_json(v: dict) -> RatInterval:
+    return RatInterval(Fraction(v["lo"]), Fraction(v["hi"]))
+
+
+# decoders of the "value" member, by "kind"; the inverse of target_json and
+# gamma_json
+_VALUE_DECODERS = {
+    "rat": Fraction,
+    "quad": lambda v: qi_normalize(int(v["P"]), int(v["e"]), int(v["D"]), int(v["Q"])),
+    "dec": lambda v: Certified(digits=v["digits"], enclosure=_interval_from_json(v["enclosure"])),
+    "interval": _interval_from_json,
+}
+ALPHA_KINDS = ("rat", "quad", "dec")
+GAMMA_KINDS = ("rat", "quad", "interval")
+
+
+def value_from_json(doc: dict, kinds: tuple[str, ...]):
+    """Decode a {"kind", "value"} document whose kind is one of `kinds`."""
+    kind = doc["kind"]
+    if kind not in kinds:
+        raise ValueError(f"value kind {kind!r} is not one of {', '.join(kinds)}")
+    return _VALUE_DECODERS[kind](doc["value"])
+
+
+def read_input(path: str, decode):
+    """decode(the JSON document in `path`); a document without the expected
+    keys or shape raises ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    raw = doc["pairs"] if isinstance(doc, dict) else doc
+    try:
+        return decode(doc)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed input file {path}: {type(exc).__name__} {exc}") from exc
+
+
+def _pairs_from_json(raw) -> list[tuple[int, int]]:
     return [(int(r), int(s)) for r, s in raw]
 
 
+def load_pairs(path: str) -> list[tuple[int, int]]:
+    return read_input(
+        path, lambda doc: _pairs_from_json(doc["pairs"] if isinstance(doc, dict) else doc)
+    )
+
+
+def _approx_set_from_json(doc: dict) -> ApproxSet:
+    return ApproxSet(
+        alpha=value_from_json(doc["alpha"], ALPHA_KINDS),
+        pairs=_pairs_from_json(doc["pairs"]),
+        order=int(doc["N"]),
+        gamma=[value_from_json(g, GAMMA_KINDS) for g in doc.get("gamma", [])],
+    )
+
+
 def load_approx_set(path: str) -> ApproxSet:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    alpha = _target_from_json(doc["alpha"])
-    gamma = [_gamma_from_json(g) for g in doc.get("gamma", [])]
-    pairs = [(int(r), int(s)) for r, s in doc["pairs"]]
-    return ApproxSet(alpha=alpha, pairs=pairs, order=int(doc["N"]), gamma=gamma)
-
-
-def _target_from_json(doc: dict):
-    kind = doc["kind"]
-    if kind == "rat":
-        return Fraction(doc["value"])
-    if kind == "quad":
-        v = doc["value"]
-        return qi_normalize(int(v["P"]), int(v["e"]), int(v["D"]), int(v["Q"]))
-    if kind == "dec":
-        v = doc["value"]
-        return Certified(
-            digits=v["digits"],
-            enclosure=RatInterval(
-                Fraction(v["enclosure"]["lo"]), Fraction(v["enclosure"]["hi"])
-            ),
-        )
-    raise ValueError(f"unknown target kind {kind!r}")
-
-
-def _gamma_from_json(doc: dict):
-    kind = doc["kind"]
-    if kind == "rat":
-        return Fraction(doc["value"])
-    if kind == "quad":
-        v = doc["value"]
-        return qi_normalize(int(v["P"]), int(v["e"]), int(v["D"]), int(v["Q"]))
-    if kind == "interval":
-        v = doc["value"]
-        return RatInterval(Fraction(v["lo"]), Fraction(v["hi"]))
-    raise ValueError(f"unknown gamma kind {kind!r}")
+    return read_input(path, _approx_set_from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +311,6 @@ def _cmd_ostrowski_real(args, cfg: Config) -> dict:
         args.depth,
         allow_orbit=args.allow_orbit,
         precision_digits=cfg.precision_digits,
-        orbit_search_bound=cfg.orbit_bound,
     )
     return {
         "depth": d.depth,
@@ -332,8 +336,7 @@ def _cmd_dist(args, cfg: Config) -> dict:
     }
     if doc["regime"] == "series":
         val = dist_formula(prof, ctx)
-        iv = val if isinstance(val, RatInterval) else enclose(val, width)
-        doc["formula"] = iv.to_json()
+        doc["formula"] = as_interval(val, width).to_json()
         doc["bound"] = rat_str(dist_bound(prof, ctx))
     return doc
 
@@ -499,16 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     top.add_argument("--config", help="path to key=value config file")
-    for name, default in (
-        ("--precision-digits", None),
-        ("--decay-window", None),
-        ("--digit-budget", None),
-        ("--seed-bound", None),
-        ("--orbit-bound", None),
-        ("--prefix-exceptions", None),
-    ):
-        top.add_argument(name, type=int, default=default)
-    top.add_argument("--decay-tolerance", type=Fraction, default=None)
+    for f in fields(Config):
+        top.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
     def cmd(name, handler, **kwargs):
@@ -602,18 +597,10 @@ def load_config(args) -> Config:
             cfg = Config.from_text(fh.read())
     else:
         cfg = Config()
-    overrides = {
-        "precision_digits": args.precision_digits,
-        "decay_window": args.decay_window,
-        "decay_tolerance": args.decay_tolerance,
-        "digit_budget": args.digit_budget,
-        "seed_bound": args.seed_bound,
-        "orbit_bound": args.orbit_bound,
-        "prefix_exceptions": args.prefix_exceptions,
-    }
-    for key, value in overrides.items():
+    for f in fields(Config):
+        value = getattr(args, f.name)
         if value is not None:
-            setattr(cfg, key, value)
+            setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
 

@@ -253,11 +253,7 @@ def laurent_expansion(form: ConicForm, terms: int) -> LaurentExpansion:
         nxt_upper = Fraction(0)
     else:
         val = qi_pair(Fraction(0), abs(nxt) * half_sqrt, delta)
-        nxt_upper = (
-            Fraction(val)
-            if isinstance(val, Fraction)
-            else enclose(val, Fraction(1, 10**20)).hi
-        )
+        nxt_upper = enclose(val, Fraction(1, 10**20)).hi
     return LaurentExpansion(
         form=form,
         alpha=form.root(),

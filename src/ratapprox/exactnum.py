@@ -531,6 +531,16 @@ def enclose(x: RealTarget, width: Fraction) -> RatInterval:
         k += 8
 
 
+def as_interval(x, width: Fraction) -> RatInterval:
+    """x as a RatInterval: intervals as they are, a Certified value's stored
+    enclosure, anything else enclosed at `width`."""
+    if isinstance(x, RatInterval):
+        return x
+    if isinstance(x, Certified):
+        return x.enclosure
+    return enclose(x, width)
+
+
 # ---------------------------------------------------------------------------
 # certified exponentials (needed for Psi = exp(-c s) comparisons)
 

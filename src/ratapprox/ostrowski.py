@@ -33,6 +33,7 @@ from .exactnum import (
     Certified,
     QuadIrr,
     RatInterval,
+    as_interval,
     as_pair,
     ceil_of,
     ceil_of_frac,
@@ -169,17 +170,15 @@ def ostrowski_real(
     depth: int,
     allow_orbit: bool = False,
     precision_digits: int = 200,
-    orbit_search_bound: int | None = None,
 ) -> RealDigits:
     """Digits of gamma in [-alpha, 1-alpha) over the basis D_n.
 
     gamma may be a Fraction, a QuadIrr in alpha's field, or Certified.
     allow_orbit skips the gamma = s*alpha (mod 1) pre-check (used for
     targets like gamma = 0 whose digits are still well defined).  For exact
-    targets the orbit check is algebraic and complete; for certified targets
-    the forbidden-orbit condition is semi-decidable and is certified as far
-    as the enclosure allows (optionally continuing past `depth` while
-    q_n <= orbit_search_bound, stopping quietly at the certifiable limit).
+    targets the orbit check is algebraic and complete.  The certified path
+    does no orbit check: an enclosure can exclude the orbit but never prove
+    gamma lies on it, so allow_orbit has no effect there.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -196,7 +195,7 @@ def ostrowski_real(
         if not (gamma < hi_end):
             raise ValueError("gamma not below 1 - alpha")
         return _extract_exact(gamma, ctx, depth)
-    return _extract_certified(gamma, ctx, depth, precision_digits, orbit_search_bound)
+    return _extract_certified(gamma, ctx, depth, precision_digits)
 
 
 def _extract_exact(gamma, ctx: CFContext, depth: int) -> RealDigits:
@@ -220,22 +219,12 @@ def _extract_exact(gamma, ctx: CFContext, depth: int) -> RealDigits:
         digits.append(b)
         prev_nonzero = b > 0
     check_admissible(digits, ctx)
-    tail = enclose(rem, ctx.d_abs_upper(depth - 1) / 2**20) if not isinstance(
-        rem, (int, Fraction)
-    ) else RatInterval.point(Fraction(rem))
+    tail = enclose(rem, ctx.d_abs_upper(depth - 1) / 2**20)
     return RealDigits(b=digits, depth=depth, tail_bound=tail, exact_remainder=rem)
 
 
-def _iv(x, width: Fraction) -> RatInterval:
-    if isinstance(x, RatInterval):
-        return x
-    if isinstance(x, Certified):
-        return x.enclosure
-    return enclose(x, width)
-
-
 def _certified_step(rem, ctx, n, prev_nonzero, width):
-    dn, dn1 = _iv(ctx.D(n), width), _iv(ctx.D(n + 1), width)
+    dn, dn1 = as_interval(ctx.D(n), width), as_interval(ctx.D(n + 1), width)
     if dn.lo <= 0 <= dn.hi:
         raise PrecisionExhausted(f"D_{n} enclosure straddles zero")
     ratio = (rem + dn1) / dn
@@ -252,15 +241,9 @@ def _certified_step(rem, ctx, n, prev_nonzero, width):
     return b, rem
 
 
-def _extract_certified(
-    gamma,
-    ctx: CFContext,
-    depth: int,
-    precision_digits: int,
-    orbit_search_bound: int | None = None,
-) -> RealDigits:
+def _extract_certified(gamma, ctx: CFContext, depth: int, precision_digits: int) -> RealDigits:
     width = Fraction(1, 10**precision_digits)
-    rem = _iv(gamma, width)
+    rem = as_interval(gamma, width)
     digits: list[int] = []
     prev_nonzero = True
     for n in range(depth):
@@ -268,20 +251,7 @@ def _extract_certified(
         digits.append(b)
         prev_nonzero = b > 0
     check_admissible(digits, ctx)
-    out = RealDigits(b=digits, depth=depth, tail_bound=rem, exact_remainder=None)
-    if orbit_search_bound is not None:
-        # best-effort continuation of the forbidden-orbit exclusion: keep
-        # deciding digits while the enclosure admits it, quietly stopping at
-        # the certifiable limit
-        scan_rem, scan_prev, n = rem, prev_nonzero, depth
-        while ctx.q(n) <= orbit_search_bound:
-            try:
-                b, scan_rem = _certified_step(scan_rem, ctx, n, scan_prev, width)
-            except PrecisionExhausted:
-                break
-            scan_prev = b > 0
-            n += 1
-    return out
+    return RealDigits(b=digits, depth=depth, tail_bound=rem, exact_remainder=None)
 
 
 def real_digits_partial(d: RealDigits, ctx: CFContext):
@@ -342,7 +312,7 @@ def dist_formula(profile: DeltaProfile, ctx: CFContext):
     for n in range(m, profile.depth):
         d = profile.delta[n]
         if d:
-            total = total + _iv(ctx.D(n), DEFAULT_WIDTH) * d
+            total = total + as_interval(ctx.D(n), DEFAULT_WIDTH) * d
     total = total - profile.real_digits.tail_bound
     return total.abs()
 
@@ -376,8 +346,9 @@ def dist_direct(s: int, gamma, alpha, width: Fraction = DEFAULT_WIDTH) -> RatInt
         k = t.nearest_int()
         val = abs(t - k)
         return enclose(val, width)
-    a_iv = _iv(alpha, width)
-    g_iv = _iv(gamma, width)
+    # s*alpha and gamma each get half of the width budget
+    a_iv = as_interval(alpha, width / (2 * abs(s)) if s else width)
+    g_iv = as_interval(gamma, width / 2)
     out = (a_iv * s - g_iv).dist_to_nearest_int()
     if out.width > width:
         raise PrecisionExhausted(
@@ -390,5 +361,5 @@ def dist_bound(profile: DeltaProfile, ctx: CFContext) -> Fraction:
     """Upper bound (|delta_{m+1}| + 2) * ||q_m alpha||, as an exact rational."""
     m = _require_regime(profile)
     dm = ctx.D(m)
-    upper = _iv(dm, DEFAULT_WIDTH).abs().hi
+    upper = as_interval(dm, DEFAULT_WIDTH).abs().hi
     return (abs(profile.delta[m]) + 2) * upper

@@ -5,12 +5,9 @@ import pytest
 
 from ratapprox.cf import (
     CFContext,
-    Convergent,
     cf_expand,
     complete_quotient,
     convergents,
-    d_value,
-    xi,
 )
 from ratapprox.errors import InsufficientDepth, PrecisionExhausted, RationalTarget
 from ratapprox.exactnum import Certified, enclose, qi_normalize
@@ -174,20 +171,19 @@ def test_xi_examples():
     phi_ctx = CFContext(PHI)
     assert phi_ctx.xi(4) == Fraction(3, 5)
     assert phi_ctx.xi(1) == Fraction(1, phi_ctx.a(1))
-    cv = convergents(cf_expand(SQRT2, 8), 4)
-    assert xi(cv, 3) == Fraction(5, 12)
+    assert CFContext(SQRT2).xi(3) == Fraction(5, 12)
 
 
 def test_d_value_examples():
     ctx = CFContext(INV_PHI)
-    d4 = d_value(INV_PHI, ctx.convergent(4))
+    d4 = ctx.D(4)
     assert d4 == qi_normalize(-11, 5, 5, 2)  # (5*sqrt(5) - 11)/2
     assert enclose(d4, Fraction(1, 10**8)).contains(Fraction("0.0901699437"))
-    d1 = d_value(INV_PHI, ctx.convergent(1))
+    d1 = ctx.D(1)
     assert d1.sign() == -1
     assert enclose(d1, Fraction(1, 10**6)).contains(Fraction("-0.3819660112"))
     with pytest.raises(RationalTarget):
-        d_value(Fraction(3, 7), Convergent(1, 1, 2))
+        CFContext(Fraction(3, 7)).D(1)
 
 
 def test_certified_expansion():

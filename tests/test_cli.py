@@ -1,10 +1,13 @@
 import json
 from fractions import Fraction
 
+import mpmath
 import pytest
 from jsonschema import Draft7Validator
 
-from ratapprox.cli import Config, main, schema_path, sci_str
+from ratapprox.approx import ApproxSet
+from ratapprox.cli import Config, approx_set_json, load_approx_set, main, schema_path, sci_str
+from ratapprox.exactnum import Certified, RatInterval, qi_normalize
 
 GOLDEN = {
     "cf-phi": ["cf", "--alpha", "quad:1,1,5,2", "--depth", "10"],
@@ -193,6 +196,14 @@ def test_config_roundtrip():
         Config.from_text("bogus_key = 3\n")
     with pytest.raises(ValueError):
         Config.from_text("digit_budget = -5\n")
+    with pytest.raises(ValueError):
+        Config.from_text("orbit_bound = 5\n")
+
+
+def test_removed_orbit_bound_flag_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["--orbit-bound", "5", "cf", "--alpha", "rat:1/2"])
+    assert exc.value.code == 2
 
 
 def test_sci_str_deterministic():
@@ -216,3 +227,89 @@ def test_build_psi_pairs_out_verifies(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["report"]["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [Fraction(3, 7), qi_normalize(-1, 1, 5, 2), Certified.parse("0.6180339887±0.0000000001")],
+    ids=["rat", "quad", "dec"],
+)
+def test_approx_set_json_roundtrip(tmp_path, alpha):
+    gamma = [Fraction(-1, 7), qi_normalize(1, 1, 5, 10), RatInterval(Fraction(-1, 3), Fraction(1, 2))]
+    doc = approx_set_json(ApproxSet(alpha=alpha, pairs=[(1, 2), (2, 3)], order=3, gamma=gamma))
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    assert approx_set_json(load_approx_set(str(path))) == doc
+
+
+def _line_set_doc(capsys) -> dict:
+    code, out = run_cli(capsys, GOLDEN["line"])
+    assert code == 0
+    return json.loads(out)
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+    return edit
+
+
+def _set_alpha(alpha):
+    def edit(doc):
+        doc["alpha"] = alpha
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command, edit, message_has",
+    [
+        ("approx-verify --set", _drop("N"), ("input.json", "'N'")),
+        ("approx-verify --set", _drop("pairs"), ("input.json", "'pairs'")),
+        ("detect-line --pairs", _drop("pairs"), ("input.json", "'pairs'")),
+        ("approx-verify --set", _set_alpha({"kind": "bogus", "value": "1/2"}), ("'bogus'",)),
+        ("approx-verify --set", _set_alpha({"kind": "interval", "value": {"lo": "1/3", "hi": "1/2"}}),
+         ("'interval'",)),
+    ],
+    ids=["missing-N", "missing-pairs-set", "missing-pairs", "unknown-kind", "interval-alpha"],
+)
+def test_malformed_input_file_is_typed_error(tmp_path, capsys, command, edit, message_has):
+    doc = _line_set_doc(capsys)
+    edit(doc)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, [*command.split(), str(path)])
+    assert code == 1
+    err = json.loads(out)
+    assert err["error"] == "ValueError"
+    assert all(part in err["message"] for part in message_has), err["message"]
+    with open(schema_path("error"), encoding="utf-8") as fh:
+        Draft7Validator(json.load(fh)).validate(err)
+
+
+def test_malformed_psi_table_is_typed_error(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text("5\n")
+    code, out = run_cli(
+        capsys,
+        ["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", f"table:{path}", "--count", "2"],
+    )
+    assert code == 1
+    err = json.loads(out)
+    assert err["error"] == "ValueError" and str(path) in err["message"]
+
+
+def test_certified_dist_large_s_contains_true_distance(capsys):
+    gamma_digits = "0.1234567890123456789012345678901234567890"
+    s = 100000
+    code, out = run_cli(
+        capsys,
+        ["dist", "--alpha", "quad:-1,1,5,2", "--gamma", f"dec:{gamma_digits}±1e-40", "--s", str(s)],
+    )
+    assert code == 0, out
+    direct = json.loads(out)["direct"]
+    with mpmath.workdps(60):
+        t = s * (mpmath.sqrt(5) - 1) / 2 - mpmath.mpf(gamma_digits)
+        dist = abs(t - mpmath.nint(t))
+        lo, hi = (Fraction(direct[k]) for k in ("lo", "hi"))
+        assert mpmath.mpf(lo.numerator) / lo.denominator <= dist
+        assert dist <= mpmath.mpf(hi.numerator) / hi.denominator
