@@ -143,16 +143,9 @@ class PsiSpec:
             return True
         return self.c * t <= 2 * 10**6
 
-    def q_reaches(self, q: int, t: int) -> bool:
-        """Decide 3/q <= Psi(t)."""
-        exact = self.exact_value(t)
-        if exact is not None:
-            return 3 * exact.denominator <= q * exact.numerator
-        return exp_le(self.c * t, Fraction(q, 3))
-
     def threshold_int_bracket(self, t: int, digits: int) -> tuple[int, int]:
         """Integers lo <= 3/Psi(t) <= hi; q >= hi accepts, q < lo rejects,
-        anything between is decided exactly by q_reaches."""
+        anything between is decided exactly by le_psi(3/q, t)."""
         exact = self.exact_value(t)
         if exact is not None:
             x = 3 / exact
@@ -407,7 +400,7 @@ def construct_psi(
             qm = ctx.q(m)
             if _digits10_lower(qm) > digit_budget:
                 raise BlowUp(f"q_{m} exceeds the digit budget")
-            if qm >= hi_i or (qm >= lo_i and psi.q_reaches(qm, t)):
+            if qm >= hi_i or (qm >= lo_i and psi.le_psi(Fraction(3, qm), t)):
                 return m
             m += 1
 
@@ -438,19 +431,17 @@ def _package(
     if not indices:
         return None
     exact = isinstance(alpha, QuadIrr)
+    # s_k = sum_{m<=k} q_{n_m} and partials[k-1] = sum_{m<=k} D_{n_m}
     s_list = []
+    partials = []
     total = 0
+    partial = Fraction(0) if exact else RatInterval.point(Fraction(0))
     for n in indices:
         total += ctx.q(n)
         s_list.append(total)
-    if exact:
-        gamma_partial = Fraction(0)
-        for n in indices:
-            gamma_partial = ctx.D(n) + gamma_partial
-    else:
-        gamma_partial = RatInterval.point(Fraction(0))
-        for n in indices:
-            gamma_partial = gamma_partial + ctx.D(n)
+        partial = ctx.D(n) + partial
+        partials.append(partial)
+    gamma_partial = partials[-1]
 
     t_last = ctx.q(indices[-1] + 1)
     if n_next is not None:
@@ -478,10 +469,7 @@ def _package(
         # structural check: s_k * alpha - partial_k is an exact integer
         detail = ""
         if exact:
-            partial_k = Fraction(0)
-            for n in indices[:k]:
-                partial_k = ctx.D(n) + partial_k
-            drift = alpha * s_k - partial_k
+            drift = alpha * s_k - partials[k - 1]
             is_int = isinstance(drift, Fraction) and drift.denominator == 1
             detail = "s_k*alpha - partial_k integral; " if is_int else "DRIFT NOT INTEGRAL; "
         next_idx = indices[k] if k < K else n_next

@@ -53,6 +53,9 @@ class CFExpansion:
     _states: list[tuple[int, int]] = field(default_factory=list, repr=False)
     _state_period: tuple[int, int] | None = field(default=None, repr=False)
     _surd: int = field(default=0, repr=False)  # E in zeta_n = (P_n + sqrt(E))/Q_n
+    # certified sources: enclosure of the complete quotient whose floor is
+    # the last digit (of alpha before the first digit)
+    _enclosure: RatInterval | None = field(default=None, repr=False)
 
     def digit(self, n: int) -> int:
         if n < 0:
@@ -64,7 +67,26 @@ class CFExpansion:
             return self.a[k + (n - k) % ell]
         if self.finite:
             raise InsufficientDepth(f"finite expansion has {len(self.a)} digits")
-        raise PrecisionExhausted(f"only {len(self.a)} certified digits available")
+        while n >= len(self.a):
+            self._extract_digit()
+        return self.a[n]
+
+    def _extract_digit(self) -> None:
+        iv = self._enclosure
+        if self.a:
+            frac = iv - self.a[-1]
+            if frac.lo <= 0:
+                raise PrecisionExhausted(
+                    f"fractional part undecidable after {len(self.a)} digits"
+                )
+            iv = frac.reciprocal()
+        d = floor_of(iv.lo)
+        if d != floor_of(iv.hi):
+            raise PrecisionExhausted(
+                f"enclosure straddles an integer after {len(self.a)} digits"
+            )
+        self.a.append(d)
+        self._enclosure = iv
 
     def __len__(self) -> int:
         return len(self.a)
@@ -151,25 +173,9 @@ def _expand_quadratic(x: QuadIrr, depth: int) -> CFExpansion:
 
 
 def _expand_certified(x: Certified, depth: int) -> CFExpansion:
-    iv = x.enclosure
-    digits: list[int] = []
-    for _ in range(depth):
-        lo_f = floor_of(iv.lo)
-        hi_f = floor_of(iv.hi)
-        if lo_f != hi_f:
-            raise PrecisionExhausted(
-                f"enclosure straddles an integer after {len(digits)} digits"
-            )
-        digits.append(lo_f)
-        if len(digits) == depth:
-            break
-        frac = iv - lo_f
-        if frac.lo <= 0:
-            raise PrecisionExhausted(
-                f"fractional part undecidable after {len(digits)} digits"
-            )
-        iv = frac.reciprocal()
-    return CFExpansion(source=x, a=digits)
+    cf = CFExpansion(source=x, a=[], _enclosure=x.enclosure)
+    cf.digit(depth - 1)
+    return cf
 
 
 def cf_expand(x: RealTarget, depth: int) -> CFExpansion:

@@ -134,8 +134,7 @@ def parse_psi(text: str) -> PsiSpec:
     if kind == "power" and body:
         return PsiSpec.power(int(body))
     if kind == "table" and body:
-        rows = read_input(body, lambda doc: [(int(s), Fraction(v)) for s, v in doc])
-        return PsiSpec.rational_table(rows)
+        return read_input(body, PsiSpec.rational_table)
     raise ValueError(f"cannot parse psi {text!r}; use exp:c, power:k or table:FILE")
 
 
@@ -247,13 +246,14 @@ def value_from_json(doc: dict, kinds: tuple[str, ...]):
 
 
 def read_input(path: str, decode):
-    """decode(the JSON document in `path`); a document without the expected
-    keys or shape raises ValueError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """decode(the JSON document in `path`); a file that is not JSON, or a
+    document without the expected keys, shape or values, raises ValueError
+    naming the file."""
     try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
         return decode(doc)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed input file {path}: {type(exc).__name__} {exc}") from exc
 
 

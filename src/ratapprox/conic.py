@@ -110,12 +110,11 @@ def pell4(delta: int) -> tuple[int, int]:
         t = isqrt(t2)
         if t * t == t2:
             return t, u
-    cf = cf_expand(qi_normalize(0, 1, delta, 1), depth=4)
-    k_pre, ell = cf.period
+    ctx = CFContext(qi_normalize(0, 1, delta, 1), depth=4)
+    k_pre, ell = ctx.cf.period
     best: tuple[int, int] | None = None
-    h_prev, k_prev = 1, 0
-    h, k = cf.digit(0), 1
-    for n in range(1, 2 * (k_pre + ell) + 6):
+    for n in range(2 * (k_pre + ell) + 5):
+        h, k = ctx.p(n), ctx.q(n)
         norm = h * h - delta * k * k
         cand = None
         if norm == 1:
@@ -134,9 +133,6 @@ def pell4(delta: int) -> tuple[int, int]:
             and (best is None or cand[1] < best[1])
         ):
             best = cand
-        a_n = cf.digit(n)
-        h, h_prev = a_n * h + h_prev, h
-        k, k_prev = a_n * k + k_prev, k
     if best is None:
         raise AssertionError(f"no Pell-4 solution located for delta={delta}")
     return best

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -251,13 +252,19 @@ def _line_set_doc(capsys) -> dict:
 def _drop(key):
     def edit(doc):
         del doc[key]
+        return json.dumps(doc)
     return edit
 
 
-def _set_alpha(alpha):
+def _set(key, value):
     def edit(doc):
-        doc["alpha"] = alpha
+        doc[key] = value
+        return json.dumps(doc)
     return edit
+
+
+def _truncate(doc):
+    return json.dumps(doc)[:17]
 
 
 @pytest.mark.parametrize(
@@ -266,17 +273,19 @@ def _set_alpha(alpha):
         ("approx-verify --set", _drop("N"), ("input.json", "'N'")),
         ("approx-verify --set", _drop("pairs"), ("input.json", "'pairs'")),
         ("detect-line --pairs", _drop("pairs"), ("input.json", "'pairs'")),
-        ("approx-verify --set", _set_alpha({"kind": "bogus", "value": "1/2"}), ("'bogus'",)),
-        ("approx-verify --set", _set_alpha({"kind": "interval", "value": {"lo": "1/3", "hi": "1/2"}}),
-         ("'interval'",)),
+        ("approx-verify --set", _set("alpha", {"kind": "bogus", "value": "1/2"}),
+         ("input.json", "'bogus'")),
+        ("approx-verify --set", _set("alpha", {"kind": "interval", "value": {"lo": "1/3", "hi": "1/2"}}),
+         ("input.json", "'interval'")),
+        ("detect-line --pairs", _truncate, ("input.json", "JSONDecodeError")),
+        ("approx-verify --set", _set("pairs", []), ("input.json", "pairs must be nonempty")),
     ],
-    ids=["missing-N", "missing-pairs-set", "missing-pairs", "unknown-kind", "interval-alpha"],
+    ids=["missing-N", "missing-pairs-set", "missing-pairs", "unknown-kind", "interval-alpha",
+         "truncated-json", "empty-pairs"],
 )
 def test_malformed_input_file_is_typed_error(tmp_path, capsys, command, edit, message_has):
-    doc = _line_set_doc(capsys)
-    edit(doc)
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(edit(_line_set_doc(capsys)))
     code, out = run_cli(capsys, [*command.split(), str(path)])
     assert code == 1
     err = json.loads(out)
@@ -284,6 +293,57 @@ def test_malformed_input_file_is_typed_error(tmp_path, capsys, command, edit, me
     assert all(part in err["message"] for part in message_has), err["message"]
     with open(schema_path("error"), encoding="utf-8") as fh:
         Draft7Validator(json.load(fh)).validate(err)
+
+
+SCHEMA_FILES = sorted(Path(schema_path("error")).parent.glob("*.schema.json"))
+
+
+def test_file_input_commands_match_schema(tmp_path, capsys):
+    pairs_file = tmp_path / "pairs.json"
+    pairs_file.write_text(json.dumps([[2, 1], [5, 3], [13, 8], [34, 21], [89, 55], [233, 144]]))
+    set_file = tmp_path / "set.json"
+    set_file.write_text(json.dumps(_line_set_doc(capsys)))
+    for argv in (
+        ["approx-fit", "--alpha", "quad:1,1,5,2", "--order", "1", "--pairs", str(pairs_file)],
+        ["approx-verify", "--set", str(set_file)],
+        ["detect-line", "--pairs", str(set_file)],
+        ["detect-quad", "--pairs", str(pairs_file)],
+    ):
+        code, out = run_cli(capsys, argv)
+        assert code == 0, out
+        with open(schema_path(argv[0]), encoding="utf-8") as fh:
+            Draft7Validator(json.load(fh)).validate(json.loads(out))
+    assert len(SCHEMA_FILES) == 15
+    for path in SCHEMA_FILES:
+        Draft7Validator.check_schema(json.loads(path.read_text(encoding="utf-8")))
+
+
+def _refs(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "$ref":
+                yield value
+            else:
+                yield from _refs(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _refs(value)
+
+
+@pytest.mark.parametrize("path", SCHEMA_FILES, ids=lambda p: p.name.split(".")[0])
+def test_schema_keeps_only_referenced_definitions(path):
+    schema = json.loads(path.read_text(encoding="utf-8"))
+    definitions = schema.get("definitions", {})
+    top = {key: value for key, value in schema.items() if key != "definitions"}
+    reached, todo = set(), list(_refs(top))
+    while todo:
+        ref = todo.pop()
+        name = ref.removeprefix("#/definitions/")
+        assert ref.startswith("#/definitions/") and name in definitions, ref
+        if name not in reached:
+            reached.add(name)
+            todo.extend(_refs(definitions[name]))
+    assert reached == set(definitions)
 
 
 def test_malformed_psi_table_is_typed_error(tmp_path, capsys):
@@ -313,3 +373,14 @@ def test_certified_dist_large_s_contains_true_distance(capsys):
         lo, hi = (Fraction(direct[k]) for k in ("lo", "hi"))
         assert mpmath.mpf(lo.numerator) / lo.denominator <= dist
         assert dist <= mpmath.mpf(hi.numerator) / hi.denominator
+
+
+def test_build_psi_certified_alpha_beyond_sixteen_cf_digits(capsys):
+    # the enclosure decides about 140 continued-fraction digits of 1/phi
+    alpha = "dec:0.61803398874989484820458683436563811772030917980576286213544862±1e-60"
+    code, out = run_cli(capsys, ["build-psi", "--alpha", alpha, "--psi", "power:2", "--count", "2"])
+    assert code == 0, out
+    doc = json.loads(out)
+    assert doc["indices"] == [4, 12]
+    assert doc["s"] == ["5", "238"]
+    assert doc["certified"] is True
