@@ -31,6 +31,8 @@ from .exactnum import (
     exp_bounds,
     exp_exceeds_pow10,
     exp_le,
+    frac_str,
+    int_str,
     pow10_exponent_below_exp,
 )
 from .ostrowski import RealDigits
@@ -171,12 +173,12 @@ class PsiSpec:
 
     def to_json(self) -> dict:
         if self.kind == "exp_decay":
-            return {"family": "exp_decay", "c": str(self.c)}
+            return {"family": "exp_decay", "c": frac_str(self.c)}
         if self.kind == "power":
             return {"family": "power", "k": self.k}
         return {
             "family": "rational_table",
-            "rows": [[str(s), str(v)] for s, v in self.table],
+            "rows": [[int_str(s), frac_str(v)] for s, v in self.table],
         }
 
 

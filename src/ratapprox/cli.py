@@ -39,7 +39,7 @@ from .conic import (
     quad_detect,
 )
 from .errors import RatApproxError
-from .exactnum import Certified, QuadIrr, RatInterval, as_interval, qi_normalize
+from .exactnum import Certified, QuadIrr, RatInterval, as_interval, frac_str, int_str, qi_normalize
 from .ostrowski import delta_profile, dist_bound, dist_direct, dist_formula, ostrowski_int, ostrowski_real
 
 CONFIG_ENV_VAR = "RATAPPROX_CONFIG"
@@ -139,8 +139,7 @@ def parse_psi(text: str) -> PsiSpec:
 
 
 def rat_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return frac_str(Fraction(x))
 
 
 def sci_str(x: Fraction, sig: int = 17) -> str:
@@ -150,7 +149,9 @@ def sci_str(x: Fraction, sig: int = 17) -> str:
         return "0"
     sign = "-" if x < 0 else ""
     ax = abs(x)
-    exp = len(str(ax.numerator)) - len(str(ax.denominator))
+    # log10(ax) from the bit lengths, within 2 of the exponent; the loops
+    # below make it exact
+    exp = (ax.numerator.bit_length() - ax.denominator.bit_length()) * 30103 // 100000
     ten = Fraction(10)
     while ten**exp > ax:
         exp -= 1
@@ -185,7 +186,7 @@ def approx_set_json(aset: ApproxSet) -> dict:
         "alpha": target_json(aset.alpha),
         "N": aset.order,
         "gamma": [gamma_json(g) for g in aset.gamma],
-        "pairs": [[str(r), str(s)] for r, s in aset.pairs],
+        "pairs": [[int_str(r), int_str(s)] for r, s in aset.pairs],
     }
 
 
@@ -198,8 +199,8 @@ def report_json(rep: DecayReport) -> dict:
         "note": rep.note,
         "rows": [
             {
-                "r": str(row.r),
-                "s": str(row.s),
+                "r": int_str(row.r),
+                "s": int_str(row.s),
                 "residual": _approx_str(row.residual),
                 "scaled_residual": _approx_str(row.scaled),
             }
@@ -294,13 +295,13 @@ def _cmd_cf(args, cfg: Config) -> dict:
 def _cmd_convergents(args, cfg: Config) -> dict:
     cf = cf_expand(parse_target(args.alpha), args.n + 1)
     cv = convergents(cf, args.n)
-    return {"convergents": [[str(c.p), str(c.q)] for c in cv]}
+    return {"convergents": [[int_str(c.p), int_str(c.q)] for c in cv]}
 
 
 def _cmd_ostrowski_int(args, cfg: Config) -> dict:
     ctx = CFContext(parse_target(args.alpha), depth=args.depth)
     d = ostrowski_int(args.s, ctx)
-    return {"s": str(d.s), "M": d.M, "digits": list(d.c)}
+    return {"s": int_str(d.s), "M": d.M, "digits": list(d.c)}
 
 
 def _cmd_ostrowski_real(args, cfg: Config) -> dict:
@@ -327,7 +328,7 @@ def _cmd_dist(args, cfg: Config) -> dict:
     direct = dist_direct(args.s, gamma, alpha, width)
     prof = delta_profile(args.s, gamma, ctx, args.depth, allow_orbit=args.allow_orbit)
     doc = {
-        "s": str(args.s),
+        "s": int_str(args.s),
         "m": prof.m,
         "regime": "series" if prof.m is not None and prof.m >= 4 else "direct-only",
         "direct": direct.to_json(),
@@ -379,7 +380,7 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
         "alpha": target_json(alpha),
         "indices": cons.indices,
         "n_next": cons.n_next,
-        "s": [str(v) for v in cons.s],
+        "s": [int_str(v) for v in cons.s],
         "gamma": {
             "partial": gamma_json(cons.gamma_partial),
             "tail_bound": rat_str(cons.tail),
@@ -390,7 +391,7 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
         "certificate": [
             {
                 "k": line.k,
-                "s": str(line.s),
+                "s": int_str(line.s),
                 "route": line.route,
                 "bound": None if line.bound is None else rat_str(line.bound),
                 "ok": line.ok,
@@ -420,9 +421,9 @@ def _cmd_detect_line(args, cfg: Config) -> dict:
         return {"line": None}
     return {
         "line": {
-            "a": str(fit.a),
-            "b": str(fit.b),
-            "d": str(fit.d),
+            "a": int_str(fit.a),
+            "b": int_str(fit.b),
+            "d": int_str(fit.d),
             "exceptions": fit.exceptions,
         }
     }
@@ -452,7 +453,7 @@ def _cmd_laurent(args, cfg: Config) -> dict:
         "form": lx.form.to_json(),
         "alpha": target_json(lx.alpha),
         "gamma": [gamma_json(g) for g in lx.gamma],
-        "threshold_s": str(lx.threshold_s),
+        "threshold_s": int_str(lx.threshold_s),
         "next_term_j": lx.next_term_j,
         "next_term_upper": rat_str(lx.next_term_upper),
     }
@@ -487,7 +488,7 @@ def _cmd_growth(args, cfg: Config) -> dict:
     return {
         "classification": prof.classification,
         "ratios": [rat_str(r) for r in prof.ratios],
-        "differences": [str(d) for d in prof.differences],
+        "differences": [int_str(d) for d in prof.differences],
     }
 
 
@@ -605,12 +606,28 @@ def load_config(args) -> Config:
     return cfg
 
 
+def _reject_unknown_top_options(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Usage error naming an unknown option ahead of the subcommand; argparse
+    itself would take the option's value for the subcommand and blame it."""
+    known = parser._option_string_actions
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        name, eq, _ = argv[i].partition("=")
+        action = known.get(name)
+        if action is None:
+            parser.error(f"unrecognized arguments: {name}")
+        i += 1 if eq or action.nargs == 0 else 2
+
+
 def main(argv=None) -> int:
     # denominators legitimately reach thousands of digits; decimal-string
     # output is part of the contract
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    _reject_unknown_top_options(parser, argv)
+    args = parser.parse_args(argv)
     try:
         cfg = load_config(args)
         doc = args.handler(args, cfg)

@@ -13,7 +13,7 @@ from math import gcd, isqrt
 from .approx import ApproxSet, DecayReport, verify_order
 from .cf import CFContext, cf_expand, complete_quotient
 from .errors import InsufficientPairs, NotPeriodic, OrbitLeavesQuadrant
-from .exactnum import QuadIrr, enclose, qi_normalize, qi_pair, squarefree_decompose
+from .exactnum import QuadIrr, enclose, int_str, qi_normalize, qi_pair, squarefree_decompose
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class ConicForm:
         return ConicForm(self.a, self.b, self.c, d)
 
     def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b), "c": str(self.c), "d": str(self.d)}
+        return {k: int_str(getattr(self, k)) for k in ("a", "b", "c", "d")}
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ comparison is decided exactly or raises PrecisionExhausted.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,6 +56,48 @@ def squarefree_decompose(n: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> tuple[i
         else:
             core *= m
     return f, core
+
+
+# int_str: str(n) is quadratic in the digit count; past this many bits the
+# binary halves are joined in exact decimal arithmetic instead, whose large
+# multiplications are subquadratic (the method of CPython 3.12's _pylong)
+INT_STR_CUTOVER_BITS = 1 << 15
+_INT_STR_LEAF_BITS = 2048
+
+
+def int_str(n: int) -> str:
+    """str(n), in subquadratic time for large n."""
+    if n.bit_length() <= INT_STR_CUTOVER_BITS:
+        return str(n)
+    D = decimal.Decimal
+    powers: dict[int, decimal.Decimal] = {}
+
+    def pow2(w: int) -> decimal.Decimal:
+        if w not in powers:
+            half = w >> 1
+            powers[w] = D(1 << w) if w <= _INT_STR_LEAF_BITS else pow2(half) * pow2(w - half)
+        return powers[w]
+
+    def to_decimal(m: int, w: int) -> decimal.Decimal:
+        # m < 2**w
+        if w <= _INT_STR_LEAF_BITS:
+            return D(m)
+        half = w >> 1
+        hi = m >> half
+        return to_decimal(hi, w - half) * pow2(half) + to_decimal(m - (hi << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(to_decimal(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
+def frac_str(x: Fraction) -> str:
+    """str(x) for a Fraction, through int_str."""
+    num = int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{int_str(x.denominator)}"
 
 
 def _norm_sign(x: int) -> int:
@@ -254,7 +297,7 @@ class QuadIrr:
         return Fraction(self.P, self.Q), Fraction(self.e, self.Q)
 
     def to_json(self) -> dict:
-        return {"P": str(self.P), "e": str(self.e), "D": str(self.D), "Q": str(self.Q)}
+        return {k: int_str(getattr(self, k)) for k in ("P", "e", "D", "Q")}
 
 
 def qi_shift_half(x: QuadIrr) -> QuadIrr:
@@ -434,7 +477,7 @@ class RatInterval:
         return RatInterval(mn, mx)
 
     def to_json(self) -> dict:
-        return {"lo": str(self.lo), "hi": str(self.hi)}
+        return {"lo": frac_str(self.lo), "hi": frac_str(self.hi)}
 
 
 def ceil_of_frac(f: Fraction) -> int:
@@ -545,20 +588,57 @@ def as_interval(x, width: Fraction) -> RatInterval:
 # certified exponentials (needed for Psi = exp(-c s) comparisons)
 
 
-def _exp_taylor_bounds(f: Fraction, terms: int) -> tuple[Fraction, Fraction]:
-    # 0 <= f <= 1: partial sum plus a doubled first-omitted-term tail bound
-    s = Fraction(0)
-    t = Fraction(1)
-    for i in range(1, terms + 1):
-        s += t
-        t = t * f / i
-    return s, s + 2 * t
+# exp(x) for x >= 0 is e**n * exp(f) with n = floor(x) and 0 <= f < 1.  Both
+# factors and every intermediate result are held in fixed point, m * 2**e with
+# m > 0 an integer of at most `prec` bits, once rounded down (lo) and once up
+# (hi).  Outward rounding: every quantity is positive and every step (Taylor
+# term, partial sum, product, truncation to `prec` bits) is monotone in its
+# positive inputs, so a chain of floors stays below the true value and a
+# chain of ceilings above it; the Taylor tail is added on the upper side only.
+
+
+def _exp_taylor_fixed(p: int, q: int, prec: int, up: bool) -> int:
+    """Bound on 2**prec * exp(p/q) for 0 <= p <= q: below, or above if `up`."""
+    total, term, i = 0, 1 << prec, 0
+    while term > 1:
+        # term bounds 2**prec * (p/q)**i / i! on the side of `up`
+        total += term
+        i += 1
+        term = -(-term * p // (q * i)) if up else term * p // (q * i)
+    # the omitted tail sum_{j>=i} f**j/j! is at most twice its first term
+    return total + 2 * term if up else total
+
+
+def _round_fixed(m: int, e: int, prec: int, up: bool) -> tuple[int, int]:
+    """m * 2**e truncated to `prec` bits of mantissa: floor, or ceiling if `up`."""
+    shift = m.bit_length() - prec
+    if shift <= 0:
+        return m, e
+    return (-(-m >> shift) if up else m >> shift), e + shift
+
+
+def _exp_fixed(n: int, f: Fraction, prec: int, up: bool) -> Fraction:
+    """Bound on exp(n + f) by square-and-multiply on fixed-point values."""
+    base, base_e = _exp_taylor_fixed(1, 1, prec, up), -prec
+    m, e = 1, 0
+    while n:
+        if n & 1:
+            m, e = _round_fixed(m * base, e + base_e, prec, up)
+        n >>= 1
+        if n:
+            base, base_e = _round_fixed(base * base, 2 * base_e, prec, up)
+    if f:
+        m, e = _round_fixed(m * _exp_taylor_fixed(f.numerator, f.denominator, prec, up),
+                            e - prec, prec, up)
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 def exp_bounds(x: Fraction, digits: int) -> RatInterval:
-    """Certified enclosure of exp(x) with relative width about 10**-digits.
+    """Certified enclosure of exp(x) with relative width below 10**-digits.
 
     x may be any exact rational; negative arguments go through reciprocals.
+    The endpoints are dyadic rationals with about `digits` significant digits
+    plus a guard.
     """
     x = Fraction(x)
     if x < 0:
@@ -566,22 +646,11 @@ def exp_bounds(x: Fraction, digits: int) -> RatInterval:
         return RatInterval(1 / pos.hi, 1 / pos.lo)
     n = x.numerator // x.denominator
     f = x - n
-    # enough Taylor terms for the target digits plus amplification by n
+    # decimal guard digits for the target plus the amplification by n, in
+    # bits, plus 2*log2(n) bits for the roundings of the squarings
     guard = digits + len(str(n + 1)) + 8
-    terms = _terms_for_guard(guard)
-    e_lo, e_hi = _exp_taylor_bounds(Fraction(1), terms)
-    f_lo, f_hi = _exp_taylor_bounds(f, terms) if f else (Fraction(1), Fraction(1))
-    return RatInterval(e_lo**n * f_lo, e_hi**n * f_hi)
-
-
-@lru_cache(maxsize=None)
-def _terms_for_guard(guard: int) -> int:
-    # smallest count with digits(terms!) comfortably past the guard
-    terms, fact = 8, 40320
-    while len(str(fact)) < guard + 2:
-        terms += 1
-        fact *= terms
-    return terms
+    prec = (guard * 3322) // 1000 + 1 + 2 * n.bit_length()
+    return RatInterval(_exp_fixed(n, f, prec, False), _exp_fixed(n, f, prec, True))
 
 
 def exp_le(x: Fraction, bound: Fraction, start_digits: int = 30) -> bool:

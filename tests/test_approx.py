@@ -1,5 +1,7 @@
 from fractions import Fraction
+from math import isqrt
 
+import mpmath
 import pytest
 
 from ratapprox.approx import (
@@ -136,6 +138,51 @@ def test_construct_psi_exponential_small():
     assert cons.certified
     # threshold: 3/q_n <= exp(-q_5/10) = exp(-0.8)
     assert cons.indices[1] > 5
+
+
+def _sqrt_cf_period(n: int) -> list[int]:
+    """The period of sqrt(n) = [a0; period], by the integer surd recurrence."""
+    a0 = isqrt(n)
+    m, d, a, period = 0, 1, a0, []
+    while a != 2 * a0:
+        m = d * a - m
+        d = (n - m * m) // d
+        a = (a0 + m) // d
+        period.append(a)
+    return period
+
+
+def _exceeds_3_exp(q: int, ct: Fraction) -> bool:
+    """Decide q >= 3*exp(ct), i.e. 3/q <= exp(-ct), by mpmath interval logarithms."""
+    iv, saved = mpmath.iv, mpmath.iv.dps
+    iv.dps = 40
+    try:
+        gap = iv.log(iv.mpf(q)) - iv.log(3) - iv.mpf(ct.numerator) / ct.denominator
+    finally:
+        iv.dps = saved
+    assert not (gap.a <= 0 <= gap.b), "undecided at 40 digits"
+    return gap.a > 0
+
+
+def test_construct_psi_exponential_sqrt7_far_index():
+    # alpha = sqrt(7) - 2, Psi(s) = exp(-s/2): the search for n_next runs to
+    # q_49726, whose threshold exp(q_17/2) has about 15,000 digits
+    alpha = qi_normalize(-2, 1, 7, 1)
+    c = Fraction(1, 2)
+    cons = construct_psi(alpha, PsiSpec.exp_decay(c), 2)
+    assert cons.indices == [4, 16]
+    assert cons.n_next == 49726
+    assert cons.certified
+    # oracle: the convergent denominators of [0; 1, 1, 1, 4, ...] by their own
+    # recurrence, each index the least n > previous + 1 with 3/q_n <= Psi(q_{previous+1})
+    period = _sqrt_cf_period(7)
+    q = [1, period[0]]
+    for n in range(2, 49727):
+        q.append(period[(n - 1) % len(period)] * q[-1] + q[-2])
+    for prev, n in ((4, 16), (16, 49726)):
+        ct = c * q[prev + 1]
+        assert _exceeds_3_exp(q[n], ct)
+        assert not _exceeds_3_exp(q[n - 1], ct) and n - 1 >= prev + 2
 
 
 def test_construct_psi_rational_table():

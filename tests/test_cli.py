@@ -201,10 +201,11 @@ def test_config_roundtrip():
         Config.from_text("orbit_bound = 5\n")
 
 
-def test_removed_orbit_bound_flag_is_usage_error():
+def test_removed_orbit_bound_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--orbit-bound", "5", "cf", "--alpha", "rat:1/2"])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --orbit-bound" in capsys.readouterr().err
 
 
 def test_sci_str_deterministic():
@@ -213,6 +214,16 @@ def test_sci_str_deterministic():
     assert sci_str(Fraction(-250), sig=3) == "-2.50e+02"
     assert sci_str(Fraction(999999, 1000), sig=3) == "1.00e+03"
     assert sci_str(Fraction(1, 10**50), sig=4) == "1.000e-50"
+
+
+def test_sci_str_huge_operands():
+    # 10^5-digit numerator and denominator; the exponent comes from bit lengths
+    num = 7 * 10**100_000 + 3
+    den = 3 * 10**99_990 + 1
+    assert sci_str(Fraction(num, den), sig=5) == "2.3333e+10"
+    assert sci_str(Fraction(-den, num), sig=3) == "-4.29e-11"
+    assert sci_str(Fraction(10**100_000 - 1, 10**100_000), sig=4) == "1.000e+00"
+    assert sci_str(Fraction(1, 10**100_000 + 1), sig=2) == "1.0e-100000"
 
 
 def test_build_psi_pairs_out_verifies(tmp_path, capsys):

@@ -1,7 +1,12 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ratapprox.errors import DegenerateRational, MixedField, PrecisionExhausted
 from ratapprox.exactnum import (
@@ -10,8 +15,10 @@ from ratapprox.exactnum import (
     LN10_LO,
     RatInterval,
     enclose,
+    INT_STR_CUTOVER_BITS,
     exp_bounds,
     exp_le,
+    int_str,
     qi_normalize,
     qi_pair,
     squarefree_decompose,
@@ -237,3 +244,72 @@ def test_exp_le_decisions():
 
 def test_ln10_constants_bracket():
     assert exp_bounds(LN10_LO, 25).hi < 10 < exp_bounds(LN10_HI, 25).lo
+
+
+def _mpmath_exp_enclosure(x: Fraction, dps: int) -> tuple[Fraction, Fraction]:
+    """mpmath's interval enclosure of exp(x), endpoints as exact rationals."""
+    iv, saved = mpmath.iv, mpmath.iv.dps
+    iv.dps = dps
+    try:
+        v = iv.exp(iv.mpf(x.numerator) / x.denominator)
+        with mpmath.mp.workprec(iv.prec):
+            ends = [mpmath.mpf(end).man_exp for end in (v.a, v.b)]
+    finally:
+        iv.dps = saved
+    return tuple(Fraction(man) * Fraction(2) ** exp for man, exp in ends)
+
+
+_EXP_ARGS = st.fractions(min_value=-50_000, max_value=50_000, max_denominator=1000)
+
+
+@settings(deadline=None)
+@given(x=_EXP_ARGS, digits=st.integers(1, 80))
+@example(x=Fraction(0), digits=1)
+@example(x=Fraction(50_000), digits=80)
+@example(x=Fraction(-50_000), digits=80)
+@example(x=Fraction(17711), digits=30)
+def test_exp_bounds_contains_exp_with_relative_width(x, digits):
+    iv = exp_bounds(x, digits)
+    lo, hi = _mpmath_exp_enclosure(x, digits + 40)
+    assert iv.lo <= lo and hi <= iv.hi
+    assert iv.width < iv.lo / 10**digits
+
+
+@settings(deadline=None)
+@given(x=st.fractions(min_value=1, max_value=50_000, max_denominator=1000), digits=st.integers(1, 80))
+@example(x=Fraction(1), digits=80)
+@example(x=Fraction(50_000), digits=80)
+def test_exp_bounds_endpoints_stay_short(x, digits):
+    # exp(x) has about x*log2(e) bits before the point; the endpoints carry
+    # about `digits` digits more, not a power of a Taylor-sum denominator
+    iv = exp_bounds(x, digits)
+    limit = float(x) * math.log2(math.e) + 4 * digits + 64
+    for end in (iv.lo, iv.hi):
+        assert end.numerator.bit_length() <= limit
+        assert end.denominator.bit_length() <= limit
+
+
+@st.composite
+def _big_ints(draw):
+    cut = INT_STR_CUTOVER_BITS
+    bits = draw(st.one_of(st.integers(cut - 70, cut + 70), st.integers(0, 400_000)))
+    n = draw(st.randoms(use_true_random=False)).getrandbits(bits) | (1 << bits >> 1)
+    return -n if draw(st.booleans()) else n
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=_big_ints())
+@example(n=0)
+@example(n=-1)
+@example(n=(1 << INT_STR_CUTOVER_BITS) - 1)
+@example(n=1 << INT_STR_CUTOVER_BITS)
+@example(n=-(1 << INT_STR_CUTOVER_BITS))
+@example(n=(1 << 400_000) - 1)
+@example(n=-(10**120_000))
+def test_int_str_equals_str(n):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # let str(n) print any size, as the CLI does
+    try:
+        assert int_str(n) == str(n)
+    finally:
+        sys.set_int_max_str_digits(saved)
