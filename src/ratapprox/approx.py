@@ -390,6 +390,9 @@ def construct_psi(
     if ctx.a(0) != 0:
         raise ValueError("alpha must lie in (0, 1)")
 
+    # q >= q_blowup exactly when _digits10_lower(q) > digit_budget
+    q_blowup = 1 << max(0, -(-(digit_budget + 1) * 100000 // 30103) - 1)
+
     def find_next(prev_n: int) -> int:
         t = ctx.q(prev_n + 1)
         if psi.threshold_exceeds_digits(t, digit_budget):
@@ -397,14 +400,18 @@ def construct_psi(
                 f"next index after n={prev_n} needs more than {digit_budget} digits"
             )
         lo_i, hi_i = psi.threshold_int_bracket(t, 30)
-        m = prev_n + 2
-        while True:
-            qm = ctx.q(m)
-            if _digits10_lower(qm) > digit_budget:
-                raise BlowUp(f"q_{m} exceeds the digit budget")
-            if qm >= hi_i or (qm >= lo_i and psi.le_psi(Fraction(3, qm), t)):
-                return m
-            m += 1
+
+        def stop(m: int, qm: int) -> bool:
+            return (
+                _digits10_lower(qm) > digit_budget
+                or qm >= hi_i
+                or (qm >= lo_i and psi.le_psi(Fraction(3, qm), t))
+            )
+
+        m = ctx.first_index(prev_n + 2, stop, min(lo_i, q_blowup))
+        if _digits10_lower(ctx.q(m)) > digit_budget:
+            raise BlowUp(f"q_{m} exceeds the digit budget")
+        return m
 
     indices = [4]
     ctx.q(5)
@@ -464,6 +471,13 @@ def _package(
         b=b, depth=depth, tail_bound=RatInterval(-tail, tail), exact_remainder=None
     )
 
+    # remainders[k-1] bounds |sum_{m>k} D_{n_m}| with the tail beyond K; summed
+    # from the far end, so the tail meets the largest denominator only once
+    remainders = [tail]
+    for n in reversed(indices[1:]):
+        remainders.append(remainders[-1] + ctx.d_abs_upper(n))
+    remainders.reverse()
+
     certificate = []
     K = len(indices)
     for k in range(1, K + 1):
@@ -476,8 +490,7 @@ def _package(
             detail = "s_k*alpha - partial_k integral; " if is_int else "DRIFT NOT INTEGRAL; "
         next_idx = indices[k] if k < K else n_next
         if next_idx is not None:
-            remainder_up = _remainder_upper(ctx, indices, k, tail)
-            bound = min(Fraction(3, ctx.q(next_idx + 1)), remainder_up)
+            bound = min(Fraction(3, ctx.q(next_idx + 1)), remainders[k - 1])
             if psi.numeric_feasible(s_k):
                 ok = psi.le_psi(bound, s_k)
                 certificate.append(
@@ -510,14 +523,6 @@ def _package(
         digits=digits,
         certificate=certificate,
     )
-
-
-def _remainder_upper(ctx, indices, k, tail) -> Fraction:
-    """Upper bound on |sum_{m>k} D_{n_m}| including the tail beyond K."""
-    total = tail
-    for n in indices[k:]:
-        total += ctx.d_abs_upper(n)
-    return total
 
 
 def nearest_numerators(alpha: RealTarget, s_list, gamma1=None) -> ApproxSet:

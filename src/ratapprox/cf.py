@@ -240,11 +240,23 @@ def complete_quotient(cf: CFExpansion, n: int):
     return RatInterval(min(last, second_last), max(last, second_last))
 
 
+def _mul(x: tuple, y: tuple) -> tuple:
+    # 2x2 integer matrices as row-major 4-tuples
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
 class CFContext:
     """Shared workspace for one target: expansion, convergents, and D_n.
 
-    Everything is grown on demand and cached; the context itself is
-    read-only from the caller's perspective.
+    Convergents walked in order are kept in a dense list; `first_index`
+    searches far ahead without it and keeps only the (p, q) pair it lands
+    on.  Everything is cached; the context itself is read-only from the
+    caller's perspective.
     """
 
     def __init__(self, alpha: RealTarget, depth: int = 64):
@@ -252,6 +264,9 @@ class CFContext:
         self.cf = cf_expand(alpha, depth)
         self._p = [1, self.cf.digit(0)]
         self._q = [0, 1]
+        # n -> (p_n, q_n) beyond the dense list: the pairs (m-1, m) that
+        # first_index landed on, and single steps past them
+        self._far: dict[int, tuple[int, int]] = {}
         self._d_cache: dict[int, object] = {}
 
     @property
@@ -265,14 +280,86 @@ class CFContext:
             self._p.append(a * self._p[-1] + self._p[-2])
             self._q.append(a * self._q[-1] + self._q[-2])
 
+    def _far_pq(self, n: int) -> tuple[int, int] | None:
+        far = self._far
+        if n not in far and n - 1 in far and n - 2 in far:
+            a = self.cf.digit(n)
+            (p1, q1), (p0, q0) = far[n - 1], far[n - 2]
+            far[n] = (a * p1 + p0, a * q1 + q0)
+        return far.get(n)
+
+    def _base(self, n: int) -> tuple[int, tuple]:
+        """(m, [[p_m, p_{m-1}], [q_m, q_{m-1}]]) for m = n when that pair is
+        stored, else for the end of the dense list."""
+        if n < 0:
+            return -1, (1, 0, 0, 1)
+        if n in self._far and n - 1 in self._far:
+            (p1, q1), (p0, q0) = self._far[n], self._far[n - 1]
+            return n, (p1, p0, q1, q0)
+        m = min(n, len(self._p) - 2)
+        return m, (self._p[m + 1], self._p[m], self._q[m + 1], self._q[m])
+
+    def first_index(self, n0: int, pred, q_floor: int = 0) -> int:
+        """Least m >= n0 with pred(m, q_m), for pred monotone in m (False,
+        then True from some m on) and False whenever q_m < q_floor.
+
+        Quadratic targets skip whole periods with powers of the period
+        matrix while the index stays below n0 or q stays below q_floor;
+        other targets roll the recurrence.  pred only sees indices past the
+        skipped ones, and only (p, q) at m-1 and m are kept.
+        """
+        if n0 < 0:
+            raise IndexError("search index must be >= 0")
+        n, M = self._base(n0 - 1)
+        period = self.cf.period
+        while True:
+            if period is not None and n >= period[0] - 1:
+                # one skip leaves less than a period below n0 or q_floor
+                n, M = self._skip_periods(n, M, n0, q_floor)
+                period = None
+            a = self.cf.digit(n + 1)
+            M = (a * M[0] + M[1], M[0], a * M[2] + M[3], M[2])
+            n += 1
+            if n >= n0 and pred(n, M[2]):
+                break
+        self._far[n - 1] = (M[1], M[3])
+        self._far[n] = (M[0], M[2])
+        return n
+
+    def _skip_periods(self, n: int, M: tuple, n0: int, q_floor: int) -> tuple[int, tuple]:
+        """Advance (n, M_n), n >= K - 1, by the most whole periods j such that
+        n + j*L < n0 or q_{n+j*L} < q_floor; both hold for a prefix of j, so
+        square the period matrix W past it, then descend by halving."""
+        ell = self.cf.period[1]
+        W = (1, 0, 0, 1)
+        for i in range(n + 1, n + ell + 1):
+            a = self.cf.digit(i)
+            W = (a * W[0] + W[1], W[0], a * W[2] + W[3], W[2])
+
+        def skippable(steps: int, X: tuple) -> bool:
+            # the q entry of M*X is q_{n + steps}
+            return n + steps < n0 or M[2] * X[0] + M[3] * X[2] < q_floor
+
+        powers = [W]  # W^(2^i)
+        while skippable(ell << (len(powers) - 1), powers[-1]):
+            powers.append(_mul(powers[-1], powers[-1]))
+        for i in range(len(powers) - 2, -1, -1):
+            if skippable(ell << i, powers[i]):
+                n, M = n + (ell << i), _mul(M, powers[i])
+        return n, M
+
     def a(self, n: int) -> int:
         return self.cf.digit(n)
 
     def p(self, n: int) -> int:
+        if n + 2 > len(self._p) and (far := self._far_pq(n)):
+            return far[0]
         self._ensure(n)
         return self._p[n + 1]
 
     def q(self, n: int) -> int:
+        if n + 2 > len(self._q) and (far := self._far_pq(n)):
+            return far[1]
         self._ensure(n)
         return self._q[n + 1]
 

@@ -127,6 +127,19 @@ def parse_target(text: str):
     raise ValueError(f"cannot parse target {text!r}; use rat:p/q, quad:P,e,D,Q or dec:digits±err")
 
 
+def parse_ints(flag: str, text: str, names: str) -> tuple[int, ...]:
+    """The integers `names` (such as "a,b,c") given to `flag` as "1,-1,-1"."""
+    want = names.split(",")
+    parts = text.split(",")
+    if len(parts) == len(want):
+        try:
+            return tuple(int(x) for x in parts)
+        except ValueError:
+            pass
+    count = {2: "two", 3: "three"}[len(want)]
+    raise ValueError(f"{flag} expects {count} integers {names}; got {text!r}")
+
+
 def parse_psi(text: str) -> PsiSpec:
     kind, _, body = text.partition(":")
     if kind == "exp" and body:
@@ -430,10 +443,9 @@ def _cmd_detect_line(args, cfg: Config) -> dict:
 
 
 def _cmd_conic_orbit(args, cfg: Config) -> dict:
-    a, b, c = (int(x) for x in args.form.split(","))
-    form = ConicForm(a, b, c, args.d)
+    form = ConicForm(*parse_ints("--form", args.form, "a,b,c"), args.d)
     if args.seed:
-        seed = tuple(int(x) for x in args.seed.split(","))
+        seed = parse_ints("--seed", args.seed, "r,s")
     else:
         seed = find_seed(form, cfg.seed_bound)
         if seed is None:
@@ -447,8 +459,8 @@ def _cmd_conic_orbit(args, cfg: Config) -> dict:
 
 
 def _cmd_laurent(args, cfg: Config) -> dict:
-    a, b, c = (int(x) for x in args.form.split(","))
-    lx = laurent_expansion(ConicForm(a, b, c, args.d), args.terms)
+    form = ConicForm(*parse_ints("--form", args.form, "a,b,c"), args.d)
+    lx = laurent_expansion(form, args.terms)
     return {
         "form": lx.form.to_json(),
         "alpha": target_json(lx.alpha),

@@ -66,9 +66,13 @@ _INT_STR_LEAF_BITS = 2048
 
 
 def int_str(n: int) -> str:
-    """str(n), in subquadratic time for large n."""
+    """str(n), in subquadratic time for large n and past the interpreter's
+    integer-to-string digit limit."""
     if n.bit_length() <= INT_STR_CUTOVER_BITS:
-        return str(n)
+        try:
+            return str(n)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
     D = decimal.Decimal
     powers: dict[int, decimal.Decimal] = {}
 

@@ -126,3 +126,33 @@ def sqrt_series_coeffs(kappa: Fraction, terms: int) -> list[Fraction]:
         conv = sum(c[i] * c[j - i] for i in range(1, j))
         c.append((rhs - conv) / 2)
     return c
+
+
+def quad_cf_digits(P: int, D: int, Q: int, count: int) -> list[int]:
+    """The first `count` partial quotients of (P + sqrt(D))/Q, for Q > 0 and
+    D not a square, read off the Euclidean expansions of two rationals that
+    bracket it rather than from the complete-quotient recurrence."""
+    k = 2 * count + 8
+    while True:
+        m = 10**k
+        r = isqrt(D * m * m)  # r < sqrt(D)*m < r + 1
+        lo = euclid_cf(P * m + r, Q * m)
+        hi = euclid_cf(P * m + r + 1, Q * m)
+        common = 0
+        while common < min(len(lo), len(hi)) and lo[common] == hi[common]:
+            common += 1
+        # every real between the brackets shares their common prefix
+        if common > count:
+            return lo[:count]
+        k *= 2
+
+
+def convergent_pairs(digits: list[int]) -> list[tuple[int, int]]:
+    """(p_n, q_n) for n = 0..len(digits)-1 by the three-term recurrence."""
+    out = []
+    p_prev, q_prev, p, q = 0, 1, 1, 0  # (p_-2, q_-2), (p_-1, q_-1)
+    for a in digits:
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        out.append((p, q))
+    return out

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -17,7 +18,9 @@ from ratapprox.approx import (
 )
 from ratapprox.cf import CFContext
 from ratapprox.errors import BlowUp, InsufficientPairs, PrecisionExhausted, SingularSystem
-from ratapprox.exactnum import QuadIrr, RatInterval, enclose, qi_normalize
+from ratapprox.exactnum import Certified, QuadIrr, RatInterval, enclose, qi_normalize
+
+from oracles import convergent_pairs, quad_cf_digits
 
 PHI = qi_normalize(1, 1, 5, 2)
 INV_PHI = qi_normalize(-1, 1, 5, 2)
@@ -183,6 +186,82 @@ def test_construct_psi_exponential_sqrt7_far_index():
         ct = c * q[prev + 1]
         assert _exceeds_3_exp(q[n], ct)
         assert not _exceeds_3_exp(q[n - 1], ct) and n - 1 >= prev + 2
+
+
+def test_construct_psi_exponential_keeps_no_convergent_walk():
+    # acceptance 6 jumps to q_36808 (25,552 bits); a walk that kept every
+    # p_n and q_n on the way traced about 123 MB
+    tracemalloc.start()
+    try:
+        cons = construct_psi(INV_PHI, PsiSpec.exp_decay(1), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cons.indices == [4, 20, 36808]
+    assert peak < 8_000_000
+
+
+def _linear_walk(q, psi, count, budget):
+    """The construction's indices by walking n one at a time over the
+    convergent denominators q[n]: (BlowUp message or None, indices, n_next)."""
+
+    def find_next(prev):
+        t = q[prev + 1]
+        if psi.threshold_exceeds_digits(t, budget):
+            return f"next index after n={prev} needs more than {budget} digits"
+        lo, hi = psi.threshold_int_bracket(t, 30)
+        m = prev + 2
+        while True:
+            if (q[m].bit_length() * 30103) // 100000 > budget:
+                return f"q_{m} exceeds the digit budget"
+            if q[m] >= hi or (q[m] >= lo and psi.le_psi(Fraction(3, q[m]), t)):
+                return m
+            m += 1
+
+    indices = [4]
+    while len(indices) < count:
+        found = find_next(indices[-1])
+        if isinstance(found, str):
+            return found, indices, None
+        indices.append(found)
+    found = find_next(indices[-1])
+    return None, indices, None if isinstance(found, str) else found
+
+
+DEC_INV_PHI = "0.61803398874989484820458683436563811772030917980576286213544862±1e-60"
+
+
+@pytest.mark.parametrize(
+    "alpha, psi, count, budget",
+    [
+        ((-1, 5, 2), PsiSpec.power(3), 8, 12),
+        ((-1, 5, 2), PsiSpec.exp_decay(1), 3, 40),
+        ((-1, 5, 2), PsiSpec.exp_decay(Fraction(1, 3)), 6, 12),  # q_63 past the budget
+        ((-2, 7, 1), PsiSpec.power(3), 6, 47),  # q_160 past the budget
+        ((-2, 7, 1), PsiSpec.power(2), 5, 100),
+        ((-3, 13, 1), PsiSpec.exp_decay(Fraction(1, 5)), 4, 300),
+        (DEC_INV_PHI, PsiSpec.power(3), 8, 12),
+        (DEC_INV_PHI, PsiSpec.power(2), 3, 100),
+    ],
+    ids=["power3-12", "exp1-40", "exp1/3-12-q63", "sqrt7-power3-47-q160", "sqrt7-power2",
+         "sqrt13-exp1/5-300", "dec-power3-12", "dec-power2"],
+)
+def test_construct_psi_matches_linear_walk(alpha, psi, count, budget):
+    if isinstance(alpha, str):
+        target = Certified.parse(alpha)
+        q = [pq[1] for pq in convergent_pairs([0] + [1] * 600)]
+    else:
+        target = qi_normalize(alpha[0], 1, alpha[1], alpha[2])
+        q = [pq[1] for pq in convergent_pairs(quad_cf_digits(*alpha, 600))]
+    message, indices, n_next = _linear_walk(q, psi, count, budget)
+    if len(indices) < count:
+        with pytest.raises(BlowUp) as exc:
+            construct_psi(target, psi, count, digit_budget=budget)
+        assert str(exc.value) == message
+        assert exc.value.partial.indices == indices
+    else:
+        cons = construct_psi(target, psi, count, digit_budget=budget)
+        assert (cons.indices, cons.n_next) == (indices, n_next)
 
 
 def test_construct_psi_rational_table():

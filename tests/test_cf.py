@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ratapprox.cf import (
     CFContext,
@@ -12,7 +14,7 @@ from ratapprox.cf import (
 from ratapprox.errors import InsufficientDepth, PrecisionExhausted, RationalTarget
 from ratapprox.exactnum import Certified, enclose, qi_normalize
 
-from oracles import cf_value, euclid_cf
+from oracles import cf_value, convergent_pairs, euclid_cf, quad_cf_digits
 
 PHI = qi_normalize(1, 1, 5, 2)
 INV_PHI = qi_normalize(-1, 1, 5, 2)
@@ -231,3 +233,91 @@ def test_certified_last_digit_decidable_without_lookahead():
     assert cf_expand(c, 1).a == [2]
     with pytest.raises(PrecisionExhausted):
         cf_expand(c, 2)
+
+
+# alpha = (P + sqrt(D))/Q with its period (K, L): purely periodic (K = 0),
+# sqrt(D) - floor(sqrt(D)) (K = 1) and longer pre-periods
+SEARCH_ALPHAS = {
+    (1, 5, 2): (0, 1),
+    (1, 7, 3): (0, 4),
+    (-1, 5, 2): (1, 1),
+    (-2, 7, 1): (1, 4),
+    (-4, 19, 1): (1, 6),
+    (-7, 61, 1): (1, 11),
+    (2, 3, 5): (3, 4),
+    (3, 2, 7): (4, 1),
+    (5, 11, 9): (3, 8),
+}
+POINT_QUERIES = [(f, d) for f in "pqD" for d in (-1, 0, 1)]
+
+
+def _check_points(ctx, alpha, pairs, m, order):
+    for f, d in order:
+        n = m + d
+        p_n, q_n = (1, 0) if n == -1 else pairs[n]
+        if f == "p":
+            assert ctx.p(n) == p_n
+        elif f == "q":
+            assert ctx.q(n) == q_n
+        elif isinstance(alpha, Certified):  # the certified case encloses 1/phi
+            iv = ctx.D(n)
+            assert iv.lo <= INV_PHI * q_n - p_n <= iv.hi
+        else:
+            assert ctx.D(n) == alpha * q_n - p_n
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    key=st.sampled_from(sorted(SEARCH_ALPHAS)),
+    periods=st.integers(0, 40),
+    phase=st.integers(0, 10),
+    offset=st.sampled_from([-1, 0, 1]),
+    back=st.integers(-3, 60),
+    floor=st.sampled_from(["exact", "below", "none"]),
+    order=st.permutations(POINT_QUERIES),
+)
+@example(key=(2, 3, 5), periods=0, phase=0, offset=0, back=0, floor="exact", order=POINT_QUERIES)
+@example(key=(5, 11, 9), periods=7, phase=7, offset=1, back=-3, floor="exact", order=POINT_QUERIES)
+def test_first_index_matches_recurrence(key, periods, phase, offset, back, floor, order):
+    # the threshold is q_i + offset for i at `phase` inside a period, so the
+    # answer falls at the start of, inside, or just past a period; n0 lies
+    # below or just above it
+    K, L = SEARCH_ALPHAS[key]
+    alpha = qi_normalize(key[0], 1, key[1], key[2])
+    i = K + periods * L + phase % L
+    pairs = convergent_pairs(quad_cf_digits(*key, i + 8))
+    T = pairs[i][1] + offset
+    n0 = max(0, i - back)
+    expected = next(m for m in range(n0, len(pairs)) if pairs[m][1] >= T)
+    q_floor = {"exact": T, "below": T // 3, "none": 0}[floor]
+    ctx = CFContext(alpha, depth=1)
+    seen = []
+    m = ctx.first_index(n0, lambda m, q: seen.append(m) or q >= T, q_floor)
+    assert m == expected
+    assert min(seen) >= n0 and seen[-1] == m
+    _check_points(ctx, alpha, pairs, m, order)
+    assert len(ctx._q) == 2  # no convergent walked into the dense list
+
+
+def test_first_index_after_dense_walk_and_between_searches():
+    alpha = qi_normalize(-2, 1, 7, 1)
+    pairs = convergent_pairs(quad_cf_digits(-2, 7, 1, 400))
+    ctx = CFContext(alpha)
+    assert ctx.q(30) == pairs[30][1]
+    for n0, i in [(3, 20), (10, 35), (36, 250), (252, 390), (100, 390)]:
+        T = pairs[i][1]
+        assert ctx.first_index(n0, lambda m, q: q >= T, T) == max(i, n0)
+        _check_points(ctx, alpha, pairs, max(i, n0), POINT_QUERIES)
+    assert len(ctx._q) == 32
+
+
+@pytest.mark.parametrize("i", [2, 17, 60, 120])
+def test_first_index_certified_golden(i):
+    # a certified 1/phi decides about 140 digits, every one of them 1
+    alpha = Certified.parse("0.61803398874989484820458683436563811772030917980576286213544862±1e-60")
+    pairs = convergent_pairs([0] + [1] * (i + 4))
+    T = pairs[i][1]
+    ctx = CFContext(alpha, depth=1)
+    assert ctx.first_index(1, lambda m, q: q >= T, T) == i
+    _check_points(ctx, alpha, pairs, i, list(reversed(POINT_QUERIES)))
+    assert len(ctx._q) == 2

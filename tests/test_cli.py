@@ -369,6 +369,28 @@ def test_malformed_psi_table_is_typed_error(tmp_path, capsys):
     assert err["error"] == "ValueError" and str(path) in err["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["conic-orbit", "--form", "1,0,-3,1", "--d", "1", "--count", "4"],
+         "--form expects three integers a,b,c; got '1,0,-3,1'"),
+        (["conic-orbit", "--form", "1,-1", "--d", "1", "--count", "4"],
+         "--form expects three integers a,b,c; got '1,-1'"),
+        (["conic-orbit", "--form", "1,-1,-1", "--d", "1", "--seed", "3", "--count", "4"],
+         "--seed expects two integers r,s; got '3'"),
+        (["conic-orbit", "--form", "1,-1,-1", "--d", "1", "--seed", "2,1.5", "--count", "4"],
+         "--seed expects two integers r,s; got '2,1.5'"),
+        (["laurent", "--form", "1,x,-1", "--d", "1", "--terms", "2"],
+         "--form expects three integers a,b,c; got '1,x,-1'"),
+    ],
+    ids=["form-four", "form-two", "seed-one", "seed-fraction", "laurent-form-word"],
+)
+def test_malformed_integer_list_flag_is_named(capsys, argv, message):
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": message}
+
+
 def test_certified_dist_large_s_contains_true_distance(capsys):
     gamma_digits = "0.1234567890123456789012345678901234567890"
     s = 100000

@@ -313,3 +313,31 @@ def test_int_str_equals_str(n):
         assert int_str(n) == str(n)
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def _digit_string_int(digits: str) -> int:
+    # the value of a decimal digit string, built without int(str) or str(int)
+    n = 0
+    for i in range(0, len(digits), 9):
+        chunk = digits[i:i + 9]
+        n = n * 10 ** len(chunk) + sum(
+            (ord(ch) - 48) * 10**k for k, ch in enumerate(reversed(chunk))
+        )
+    return n
+
+
+@pytest.mark.parametrize("ndigits", [5_000, 12_000])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_int_str_under_default_digit_limit(ndigits, sign):
+    # 5,000 digits is below INT_STR_CUTOVER_BITS, where str would refuse
+    # it; 12,000 digits is above, on the decimal path
+    digits = ("7" + "1234567890" * ndigits)[:ndigits]
+    n = sign * _digit_string_int(digits)
+    expected = digits if sign > 0 else "-" + digits
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        assert int_str(n) == expected
+        assert int_str(sign * 10**ndigits) == ("-" if sign < 0 else "") + "1" + "0" * ndigits
+    finally:
+        sys.set_int_max_str_digits(saved)
