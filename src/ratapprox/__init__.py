@@ -44,6 +44,7 @@ from .errors import (
     GammaOnOrbit,
     InsufficientDepth,
     InsufficientPairs,
+    InvariantViolation,
     MixedField,
     NotPeriodic,
     OrbitLeavesQuadrant,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import NamedTuple
 
 from .errors import (
@@ -26,6 +26,7 @@ from .exactnum import (
     QuadIrr,
     RatInterval,
     RealTarget,
+    as_interval,
     floor_of,
     qi_normalize,
 )
@@ -250,6 +251,44 @@ def _mul(x: tuple, y: tuple) -> tuple:
     )
 
 
+class DEnclosures:
+    """Memo of the enclosures as_interval(ctx.D(n), width) of one context at
+    one width.
+
+    Entries are computed on first use, in the order asked, and kept as
+    integer numerators over one common denominator: D_n lies in
+    [num[n][0], num[n][1]] / den.  An entry that needs a larger `den`
+    rescales the numerators already stored.
+    """
+
+    __slots__ = ("_ctx", "_width", "num", "den")
+
+    def __init__(self, ctx: "CFContext", width: Fraction):
+        self._ctx = ctx
+        self._width = width
+        self.num: dict[int, tuple[int, int]] = {}
+        self.den = 1
+
+    def ensure(self, n: int) -> None:
+        if n in self.num:
+            return
+        iv = as_interval(self._ctx.D(n), self._width)
+        lo, hi = iv.lo, iv.hi
+        den = lcm(self.den, lo.denominator, hi.denominator)
+        if den != self.den:
+            f = den // self.den
+            self.num = {k: (a * f, b * f) for k, (a, b) in self.num.items()}
+            self.den = den
+        self.num[n] = (lo.numerator * (den // lo.denominator),
+                       hi.numerator * (den // hi.denominator))
+
+    def interval(self, n: int) -> RatInterval:
+        """as_interval(ctx.D(n), width)."""
+        self.ensure(n)
+        lo, hi = self.num[n]
+        return RatInterval(Fraction(lo, self.den), Fraction(hi, self.den))
+
+
 class CFContext:
     """Shared workspace for one target: expansion, convergents, and D_n.
 
@@ -268,6 +307,7 @@ class CFContext:
         # first_index landed on, and single steps past them
         self._far: dict[int, tuple[int, int]] = {}
         self._d_cache: dict[int, object] = {}
+        self._d_enclosures: dict[Fraction, DEnclosures] = {}
 
     @property
     def exact(self) -> bool:
@@ -379,6 +419,13 @@ class CFContext:
                 raise RationalTarget("D_n requires an irrational target")
             self._d_cache[n] = v
         return self._d_cache[n]
+
+    def d_enclosures(self, width: Fraction) -> DEnclosures:
+        """The memo of this context's D_n enclosures at `width`."""
+        memo = self._d_enclosures.get(width)
+        if memo is None:
+            memo = self._d_enclosures[width] = DEnclosures(self, width)
+        return memo
 
     def d_abs_upper(self, n: int) -> Fraction:
         """Rational upper bound |D_n| <= 1/q_{n+1}."""

@@ -306,10 +306,10 @@ def periodic_construction(
     period_word = [cf.digit(k_word + i) for i in range(ell)]
     rev_value = _purely_periodic_value(period_word[::-1], alpha.D)
     gamma2 = (-1) ** (k_pre + 1) / (zeta + rev_value)
-    pairs = [
-        (ctx.p(k_pre + 2 * k * ell), ctx.q(k_pre + 2 * k * ell))
-        for k in range(1, count + 1)
-    ]
+    # each search lands on its index at once and keeps only (p, q) there
+    indices = [ctx.first_index(k_pre + 2 * k * ell, lambda m, q: True)
+               for k in range(1, count + 1)]
+    pairs = [(ctx.p(n), ctx.q(n)) for n in indices]
     aset = ApproxSet(alpha=alpha, pairs=pairs, order=2, gamma=[Fraction(0), gamma2])
     report = verify_order(aset)
     return PeriodicConstruction(

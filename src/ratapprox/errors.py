@@ -71,3 +71,10 @@ class NotPeriodic(RatApproxError):
 
 class OrbitLeavesQuadrant(RatApproxError):
     """Automorph iteration left the positive quadrant."""
+
+
+class InvariantViolation(RatApproxError):
+    """An internal invariant failed: a bug, never an answer.
+
+    Raised instead of `assert`, so the checks also run under `python -O`.
+    """

@@ -108,6 +108,16 @@ def _norm_sign(x: int) -> int:
     return 1 if x > 0 else (-1 if x < 0 else 0)
 
 
+def surd_sign(x: int, y: int, D: int) -> int:
+    """Exact sign of x + y*sqrt(D) for D > 1 squarefree, by comparing squares."""
+    sx, sy = _norm_sign(x), _norm_sign(y)
+    if sx == sy or not sy:
+        return sx
+    if not sx:
+        return sy
+    return sx if x * x > y * y * D else sy
+
+
 class QuadIrr:
     """Canonical element (P + e*sqrt(D))/Q of a real quadratic field.
 
@@ -252,14 +262,7 @@ class QuadIrr:
 
     def sign(self) -> int:
         """Exact sign of the value (never 0: the value is irrational)."""
-        P, e = self.P, self.e  # Q > 0 by canonical form
-        if e > 0:
-            if P >= 0:
-                return 1
-            return 1 if e * e * self.D > P * P else -1
-        if P <= 0:
-            return -1
-        return 1 if P * P > e * e * self.D else -1
+        return surd_sign(self.P, self.e, self.D)  # Q > 0 by canonical form
 
     def _cmp(self, other) -> int:
         diff = self - other
@@ -363,13 +366,6 @@ def floor_of(x) -> int:
         return x.floor()
     f = Fraction(x)
     return f.numerator // f.denominator
-
-
-def ceil_of(x) -> int:
-    if isinstance(x, QuadIrr):
-        return x.floor() + 1  # irrational: never an integer
-    f = Fraction(x)
-    return -((-f.numerator) // f.denominator)
 
 
 def as_pair(x, D: int) -> tuple[Fraction, Fraction]:

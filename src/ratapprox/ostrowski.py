@@ -5,26 +5,40 @@ machinery for distances ||s*alpha - gamma|| to the nearest integer.
 Digit admissibility (shared by both expansions): 0 <= c_1 < a_1,
 0 <= c_{n+1} <= a_{n+1}, and c_{n+1} = a_{n+1} forces c_n = 0.
 
-Real-digit extraction works on the exact remainder.  Writing T(N) for the
-value range of admissible tails starting at position N (with the previous
-digit's constraint folded in), the feasible digit at each step is pinned by
+Real-digit extraction works on the remainder rem = gamma - sum b_k D_k.
+Writing T(N) for the value range of admissible tails starting at position N
+(with the previous digit's constraint folded in), the feasible digit at
+each step is pinned by
 
     b = ceil((rem + D_{N+1}) / D_N),
 
 clamped at 0; a remainder landing exactly on a cell boundary means gamma has
 two admissible expansions, which happens precisely on the forbidden orbit
 gamma = s*alpha (mod 1), and raises GammaOnOrbit.
+
+Both extractors run on integers.  For quadratic alpha = (P + e*sqrt(D))/Q
+and exact gamma, every quantity is (x + y*sqrt(D))/L over the one
+denominator L = lcm(Q, den gamma): D_n has numerators
+((q_n*P - p_n*Q)*L/Q, q_n*e*L/Q), the digit is one exact floor by isqrt, and
+each sign is a comparison of squares.  For certified targets the remainder
+and the memoized D_n enclosures (CFContext.d_enclosures) are integer
+numerators over a common denominator, and the digit is the ceiling of four
+endpoint quotients.  The canonical QuadIrr, Fraction or RatInterval is built
+once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 
 from .cf import CFContext
 from .errors import (
     GammaOnOrbit,
     InsufficientDepth,
+    InvariantViolation,
+    MixedField,
     OutOfRegime,
     PrecisionExhausted,
     RationalTarget,
@@ -35,10 +49,9 @@ from .exactnum import (
     RatInterval,
     as_interval,
     as_pair,
-    ceil_of,
-    ceil_of_frac,
     enclose,
     sign_of,
+    surd_sign,
 )
 
 DEFAULT_WIDTH = Fraction(1, 10**30)
@@ -91,16 +104,18 @@ class DeltaProfile:
 
 
 def check_admissible(digits: list[int], ctx: CFContext) -> None:
-    """Assert the shared digit constraints; raises AssertionError on breach."""
+    """Check the shared digit constraints; raises InvariantViolation on breach."""
     for n, d in enumerate(digits):
-        assert d >= 0, f"negative digit at {n}"
+        if d < 0:
+            raise InvariantViolation(f"negative digit at {n}")
         cap = ctx.a(n + 1)
         if n == 0:
-            assert d < cap, f"c_1 = {d} must be < a_1 = {cap}"
-        else:
-            assert d <= cap, f"digit {d} at {n} exceeds a_{n + 1} = {cap}"
-            if d == cap:
-                assert digits[n - 1] == 0, f"saturated digit at {n} needs 0 before it"
+            if d >= cap:
+                raise InvariantViolation(f"c_1 = {d} must be < a_1 = {cap}")
+        elif d > cap:
+            raise InvariantViolation(f"digit {d} at {n} exceeds a_{n + 1} = {cap}")
+        elif d == cap and digits[n - 1] != 0:
+            raise InvariantViolation(f"saturated digit at {n} needs 0 before it")
 
 
 def _require_unit_interval_irrational(ctx: CFContext) -> None:
@@ -125,10 +140,12 @@ def ostrowski_int(s: int, ctx: CFContext) -> IntDigits:
     rem = s
     for n in range(M, -1, -1):
         digits[n], rem = divmod(rem, ctx.q(n))
-    assert rem == 0
+    if rem:
+        raise InvariantViolation(f"greedy expansion of {s} leaves {rem}")
     check_admissible(digits, ctx)
     out = IntDigits(s=s, c=digits, M=M)
-    assert int_digits_value(out, ctx) == s
+    if int_digits_value(out, ctx) != s:
+        raise InvariantViolation(f"digits of {s} do not sum to it")
     return out
 
 
@@ -149,19 +166,11 @@ def _gamma_orbit_certificate(gamma, alpha: QuadIrr):
     return int(v), int(u)
 
 
-def _t_endpoints(ctx: CFContext, n: int, restricted: bool):
-    """Endpoints of the admissible-tail value range T(n, state)."""
-    hi_side = -ctx.D(n - 1)
-    if restricted:
-        hi_side = hi_side - ctx.D(n)
-    lo_side = -ctx.D(n)
-    return lo_side, hi_side
-
-
-def _exact_in_t(rem, ctx, n, restricted) -> bool:
-    a_end, b_end = _t_endpoints(ctx, n, restricted)
-    lo, hi = (a_end, b_end) if a_end <= b_end else (b_end, a_end)
-    return lo <= rem <= hi
+def _d_num(ctx: CFContext, n: int, k: int) -> tuple[int, int]:
+    """(x, y) with D_n = (x + y*sqrt(D))/L for quadratic alpha = (P +
+    e*sqrt(D))/Q and L = k*Q."""
+    a, p, q = ctx.alpha, ctx.p(n), ctx.q(n)
+    return (q * a.P - p * a.Q) * k, q * a.e * k
 
 
 def ostrowski_real(
@@ -189,69 +198,111 @@ def ostrowski_real(
             hit = _gamma_orbit_certificate(gamma, ctx.alpha)
             if hit is not None:
                 raise GammaOnOrbit(f"gamma = {hit[1]} + {hit[0]}*alpha")
-        lo_end, hi_end = _t_endpoints(ctx, 0, True)
-        if not (lo_end <= gamma):
-            raise ValueError("gamma below -alpha")
-        if not (gamma < hi_end):
-            raise ValueError("gamma not below 1 - alpha")
         return _extract_exact(gamma, ctx, depth)
     return _extract_certified(gamma, ctx, depth, precision_digits)
 
 
 def _extract_exact(gamma, ctx: CFContext, depth: int) -> RealDigits:
+    alpha = ctx.alpha
+    D = alpha.D
+    if isinstance(gamma, QuadIrr):
+        if gamma.D != D:
+            raise MixedField(f"sqrt({D}) vs sqrt({gamma.D})")
+        gP, gE, gQ = gamma.P, gamma.e, gamma.Q
+    else:
+        g = Fraction(gamma)
+        gP, gE, gQ = g.numerator, 0, g.denominator
+    # rem = (U + V*sqrt(D))/L, and D_n = (x + y*sqrt(D))/L from _d_num
+    L = lcm(alpha.Q, gQ)
+    k = L // alpha.Q
+    U, V = gP * (L // gQ), gE * (L // gQ)
+    # gamma in T(0) = [-alpha, 1 - alpha)
+    x1, y1 = _d_num(ctx, 0, k)
+    if surd_sign(U + x1, V + y1, D) < 0:
+        raise ValueError("gamma below -alpha")
+    if surd_sign(U + x1 - L, V + y1, D) >= 0:
+        raise ValueError("gamma not below 1 - alpha")
     digits: list[int] = []
-    rem = gamma
     prev_nonzero = True  # position 0 carries the strict cap c_1 < a_1
     for n in range(depth):
-        dn = ctx.D(n)
-        dn1 = ctx.D(n + 1)
-        ratio = (rem + dn1) / dn
-        on_boundary = isinstance(ratio, Fraction) and ratio.denominator == 1
-        b = max(0, ceil_of(ratio))
+        x0, y0 = x1, y1
+        x1, y1 = _d_num(ctx, n + 1, k)
+        # (rem + D_{n+1}) / D_n = (r + s*sqrt(D))/N
+        x, y = U + x1, V + y1
+        N = x0 * x0 - y0 * y0 * D
+        r, s = x * x0 - y * y0 * D, y * x0 - x * y0
+        if N < 0:
+            r, s, N = -r, -s, -N
+        if s:
+            t = isqrt(s * s * D)  # floor of the irrational s*sqrt(D) is t or -t-1
+            b = (r + (t if s > 0 else -t - 1)) // N + 1
+            on_boundary = False
+        else:
+            b = -(-r // N)
+            on_boundary = r % N == 0
+        b = max(0, b)
         cap = ctx.a(n + 1) - (1 if prev_nonzero else 0)
-        if on_boundary and ratio >= 0 and b + 1 <= cap:
+        if on_boundary and r >= 0 and b + 1 <= cap:
             raise GammaOnOrbit(
                 f"remainder hits a cell boundary at position {n}: two expansions exist"
             )
-        assert b <= cap, f"extraction overflow at {n}: digit {b} > cap {cap}"
-        rem = rem - b * dn if b else rem
-        assert _exact_in_t(rem, ctx, n + 1, b > 0), f"remainder left T at {n}"
+        if b > cap:
+            raise InvariantViolation(f"extraction overflow at {n}: digit {b} > cap {cap}")
+        if b:
+            U, V = U - b * x0, V - b * y0
+        # rem in T(n+1): between -D_{n+1} and -D_n, less D_{n+1} after a digit
+        lo_sign = surd_sign(U + x1, V + y1, D)
+        hi_sign = surd_sign(U + x0 + (x1 if b else 0), V + y0 + (y1 if b else 0), D)
+        if lo_sign * hi_sign > 0:
+            raise InvariantViolation(f"remainder left T at {n}")
         digits.append(b)
         prev_nonzero = b > 0
     check_admissible(digits, ctx)
+    rem = QuadIrr.make(U, V, D, L)
     tail = enclose(rem, ctx.d_abs_upper(depth - 1) / 2**20)
     return RealDigits(b=digits, depth=depth, tail_bound=tail, exact_remainder=rem)
-
-
-def _certified_step(rem, ctx, n, prev_nonzero, width):
-    dn, dn1 = as_interval(ctx.D(n), width), as_interval(ctx.D(n + 1), width)
-    if dn.lo <= 0 <= dn.hi:
-        raise PrecisionExhausted(f"D_{n} enclosure straddles zero")
-    ratio = (rem + dn1) / dn
-    b_lo = ceil_of_frac(ratio.lo)
-    b_hi = ceil_of_frac(ratio.hi)
-    if b_lo != b_hi:
-        raise PrecisionExhausted(f"digit at position {n} undecidable")
-    b = max(0, b_lo)
-    cap = ctx.a(n + 1) - (1 if prev_nonzero else 0)
-    if b > cap:
-        raise PrecisionExhausted(f"digit at position {n} exceeds cap {cap}")
-    if b:
-        rem = rem - dn * b
-    return b, rem
 
 
 def _extract_certified(gamma, ctx: CFContext, depth: int, precision_digits: int) -> RealDigits:
     width = Fraction(1, 10**precision_digits)
     rem = as_interval(gamma, width)
+    memo = ctx.d_enclosures(width)
+    # rem = [lo, hi]/L; the D_n enclosures are memo.num[n]/memo.den, times k/L
+    L = lcm(rem.lo.denominator, rem.hi.denominator)
+    lo = rem.lo.numerator * (L // rem.lo.denominator)
+    hi = rem.hi.numerator * (L // rem.hi.denominator)
+    den = k = None
     digits: list[int] = []
     prev_nonzero = True
     for n in range(depth):
-        b, rem = _certified_step(rem, ctx, n, prev_nonzero, width)
+        memo.ensure(n)
+        memo.ensure(n + 1)
+        if memo.den != den:
+            den = memo.den
+            f = lcm(L, den) // L
+            L, lo, hi = L * f, lo * f, hi * f
+            k = L // den
+        (d_lo, d_hi), (e_lo, e_hi) = memo.num[n], memo.num[n + 1]
+        if k != 1:
+            d_lo, d_hi, e_lo, e_hi = d_lo * k, d_hi * k, e_lo * k, e_hi * k
+        if d_lo <= 0 <= d_hi:
+            raise PrecisionExhausted(f"D_{n} enclosure straddles zero")
+        # (rem + D_{n+1}) / D_n spans the four endpoint quotients
+        ceils = [-(-x // d) for x in (lo + e_lo, hi + e_hi) for d in (d_lo, d_hi)]
+        b = min(ceils)
+        if b != max(ceils):
+            raise PrecisionExhausted(f"digit at position {n} undecidable")
+        b = max(0, b)
+        cap = ctx.a(n + 1) - (1 if prev_nonzero else 0)
+        if b > cap:
+            raise PrecisionExhausted(f"digit at position {n} exceeds cap {cap}")
+        if b:
+            lo, hi = lo - b * d_hi, hi - b * d_lo
         digits.append(b)
         prev_nonzero = b > 0
     check_admissible(digits, ctx)
-    return RealDigits(b=digits, depth=depth, tail_bound=rem, exact_remainder=None)
+    tail = RatInterval(Fraction(lo, L), Fraction(hi, L))
+    return RealDigits(b=digits, depth=depth, tail_bound=tail, exact_remainder=None)
 
 
 def real_digits_partial(d: RealDigits, ctx: CFContext):
@@ -279,7 +330,9 @@ def delta_profile(
         reals = ostrowski_real(gamma, ctx, depth, allow_orbit=allow_orbit)
     c = ints.c + [0] * (depth - len(ints.c))
     delta = [c[n] - reals.b[n] for n in range(depth)]
-    assert all(abs(d) <= ctx.a(n + 1) for n, d in enumerate(delta))
+    for n, d in enumerate(delta):
+        if abs(d) > ctx.a(n + 1):
+            raise InvariantViolation(f"|delta| = {abs(d)} at {n} exceeds a_{n + 1}")
     m = next((n for n, d in enumerate(delta) if d), None)
     return DeltaProfile(
         s=s, depth=depth, delta=delta, m=m, int_digits=ints, real_digits=reals
@@ -298,23 +351,28 @@ def dist_formula(profile: DeltaProfile, ctx: CFContext):
     """||s*alpha - gamma|| = |sum_{n>=m} delta_{n+1} D_n|, exact on the exact
     path (QuadIrr/Fraction), a certified RatInterval otherwise."""
     m = _require_regime(profile)
+    terms = [(n, d) for n, d in enumerate(profile.delta) if d and n >= m]
     if profile.real_digits.exact_remainder is not None:
-        series = Fraction(0)
-        for n in range(m, profile.depth):
-            d = profile.delta[n]
-            if d:
-                series = d * ctx.D(n) + series
-        series = series - profile.real_digits.exact_remainder
-        lead = sign_of(profile.delta[m]) * sign_of(ctx.D(m))
-        assert sign_of(series) == lead, "series sign disagrees with its leading term"
+        # numerators over alpha's denominator Q
+        D, Q = ctx.alpha.D, ctx.alpha.Q
+        x = y = 0
+        for n, d in terms:
+            xn, yn = _d_num(ctx, n, 1)
+            x, y = x + d * xn, y + d * yn
+        series = QuadIrr.make(x, y, D, Q) - profile.real_digits.exact_remainder
+        lead = sign_of(profile.delta[m]) * surd_sign(*_d_num(ctx, m, 1), D)
+        if sign_of(series) != lead:
+            raise InvariantViolation("series sign disagrees with its leading term")
         return abs(series)
-    total = RatInterval.point(Fraction(0))
-    for n in range(m, profile.depth):
-        d = profile.delta[n]
-        if d:
-            total = total + as_interval(ctx.D(n), DEFAULT_WIDTH) * d
-    total = total - profile.real_digits.tail_bound
-    return total.abs()
+    memo = ctx.d_enclosures(DEFAULT_WIDTH)
+    for n, _ in terms:
+        memo.ensure(n)
+    lo = hi = 0
+    for n, d in terms:
+        d_lo, d_hi = memo.num[n]
+        lo, hi = (lo + d * d_lo, hi + d * d_hi) if d > 0 else (lo + d * d_hi, hi + d * d_lo)
+    total = RatInterval(Fraction(lo, memo.den), Fraction(hi, memo.den))
+    return (total - profile.real_digits.tail_bound).abs()
 
 
 def dist_formula_terms(profile: DeltaProfile, ctx: CFContext) -> list:
@@ -360,6 +418,5 @@ def dist_direct(s: int, gamma, alpha, width: Fraction = DEFAULT_WIDTH) -> RatInt
 def dist_bound(profile: DeltaProfile, ctx: CFContext) -> Fraction:
     """Upper bound (|delta_{m+1}| + 2) * ||q_m alpha||, as an exact rational."""
     m = _require_regime(profile)
-    dm = ctx.D(m)
-    upper = as_interval(dm, DEFAULT_WIDTH).abs().hi
+    upper = ctx.d_enclosures(DEFAULT_WIDTH).interval(m).abs().hi
     return (abs(profile.delta[m]) + 2) * upper

@@ -11,7 +11,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from ratapprox.exactnum import QuadIrr, RatInterval
+from ratapprox.errors import GammaOnOrbit, PrecisionExhausted
+from ratapprox.exactnum import (
+    Certified,
+    QuadIrr,
+    RatInterval,
+    as_interval,
+    ceil_of_frac,
+    enclose,
+    floor_of,
+)
 
 
 def minpoly_triple(x: QuadIrr) -> tuple[int, int, int]:
@@ -156,3 +165,62 @@ def convergent_pairs(digits: list[int]) -> list[tuple[int, int]]:
         q, q_prev = a * q + q_prev, q
         out.append((p, q))
     return out
+
+
+def reference_real_digits(gamma, ctx, depth: int, precision_digits: int = 200):
+    """(b, tail_bound, exact_remainder) of gamma over the basis D_n by the
+    step rule b = max(0, ceil((rem + D_{n+1}) / D_n)), computed on QuadIrr
+    and Fraction values for a quadratic alpha and exact gamma, and on
+    RatInterval enclosures of width 10**-precision_digits otherwise.
+
+    Raises GammaOnOrbit on a cell-boundary tie and PrecisionExhausted when
+    the enclosures cannot decide a digit, with the library's messages; no
+    orbit pre-check.  Ratapprox's integer kernels must agree with it.
+    """
+    exact = isinstance(ctx.alpha, QuadIrr) and not isinstance(gamma, Certified)
+    width = Fraction(1, 10**precision_digits)
+    if exact:
+        if not (-ctx.D(0) <= gamma):
+            raise ValueError("gamma below -alpha")
+        if not (gamma < 1 - ctx.D(0)):
+            raise ValueError("gamma not below 1 - alpha")
+        rem = gamma
+    else:
+        rem = as_interval(gamma, width)
+    digits = []
+    prev_nonzero = True
+    for n in range(depth):
+        if exact:
+            ratio = (rem + ctx.D(n + 1)) / ctx.D(n)
+            b = max(0, -floor_of(-ratio))
+            cap = ctx.a(n + 1) - (1 if prev_nonzero else 0)
+            tie = isinstance(ratio, Fraction) and ratio.denominator == 1 and ratio >= 0
+            if tie and b + 1 <= cap:
+                raise GammaOnOrbit(
+                    f"remainder hits a cell boundary at position {n}: two expansions exist"
+                )
+            assert b <= cap
+            if b:
+                rem = rem - b * ctx.D(n)
+            # rem stays between -D_{n+1} and -D_n, less D_{n+1} after a digit
+            ends = [-ctx.D(n + 1), -ctx.D(n) - (ctx.D(n + 1) if b else 0)]
+            assert min(ends) <= rem <= max(ends)
+        else:
+            dn, dn1 = as_interval(ctx.D(n), width), as_interval(ctx.D(n + 1), width)
+            if dn.lo <= 0 <= dn.hi:
+                raise PrecisionExhausted(f"D_{n} enclosure straddles zero")
+            ratio = (rem + dn1) / dn
+            b = ceil_of_frac(ratio.lo)
+            if b != ceil_of_frac(ratio.hi):
+                raise PrecisionExhausted(f"digit at position {n} undecidable")
+            b = max(0, b)
+            cap = ctx.a(n + 1) - (1 if prev_nonzero else 0)
+            if b > cap:
+                raise PrecisionExhausted(f"digit at position {n} exceeds cap {cap}")
+            if b:
+                rem = rem - dn * b
+        digits.append(b)
+        prev_nonzero = b > 0
+    if not exact:
+        return digits, rem, None
+    return digits, enclose(rem, Fraction(1, ctx.q(depth)) / 2**20), rem

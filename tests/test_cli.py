@@ -105,6 +105,20 @@ def test_domain_error_exit_code_and_schema(capsys):
         Draft7Validator(json.load(fh)).validate(doc)
 
 
+def test_invariant_violation_is_a_json_error(capsys, monkeypatch):
+    import ratapprox.cli as cli
+    from ratapprox.ostrowski import check_admissible
+
+    # stand in for a broken expansion: the real check sees the digit s
+    monkeypatch.setattr(cli, "ostrowski_int", lambda s, ctx: check_admissible([s], ctx))
+    code, out = run_cli(capsys, GOLDEN["ostrowski-int"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc == {"error": "InvariantViolation", "message": "c_1 = 11 must be < a_1 = 1"}
+    with open(schema_path("error"), encoding="utf-8") as fh:
+        Draft7Validator(json.load(fh)).validate(doc)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -20,7 +20,7 @@ from ratapprox.conic import (
 from ratapprox.errors import InsufficientPairs, NotPeriodic
 from ratapprox.exactnum import QuadIrr, enclose, qi_normalize, qi_pair
 
-from oracles import brute_pell4, sqrt_series_coeffs
+from oracles import brute_pell4, convergent_pairs, quad_cf_digits, sqrt_series_coeffs
 
 PHI = qi_normalize(1, 1, 5, 2)
 INV_PHI = qi_normalize(-1, 1, 5, 2)
@@ -204,6 +204,17 @@ def test_periodic_construction_growth_and_report():
     pc = periodic_construction(INV_PHI, 10)
     assert growth_profile(pc.aset.denominators).classification == "exponential"
     assert pc.report.passed
+
+
+@pytest.mark.parametrize("P, D, Q", [(-1, 5, 2), (-7, 61, 1), (2, 3, 5), (3, 2, 7), (5, 11, 9)])
+def test_periodic_construction_pairs_without_dense_walk(P, D, Q):
+    alpha = qi_normalize(P, 1, D, Q)
+    ctx = CFContext(alpha)
+    pc = periodic_construction(alpha, 12, ctx)
+    K, L = pc.preperiod, pc.period
+    pairs = convergent_pairs(quad_cf_digits(P, D, Q, K + 24 * L + 1))
+    assert pc.aset.pairs == [pairs[K + 2 * k * L] for k in range(1, 13)]
+    assert len(ctx._q) == 2  # no convergent walked into the dense list
 
 
 def test_periodic_integrality():

@@ -1,11 +1,33 @@
+import gc
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ratapprox
+from ratapprox import exactnum
 from ratapprox.cf import CFContext
-from ratapprox.errors import GammaOnOrbit, OutOfRegime, RationalTarget
-from ratapprox.exactnum import Certified, enclose, qi_normalize
+from ratapprox.errors import (
+    GammaOnOrbit,
+    InvariantViolation,
+    OutOfRegime,
+    RatApproxError,
+    RationalTarget,
+)
+from ratapprox.exactnum import (
+    Certified,
+    QuadIrr,
+    RatInterval,
+    as_interval,
+    enclose,
+    floor_of,
+    qi_normalize,
+)
 from ratapprox.ostrowski import (
     check_admissible,
     delta_profile,
@@ -19,7 +41,7 @@ from ratapprox.ostrowski import (
     real_digits_partial,
 )
 
-from oracles import enumerate_ostrowski_values
+from oracles import enumerate_ostrowski_values, reference_real_digits
 
 INV_PHI = qi_normalize(-1, 1, 5, 2)
 SQRT2_M1 = qi_normalize(-1, 1, 2, 1)
@@ -345,3 +367,200 @@ def test_inexact_gamma_tracks_exhaustive_minimizer(contexts):
             rem = gamma - values[got]
             rem_hi = enclose(abs(rem), Fraction(1, 10**40)).hi
             assert rem_hi <= ctx.d_abs_upper(depth - 1)
+
+
+@pytest.mark.parametrize(
+    "digits, message",
+    [
+        ([-1], "negative digit at 0"),
+        ([1], "c_1 = 1 must be < a_1 = 1"),
+        ([0, 2], "digit 2 at 1 exceeds a_2 = 1"),
+        ([0, 1, 1], "saturated digit at 2 needs 0 before it"),
+    ],
+)
+def test_check_admissible_raises_invariant_violation(contexts, digits, message):
+    with pytest.raises(InvariantViolation) as info:
+        check_admissible(digits, contexts[INV_PHI])
+    assert str(info.value) == message
+    assert isinstance(info.value, RatApproxError)
+
+
+def test_check_admissible_survives_optimized_mode():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ratapprox.__file__)))
+    code = (
+        "from ratapprox.cf import CFContext\n"
+        "from ratapprox.errors import InvariantViolation\n"
+        "from ratapprox.exactnum import qi_normalize\n"
+        "from ratapprox.ostrowski import check_admissible\n"
+        "ctx = CFContext(qi_normalize(-1, 1, 5, 2))\n"
+        "print(__debug__)\n"
+        "for digits in ([-1], [1], [0, 2], [0, 1, 1], [0, 1, 0, 1]):\n"
+        "    try:\n"
+        "        check_admissible(digits, ctx)\n"
+        "        print('accepted')\n"
+        "    except InvariantViolation as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout.split()
+    assert out == ["False"] + ["InvariantViolation"] * 4 + ["accepted"]
+
+
+# Equivalence of the integer kernels with the QuadIrr/RatInterval step rule.
+# Alphas include Q != 1 and e != 1 (canonical (P + e*sqrt(D))/Q) and one
+# certified alpha, 1/phi to 64 digits.
+KERNEL_ALPHAS = [
+    INV_PHI,
+    qi_normalize(3, -1, 7, 2),  # (3 - sqrt(7))/2
+    qi_normalize(5, -1, 13, 3),  # (5 - sqrt(13))/3
+    qi_normalize(-5, 2, 7, 3),  # (2 sqrt(7) - 5)/3
+    qi_normalize(-5, 1, 28, 6),  # (2 sqrt(7) - 5)/6, given through sqrt(28)
+    qi_normalize(-4, 1, 17, 1),
+    Certified.parse(
+        "0.6180339887498948482045868343656381177203091798057628621354486227±1e-64"
+    ),
+]
+KERNEL_CTX = [CFContext(a, depth=64) for a in KERNEL_ALPHAS]
+
+
+def _kernel_gamma(alpha, kind, num, den, coef, digits):
+    """A gamma of the given kind moved by an integer into [-alpha, 1 - alpha);
+    certified kinds enclose that value at about 10**-digits, off-centre, and
+    "certified-raw" encloses num/den mod 1 without the move."""
+    field = alpha if isinstance(alpha, QuadIrr) else INV_PHI
+    if kind == "certified-raw":
+        g = Fraction(num % den, den)
+    elif kind == "orbit":
+        g = field * num  # on the orbit s*alpha (mod 1) when alpha is exact
+    elif kind.endswith("quadratic"):
+        g = field * Fraction(coef, 7) + Fraction(num, den)
+    else:
+        g = Fraction(num, den)
+    if kind != "certified-raw":
+        g = g - floor_of(g + (alpha.enclosure.mid if isinstance(alpha, Certified) else alpha))
+    if kind.startswith("certified"):
+        iv = enclose(g, Fraction(1, 10**digits))
+        return Certified("~", RatInterval(iv.lo - Fraction(1 + num % 97, 97 * 10**digits), iv.hi))
+    return g
+
+
+def _kernel_outcome(gamma, ctx, depth, precision):
+    try:
+        d = ostrowski_real(gamma, ctx, depth, allow_orbit=True, precision_digits=precision)
+    except (RatApproxError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return d.b, d.tail_bound, d.exact_remainder
+
+
+def _reference_outcome(gamma, ctx, depth, precision):
+    try:
+        return reference_real_digits(gamma, ctx, depth, precision)
+    except (RatApproxError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+KERNEL_KINDS = ["rational", "quadratic", "orbit", "certified", "certified-quadratic", "certified-raw"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    i=st.integers(0, len(KERNEL_ALPHAS) - 1),
+    kind=st.sampled_from(KERNEL_KINDS),
+    num=st.integers(-10**6, 10**6),
+    den=st.integers(1, 10**6),
+    coef=st.integers(1, 50),
+    digits=st.integers(40, 200),
+    depth=st.integers(1, 80),
+    precision=st.sampled_from([4, 7, 12, 30, 200]),
+)
+@example(i=2, kind="certified-quadratic", num=3, den=8, coef=5, digits=200, depth=80, precision=200)
+@example(i=6, kind="quadratic", num=-3, den=11, coef=9, digits=40, depth=80, precision=200)
+def test_real_digit_kernels_match_reference(i, kind, num, den, coef, digits, depth, precision):
+    """Equal digits, tail_bound and exact remainder (of the same type), or
+    the same error class and message."""
+    ctx = KERNEL_CTX[i]
+    gamma = _kernel_gamma(KERNEL_ALPHAS[i], kind, num, den, coef, digits)
+    got = _kernel_outcome(gamma, ctx, depth, precision)
+    want = _reference_outcome(gamma, ctx, depth, precision)
+    assert got == want
+    assert type(got[-1]) is type(want[-1])
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ((5, "orbit", -357913, 186099, 6, 200, 20, 30), "GammaOnOrbit: remainder hits a cell boundary at position 6"),
+        ((1, "certified-quadratic", -560056, 671398, 33, 68, 30, 7), "PrecisionExhausted: D_28 enclosure straddles zero"),
+        ((4, "certified", -232056, 394648, 38, 42, 58, 4), "PrecisionExhausted: digit at position 11 undecidable"),
+        ((6, "certified-raw", 9, 10, 1, 40, 5, 200), "PrecisionExhausted: digit at position 0 exceeds cap 0"),
+    ],
+)
+def test_real_digit_kernels_refuse_like_reference(case, message):
+    i, kind, num, den, coef, digits, depth, precision = case
+    gamma = _kernel_gamma(KERNEL_ALPHAS[i], kind, num, den, coef, digits)
+    want = _reference_outcome(gamma, KERNEL_CTX[i], depth, precision)
+    assert ": ".join(want).startswith(message)  # the reference refuses as named
+    assert _kernel_outcome(gamma, KERNEL_CTX[i], depth, precision) == want
+
+
+def _count_enclose(monkeypatch) -> list:
+    calls = []
+    real = exactnum.enclose
+
+    def counting(x, width):
+        calls.append(x)
+        return real(x, width)
+
+    monkeypatch.setattr(exactnum, "enclose", counting)
+    return calls
+
+
+def test_d_enclosure_memo_is_reused_and_never_shared(monkeypatch):
+    calls = _count_enclose(monkeypatch)
+    ctx = CFContext(INV_PHI, depth=64)
+    gamma = Certified("~", enclose(ctx.D(5) + ctx.D(9) + ctx.D(30), Fraction(1, 10**150)))
+    first = ostrowski_real(gamma, ctx, 40)
+    made = len(calls)
+    assert made >= 41  # D_0 .. D_40 at 10**-200
+    assert ostrowski_real(gamma, ctx, 40) == first
+    assert len(calls) == made
+    # a fresh context starts empty, even at an id the old one may have had
+    del ctx
+    gc.collect()
+    other = CFContext(INV_PHI, depth=64)
+    assert ostrowski_real(gamma, other, 40) == first
+    assert len(calls) == 2 * made
+    # dist_formula and dist_bound share one memo at their width
+    prof = delta_profile(other.q(5) + other.q(9) + other.q(12), gamma, other, 40)
+    assert prof.m == 12
+    dist_formula(prof, other)
+    dist_bound(prof, other)
+    made = len(calls)
+    dist_formula(prof, other)
+    dist_bound(prof, other)
+    assert len(calls) == made
+
+
+@pytest.mark.parametrize("i", [0, 3, 6])
+def test_d_enclosure_memo_matches_as_interval(i):
+    ctx = CFContext(KERNEL_ALPHAS[i], depth=64)
+    for width in (Fraction(1, 10**30), Fraction(1, 10**200)):
+        memo = ctx.d_enclosures(width)
+        assert ctx.d_enclosures(width) is memo
+        for n in (5, 0, 40, 17, 80):  # out of order: the common denominator grows
+            assert memo.interval(n) == as_interval(ctx.D(n), width)
+        for n, (lo, hi) in memo.num.items():
+            assert RatInterval(Fraction(lo, memo.den), Fraction(hi, memo.den)) == as_interval(ctx.D(n), width)
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_real_digit_kernel_range_ends_match_reference(i):
+    # T(0) = [-alpha, 1 - alpha): the lower end is inside, the upper one not
+    alpha, ctx = KERNEL_ALPHAS[i], KERNEL_CTX[i]
+    eps = Fraction(1, 10**40)
+    for gamma, inside in ((-alpha, True), (1 - alpha, False), (-alpha - eps, False), (1 - alpha - eps, True)):
+        got = _kernel_outcome(gamma, ctx, 12, 200)
+        assert got == _reference_outcome(gamma, ctx, 12, 200)
+        assert (got[0] != "ValueError") == inside
