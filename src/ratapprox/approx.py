@@ -10,7 +10,6 @@ the rational-line case exactly, and classifies denominator growth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -47,44 +46,65 @@ _TIGHT = Fraction(1, 10**40)
 # data types
 
 
-@dataclass
 class ApproxSet:
     """Pairs sorted by strictly increasing positive denominator, plus the
     claimed order N and expansion coefficients gamma_1..gamma_N."""
 
-    alpha: RealTarget
-    pairs: list[tuple[int, int]]
-    order: int
-    gamma: list
+    __slots__ = ("alpha", "pairs", "order", "gamma")
 
-    def __post_init__(self):
-        if not self.pairs:
+    def __init__(self, alpha: RealTarget, pairs: list[tuple[int, int]], order: int, gamma: list):
+        if not pairs:
             raise ValueError("pairs must be nonempty")
-        if self.order < 0 or len(self.gamma) != self.order:
+        if order < 0 or len(gamma) != order:
             raise ValueError("gamma must list exactly `order` coefficients")
         last = 0
-        for _, s in self.pairs:
+        for _, s in pairs:
             if s <= last:
                 raise ValueError("denominators must be strictly increasing and positive")
             last = s
+        self.alpha = alpha
+        self.pairs = pairs
+        self.order = order
+        self.gamma = gamma
 
     @property
     def denominators(self) -> list[int]:
         return [s for _, s in self.pairs]
 
 
-@dataclass(frozen=True)
 class PsiSpec:
     """Decreasing Psi restricted to families with exact comparability.
 
     exp_decay(c): Psi(s) = exp(-c*s); power(k): Psi(s) = s**-k;
     rational_table: explicit (s, Psi(s)) pairs read as a step function.
+    Immutable by convention, compared and hashed by value.
     """
 
-    kind: str
-    c: Fraction | None = None
-    k: int | None = None
-    table: tuple[tuple[int, Fraction], ...] | None = None
+    __slots__ = ("kind", "c", "k", "table")
+
+    def __init__(
+        self,
+        kind: str,
+        c: Fraction | None = None,
+        k: int | None = None,
+        table: tuple[tuple[int, Fraction], ...] | None = None,
+    ):
+        self.kind = kind
+        self.c = c
+        self.k = k
+        self.table = table
+
+    def __repr__(self) -> str:
+        return f"PsiSpec(kind={self.kind!r}, c={self.c!r}, k={self.k!r}, table={self.table!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.c, self.k, self.table) == (
+                other.kind, other.c, other.k, other.table)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.c, self.k, self.table))
 
     @staticmethod
     def exp_decay(c) -> "PsiSpec":
@@ -182,15 +202,16 @@ class PsiSpec:
         }
 
 
-@dataclass
 class ReportRow:
-    r: int
-    s: int
-    residual: object  # Fraction | QuadIrr | RatInterval
-    scaled: object
+    __slots__ = ("r", "s", "residual", "scaled")
+
+    def __init__(self, r: int, s: int, residual: object, scaled: object):
+        self.r = r
+        self.s = s
+        self.residual = residual  # Fraction | QuadIrr | RatInterval
+        self.scaled = scaled
 
 
-@dataclass
 class DecayReport:
     """Per-pair scaled residuals |rho|*(|r|+|s|)^N and the window verdict.
 
@@ -200,12 +221,23 @@ class DecayReport:
     passes outright.
     """
 
-    order: int
-    rows: list[ReportRow]
-    window: int
-    rel_tolerance: Fraction
-    verdict: bool
-    note: str = ""
+    __slots__ = ("order", "rows", "window", "rel_tolerance", "verdict", "note")
+
+    def __init__(
+        self,
+        order: int,
+        rows: list[ReportRow],
+        window: int,
+        rel_tolerance: Fraction,
+        verdict: bool,
+        note: str = "",
+    ):
+        self.order = order
+        self.rows = rows
+        self.window = window
+        self.rel_tolerance = rel_tolerance
+        self.verdict = verdict
+        self.note = note
 
     @property
     def passed(self) -> bool:
@@ -334,27 +366,46 @@ def verify_order(
 # the Psi-driven existence construction
 
 
-@dataclass
 class CertLine:
-    k: int
-    s: int
-    route: str  # "numeric" or "monotone"
-    bound: Fraction | None
-    ok: bool
-    detail: str = ""
+    __slots__ = ("k", "s", "route", "bound", "ok", "detail")
+
+    def __init__(
+        self, k: int, s: int, route: str, bound: Fraction | None, ok: bool, detail: str = ""
+    ):
+        self.k = k
+        self.s = s
+        self.route = route  # "numeric" or "monotone"
+        self.bound = bound
+        self.ok = ok
+        self.detail = detail
 
 
-@dataclass
 class PsiConstruction:
-    alpha: RealTarget
-    psi: PsiSpec
-    indices: list[int]  # n_1..n_K
-    n_next: int | None
-    s: list[int]
-    gamma_partial: object  # exact field element (or RatInterval when certified)
-    tail: Fraction
-    digits: RealDigits
-    certificate: list[CertLine]
+    __slots__ = ("alpha", "psi", "indices", "n_next", "s", "gamma_partial", "tail", "digits",
+                 "certificate")
+
+    def __init__(
+        self,
+        alpha: RealTarget,
+        psi: PsiSpec,
+        indices: list[int],
+        n_next: int | None,
+        s: list[int],
+        gamma_partial: object,
+        tail: Fraction,
+        digits: RealDigits,
+        certificate: list[CertLine],
+    ):
+        self.alpha = alpha
+        self.psi = psi
+        self.indices = indices  # n_1..n_K
+        self.n_next = n_next
+        self.s = s
+        # exact field element (or RatInterval when certified)
+        self.gamma_partial = gamma_partial
+        self.tail = tail
+        self.digits = digits
+        self.certificate = certificate
 
     @property
     def certified(self) -> bool:
@@ -552,12 +603,14 @@ def nearest_numerators(alpha: RealTarget, s_list, gamma1=None) -> ApproxSet:
 # the rational-line case
 
 
-@dataclass
 class LineFit:
-    a: int
-    b: int
-    d: int
-    exceptions: int
+    __slots__ = ("a", "b", "d", "exceptions")
+
+    def __init__(self, a: int, b: int, d: int, exceptions: int):
+        self.a = a
+        self.b = b
+        self.d = d
+        self.exceptions = exceptions
 
 
 def line_set(a: int, b: int, d: int, count: int) -> ApproxSet:
@@ -606,11 +659,14 @@ def detect_line(pairs, max_prefix_exceptions: int = 2) -> LineFit | None:
 # growth profiling
 
 
-@dataclass
 class GrowthProfile:
-    classification: str  # linear | polynomial | exponential | super_exponential
-    ratios: list[Fraction]
-    differences: list[int]
+    __slots__ = ("classification", "ratios", "differences")
+
+    def __init__(self, classification: str, ratios: list[Fraction], differences: list[int]):
+        # linear | polynomial | exponential | super_exponential
+        self.classification = classification
+        self.ratios = ratios
+        self.differences = differences
 
 
 def growth_profile(s_list) -> GrowthProfile:

@@ -11,10 +11,9 @@ an interval straddles an integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import NamedTuple
 
 from .errors import (
     InsufficientDepth,
@@ -32,13 +31,9 @@ from .exactnum import (
 )
 
 
-class Convergent(NamedTuple):
-    n: int
-    p: int
-    q: int
+Convergent = namedtuple("Convergent", "n p q")
 
 
-@dataclass
 class CFExpansion:
     """Materialized prefix of a simple continued fraction.
 
@@ -47,16 +42,30 @@ class CFExpansion:
     sources.  `finite` marks a complete rational expansion.
     """
 
-    source: RealTarget
-    a: list[int]
-    period: tuple[int, int] | None = None
-    finite: bool = False
-    _states: list[tuple[int, int]] = field(default_factory=list, repr=False)
-    _state_period: tuple[int, int] | None = field(default=None, repr=False)
-    _surd: int = field(default=0, repr=False)  # E in zeta_n = (P_n + sqrt(E))/Q_n
-    # certified sources: enclosure of the complete quotient whose floor is
-    # the last digit (of alpha before the first digit)
-    _enclosure: RatInterval | None = field(default=None, repr=False)
+    __slots__ = ("source", "a", "period", "finite", "_states", "_state_period", "_surd",
+                 "_enclosure")
+
+    def __init__(
+        self,
+        source: RealTarget,
+        a: list[int],
+        period: tuple[int, int] | None = None,
+        finite: bool = False,
+        _states: list[tuple[int, int]] | None = None,
+        _state_period: tuple[int, int] | None = None,
+        _surd: int = 0,
+        _enclosure: RatInterval | None = None,
+    ):
+        self.source = source
+        self.a = a
+        self.period = period
+        self.finite = finite
+        self._states = [] if _states is None else _states
+        self._state_period = _state_period
+        self._surd = _surd  # E in zeta_n = (P_n + sqrt(E))/Q_n
+        # certified sources: enclosure of the complete quotient whose floor is
+        # the last digit (of alpha before the first digit)
+        self._enclosure = _enclosure
 
     def digit(self, n: int) -> int:
         if n < 0:

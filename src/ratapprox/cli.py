@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .approx import (
@@ -70,32 +69,48 @@ def schema_path(name: str) -> str:
     return os.path.join(os.path.dirname(__file__), "schemas", f"{base}.schema.json")
 
 
-@dataclass
 class Config:
     """Runtime knobs; file values (key=value lines) are overridden by flags.
 
     Each field is also the top-level flag --field-name, typed like its default.
     """
 
-    precision_digits: int = 200
-    decay_window: int = 5
-    decay_tolerance: Fraction = Fraction(1, 1000)
-    digit_budget: int = 100_000
-    seed_bound: int = 10_000
-    prefix_exceptions: int = 2
+    __slots__ = ("precision_digits", "decay_window", "decay_tolerance", "digit_budget",
+                 "seed_bound", "prefix_exceptions")
+
+    def __init__(
+        self,
+        precision_digits: int = 200,
+        decay_window: int = 5,
+        decay_tolerance: Fraction = Fraction(1, 1000),
+        digit_budget: int = 100_000,
+        seed_bound: int = 10_000,
+        prefix_exceptions: int = 2,
+    ):
+        self.precision_digits = precision_digits
+        self.decay_window = decay_window
+        self.decay_tolerance = decay_tolerance
+        self.digit_budget = digit_budget
+        self.seed_bound = seed_bound
+        self.prefix_exceptions = prefix_exceptions
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return all(getattr(self, name) == getattr(other, name) for name, _ in CONFIG_FIELDS)
+        return NotImplemented
 
     def validate(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"config {f.name} must be positive")
+        for name, _ in CONFIG_FIELDS:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"config {name} must be positive")
 
     def to_text(self) -> str:
-        return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
+        return "".join(f"{name} = {getattr(self, name)}\n" for name, _ in CONFIG_FIELDS)
 
     @staticmethod
     def from_text(text: str) -> "Config":
         cfg = Config()
-        kinds = {f.name: type(f.default) for f in fields(Config)}
+        kinds = {name: type(default) for name, default in CONFIG_FIELDS}
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -107,6 +122,10 @@ class Config:
             setattr(cfg, key, kinds[key](value.strip()))
         cfg.validate()
         return cfg
+
+
+# (name, default) of each Config field, in the order of the flags and the file
+CONFIG_FIELDS = tuple((name, getattr(Config(), name)) for name in Config.__slots__)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     top.add_argument("--config", help="path to key=value config file")
-    for f in fields(Config):
-        top.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
+    for name, default in CONFIG_FIELDS:
+        top.add_argument("--" + name.replace("_", "-"), type=type(default), default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
     def cmd(name, handler, **kwargs):
@@ -610,10 +629,10 @@ def load_config(args) -> Config:
             cfg = Config.from_text(fh.read())
     else:
         cfg = Config()
-    for f in fields(Config):
-        value = getattr(args, f.name)
+    for name, _ in CONFIG_FIELDS:
+        value = getattr(args, name)
         if value is not None:
-            setattr(cfg, f.name, value)
+            setattr(cfg, name, value)
     cfg.validate()
     return cfg
 

@@ -6,37 +6,48 @@ second-order coefficients, and conic detection from raw pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .approx import ApproxSet, DecayReport, verify_order
 from .cf import CFContext, cf_expand, complete_quotient
-from .errors import InsufficientPairs, NotPeriodic, OrbitLeavesQuadrant
+from .errors import InsufficientPairs, InvariantViolation, NotPeriodic, OrbitLeavesQuadrant
 from .exactnum import QuadIrr, enclose, int_str, qi_normalize, qi_pair, squarefree_decompose
 
 
-@dataclass(frozen=True)
 class ConicForm:
     """Primitive integer form a*r^2 + b*r*s + c*s^2 at level d.
 
     gcd(a, b, c) = 1, a > 0, and the discriminant b^2 - 4ac is positive and
     not a perfect square, so the form has an irrational quadratic root.
+    Immutable by convention, compared and hashed by value.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int = 0
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a <= 0:
+    def __init__(self, a: int, b: int, c: int, d: int = 0):
+        if a <= 0:
             raise ValueError("leading coefficient must be positive")
-        if gcd(gcd(self.a, abs(self.b)), abs(self.c)) != 1:
+        if gcd(gcd(a, abs(b)), abs(c)) != 1:
             raise ValueError("form must be primitive")
-        disc = self.disc
+        disc = b * b - 4 * a * c
         if disc <= 0 or isqrt(disc) ** 2 == disc:
             raise ValueError("discriminant must be positive and non-square")
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+
+    def __repr__(self) -> str:
+        return f"ConicForm(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
 
     @property
     def disc(self) -> int:
@@ -56,15 +67,30 @@ class ConicForm:
         return {k: int_str(getattr(self, k)) for k in ("a", "b", "c", "d")}
 
 
-@dataclass(frozen=True)
 class Automorph:
     """Unimodular integer substitution (r, s) -> (t11 r + t12 s, t21 r + t22 s)
-    preserving a binary quadratic form."""
+    preserving a binary quadratic form.  Immutable by convention, compared
+    and hashed by value."""
 
-    t11: int
-    t12: int
-    t21: int
-    t22: int
+    __slots__ = ("t11", "t12", "t21", "t22")
+
+    def __init__(self, t11: int, t12: int, t21: int, t22: int):
+        self.t11 = t11
+        self.t12 = t12
+        self.t21 = t21
+        self.t22 = t22
+
+    def __repr__(self) -> str:
+        return f"Automorph(t11={self.t11!r}, t12={self.t12!r}, t21={self.t21!r}, t22={self.t22!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.t11, self.t12, self.t21, self.t22) == (
+                other.t11, other.t12, other.t21, other.t22)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.t11, self.t12, self.t21, self.t22))
 
     def det(self) -> int:
         return self.t11 * self.t22 - self.t12 * self.t21
@@ -93,7 +119,8 @@ def minimal_polynomial(x: QuadIrr) -> tuple[int, int, int]:
     g = gcd(gcd(a, abs(b)), abs(c))
     triple = (a // g, b // g, c // g)
     check = triple[0] * x * x + triple[1] * x + triple[2]
-    assert check == Fraction(0)
+    if check != 0:
+        raise InvariantViolation(f"{triple} is not a minimal polynomial of {x}")
     return triple
 
 
@@ -141,14 +168,16 @@ def pell4(delta: int) -> tuple[int, int]:
 def fundamental_automorph(form: ConicForm) -> Automorph:
     """Automorph ((t-bu)/2, -cu; au, (t+bu)/2) from the minimal (t, u)."""
     t, u = pell4(form.disc)
-    assert (t - form.b * u) % 2 == 0
+    if (t - form.b * u) % 2:
+        raise InvariantViolation(f"t - b*u is odd for (t, u) = {(t, u)}")
     m = Automorph(
         (t - form.b * u) // 2,
         -form.c * u,
         form.a * u,
         (t + form.b * u) // 2,
     )
-    assert m.preserves(form)
+    if not m.preserves(form):
+        raise InvariantViolation(f"{m} does not preserve {form}")
     return m
 
 
@@ -192,12 +221,12 @@ def conic_orbit(form: ConicForm, seed: tuple[int, int], count: int) -> ApproxSet
             nxt = m.apply(nxt)
         if not (nxt[0] >= 1 and nxt[1] > cur[1]):
             raise OrbitLeavesQuadrant(f"iteration left N^2 at {nxt}")
-        assert form.value(*nxt) == form.d
+        if form.value(*nxt) != form.d:
+            raise InvariantViolation(f"orbit point {nxt} left level {form.d}")
         pairs.append(nxt)
     return ApproxSet(alpha=form.root(), pairs=pairs, order=0, gamma=[])
 
 
-@dataclass
 class LaurentExpansion:
     """Exact coefficients of r/s = alpha + sum_j gamma_j s^-j on the conic.
 
@@ -206,12 +235,23 @@ class LaurentExpansion:
     geometrically (ratio 1/2), giving tail_bound its validity.
     """
 
-    form: ConicForm
-    alpha: QuadIrr
-    gamma: list
-    threshold_s: int
-    next_term_j: int
-    next_term_upper: Fraction
+    __slots__ = ("form", "alpha", "gamma", "threshold_s", "next_term_j", "next_term_upper")
+
+    def __init__(
+        self,
+        form: ConicForm,
+        alpha: QuadIrr,
+        gamma: list,
+        threshold_s: int,
+        next_term_j: int,
+        next_term_upper: Fraction,
+    ):
+        self.form = form
+        self.alpha = alpha
+        self.gamma = gamma
+        self.threshold_s = threshold_s
+        self.next_term_j = next_term_j
+        self.next_term_upper = next_term_upper
 
     def tail_bound(self, s: int) -> Fraction:
         if s < self.threshold_s:
@@ -260,15 +300,24 @@ def laurent_expansion(form: ConicForm, terms: int) -> LaurentExpansion:
     )
 
 
-@dataclass
 class PeriodicConstruction:
     """Even-period convergent subsequence with its exact second-order term."""
 
-    aset: ApproxSet
-    gamma2: QuadIrr | Fraction
-    preperiod: int  # K in the [0; a_1..a_K, periodic] convention
-    period: int
-    report: DecayReport
+    __slots__ = ("aset", "gamma2", "preperiod", "period", "report")
+
+    def __init__(
+        self,
+        aset: ApproxSet,
+        gamma2: QuadIrr | Fraction,
+        preperiod: int,
+        period: int,
+        report: DecayReport,
+    ):
+        self.aset = aset
+        self.gamma2 = gamma2
+        self.preperiod = preperiod  # K in the [0; a_1..a_K, periodic] convention
+        self.period = period
+        self.report = report
 
 
 def _purely_periodic_value(word: list[int], field_d: int) -> QuadIrr:
@@ -279,9 +328,11 @@ def _purely_periodic_value(word: list[int], field_d: int) -> QuadIrr:
     # Z = [overline(word)] solves m10 Z^2 + (m11 - m00) Z - m01 = 0, Z > 1
     disc = (m11 - m00) ** 2 + 4 * m10 * m01
     z = qi_normalize(m00 - m11, 1, disc, 2 * m10)
-    assert z > 1
+    if z <= 1:
+        raise InvariantViolation(f"purely periodic value {z} is not > 1")
     _, core = squarefree_decompose(disc)
-    assert core == field_d, "reversed-period value left the field"
+    if core != field_d:
+        raise InvariantViolation("reversed-period value left the field")
     inv = z.inverse()
     return inv
 

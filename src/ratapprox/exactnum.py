@@ -9,12 +9,11 @@ comparison is decided exactly or raises PrecisionExhausted.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import DegenerateRational, MixedField, PrecisionExhausted
+from .errors import DegenerateRational, InvariantViolation, MixedField, PrecisionExhausted
 
 # BigRat is the package-wide arbitrary-precision rational: fractions.Fraction
 # already guarantees den > 0 and gcd(num, den) == 1.
@@ -63,6 +62,9 @@ def squarefree_decompose(n: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> tuple[i
 # multiplications are subquadratic (the method of CPython 3.12's _pylong)
 INT_STR_CUTOVER_BITS = 1 << 15
 _INT_STR_LEAF_BITS = 2048
+# int_str's w -> Decimal(2**w) for the power-of-two widths w it splits at,
+# kept across calls; the values are exact, so no context changes them
+_DEC_POW2: dict[int, decimal.Decimal] = {}
 
 
 def int_str(n: int) -> str:
@@ -74,21 +76,21 @@ def int_str(n: int) -> str:
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             pass
     D = decimal.Decimal
-    powers: dict[int, decimal.Decimal] = {}
+    powers = _DEC_POW2
 
     def pow2(w: int) -> decimal.Decimal:
+        # w is a power of two
         if w not in powers:
-            half = w >> 1
-            powers[w] = D(1 << w) if w <= _INT_STR_LEAF_BITS else pow2(half) * pow2(w - half)
+            powers[w] = D(1 << w) if w <= _INT_STR_LEAF_BITS else pow2(w >> 1) * pow2(w >> 1)
         return powers[w]
 
     def to_decimal(m: int, w: int) -> decimal.Decimal:
-        # m < 2**w
+        # m < 2**w; the low part is the largest power-of-two width below w
         if w <= _INT_STR_LEAF_BITS:
             return D(m)
-        half = w >> 1
-        hi = m >> half
-        return to_decimal(hi, w - half) * pow2(half) + to_decimal(m - (hi << half), half)
+        low = 1 << ((w - 1).bit_length() - 1)
+        hi = m >> low
+        return to_decimal(hi, w - low) * pow2(low) + to_decimal(m - (hi << low), low)
 
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
@@ -222,7 +224,8 @@ class QuadIrr:
         # D is squarefree > 1 and e != 0.
         norm = self.P * self.P - self.e * self.e * self.D
         res = QuadIrr.make(self.Q * self.P, -self.Q * self.e, self.D, norm)
-        assert isinstance(res, QuadIrr)
+        if not isinstance(res, QuadIrr):
+            raise InvariantViolation(f"inverse of non-canonical {self!r} is rational")
         return res
 
     def __truediv__(self, other):
@@ -288,10 +291,8 @@ class QuadIrr:
         t = isqrt(self.e * self.e * self.D)
         if self.e < 0:
             t = -t - 1  # e*sqrt(D) is irrational, so floor is exact
-        g = (self.P + t) // self.Q
-        if self >= g + 1:
-            g += 1
-        return g
+        # floor((P + x)/Q) = floor((P + floor(x))/Q) for integers P and Q > 0
+        return (self.P + t) // self.Q
 
     def nearest_int(self) -> int:
         # x + 1/2 is irrational, so there is never a tie
@@ -309,7 +310,8 @@ class QuadIrr:
 
 def qi_shift_half(x: QuadIrr) -> QuadIrr:
     res = x + Fraction(1, 2)
-    assert isinstance(res, QuadIrr)
+    if not isinstance(res, QuadIrr):
+        raise InvariantViolation(f"non-canonical {x!r} plus 1/2 is rational")
     return res
 
 
@@ -381,16 +383,28 @@ def as_pair(x, D: int) -> tuple[Fraction, Fraction]:
 # intervals
 
 
-@dataclass(frozen=True)
 class RatInterval:
-    """Closed interval with exact rational endpoints, lo <= hi."""
+    """Closed interval with exact rational endpoints, lo <= hi.  Immutable
+    by convention, compared and hashed by value."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("interval endpoints out of order")
+        self.lo = lo
+        self.hi = hi
+
+    def __repr__(self) -> str:
+        return f"RatInterval(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.lo == other.lo and self.hi == other.hi
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @staticmethod
     def point(x) -> "RatInterval":
@@ -503,16 +517,28 @@ def _contains_half(iv: RatInterval) -> bool:
 # real targets
 
 
-@dataclass(frozen=True)
 class Certified:
-    """Real number known only through a decimal string and an enclosure."""
+    """Real number known only through a decimal string and an enclosure.
+    Immutable by convention, compared and hashed by value."""
 
-    digits: str
-    enclosure: RatInterval
+    __slots__ = ("digits", "enclosure")
 
-    def __post_init__(self):
-        if self.enclosure.width <= 0:
+    def __init__(self, digits: str, enclosure: RatInterval):
+        if enclosure.width <= 0:
             raise ValueError("certified enclosure must have positive width")
+        self.digits = digits
+        self.enclosure = enclosure
+
+    def __repr__(self) -> str:
+        return f"Certified(digits={self.digits!r}, enclosure={self.enclosure!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.digits == other.digits and self.enclosure == other.enclosure
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.digits, self.enclosure))
 
     @staticmethod
     def parse(text: str) -> "Certified":

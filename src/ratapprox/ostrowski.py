@@ -29,7 +29,6 @@ once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -57,37 +56,53 @@ from .exactnum import (
 DEFAULT_WIDTH = Fraction(1, 10**30)
 
 
-@dataclass
 class IntDigits:
     """Digits c with s = sum c[n] * q_n; c[n] is c_{n+1} in the classical
     one-based subscripting."""
 
-    s: int
-    c: list[int]
-    M: int
+    __slots__ = ("s", "c", "M")
+
+    def __init__(self, s: int, c: list[int], M: int):
+        self.s = s
+        self.c = c
+        self.M = M
 
     def support(self) -> list[int]:
         return [n for n, d in enumerate(self.c) if d]
 
 
-@dataclass
 class RealDigits:
     """Digits b with gamma = sum b[n] * D_n; b[n] is b_{n+1} in the classical
     one-based subscripting.
 
     tail_bound encloses the truncation remainder gamma - sum_{n<depth} b[n]D_n.
+    Compared by value.
     """
 
-    b: list[int]
-    depth: int
-    tail_bound: RatInterval
-    exact_remainder: object | None = None  # Fraction | QuadIrr on the exact path
+    __slots__ = ("b", "depth", "tail_bound", "exact_remainder")
+
+    def __init__(
+        self,
+        b: list[int],
+        depth: int,
+        tail_bound: RatInterval,
+        exact_remainder: object | None = None,
+    ):
+        self.b = b
+        self.depth = depth
+        self.tail_bound = tail_bound
+        self.exact_remainder = exact_remainder  # Fraction | QuadIrr on the exact path
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.b, self.depth, self.tail_bound, self.exact_remainder) == (
+                other.b, other.depth, other.tail_bound, other.exact_remainder)
+        return NotImplemented
 
     def support(self) -> list[int]:
         return [n for n, d in enumerate(self.b) if d]
 
 
-@dataclass
 class DeltaProfile:
     """delta[n] = c[n] - b[n] and m, the first index with delta[m] != 0.
 
@@ -95,12 +110,23 @@ class DeltaProfile:
     depth ("m beyond depth").
     """
 
-    s: int
-    depth: int
-    delta: list[int]
-    m: int | None
-    int_digits: IntDigits
-    real_digits: RealDigits
+    __slots__ = ("s", "depth", "delta", "m", "int_digits", "real_digits")
+
+    def __init__(
+        self,
+        s: int,
+        depth: int,
+        delta: list[int],
+        m: int | None,
+        int_digits: IntDigits,
+        real_digits: RealDigits,
+    ):
+        self.s = s
+        self.depth = depth
+        self.delta = delta
+        self.m = m
+        self.int_digits = int_digits
+        self.real_digits = real_digits
 
 
 def check_admissible(digits: list[int], ctx: CFContext) -> None:

@@ -34,6 +34,26 @@ def minpoly_triple(x: QuadIrr) -> tuple[int, int, int]:
     return a // g, b // g, c // g
 
 
+def quad_floor(P: int, e: int, D: int, Q: int) -> int:
+    """floor((P + e*sqrt(D))/Q) for Q > 0 and D not a square: the largest g
+    with g*Q - P <= e*sqrt(D), each step decided by comparing squares,
+    searched from an isqrt estimate."""
+
+    def at_most(g: int) -> bool:  # g <= (P + e*sqrt(D))/Q
+        r = g * Q - P
+        if e > 0:
+            return r <= 0 or r * r < e * e * D
+        return r < 0 and r * r > e * e * D
+
+    root = isqrt(e * e * D)
+    g = (P + (root if e > 0 else -root)) // Q
+    while not at_most(g):
+        g -= 1
+    while at_most(g + 1):
+        g += 1
+    return g
+
+
 def poly_sign(triple: tuple[int, int, int], t: Fraction) -> int:
     a, b, c = triple
     v = a * t * t + b * t + c

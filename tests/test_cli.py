@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import mpmath
 import pytest
 from jsonschema import Draft7Validator
 
+import ratapprox
 from ratapprox.approx import ApproxSet
 from ratapprox.cli import Config, approx_set_json, load_approx_set, main, schema_path, sci_str
 from ratapprox.exactnum import Certified, RatInterval, qi_normalize
@@ -431,3 +435,41 @@ def test_build_psi_certified_alpha_beyond_sixteen_cf_digits(capsys):
     assert doc["indices"] == [4, 12]
     assert doc["s"] == ["5", "238"]
     assert doc["certified"] is True
+
+
+# what `import ratapprox` exports, its submodules aside
+PUBLIC_NAMES = [
+    "ApproxSet", "Automorph", "BigRat", "BlowUp", "CFContext", "CFExpansion", "Certified",
+    "ConicForm", "Convergent", "DecayReport", "DegenerateRational", "DeltaProfile", "GammaOnOrbit",
+    "InsufficientDepth", "InsufficientPairs", "IntDigits", "InvariantViolation", "MixedField",
+    "NotPeriodic", "OrbitLeavesQuadrant", "OutOfRegime", "PrecisionExhausted", "PsiSpec", "QuadIrr",
+    "RatApproxError", "RatInterval", "RationalTarget", "RealDigits", "RealTarget", "SingularSystem",
+    "cf_expand", "complete_quotient", "conic_orbit", "construct_psi", "convergents",
+    "delta_profile", "detect_line", "dist_bound", "dist_direct", "dist_formula", "enclose",
+    "find_seed", "fit_coefficients", "fundamental_automorph", "growth_profile",
+    "laurent_expansion", "line_set", "minimal_polynomial", "nearest_numerators", "ostrowski_int",
+    "ostrowski_real", "pell4", "periodic_construction", "qi_normalize", "quad_detect",
+    "verify_order",
+]
+
+
+def test_cli_import_stays_light():
+    # each CLI call is a fresh process that imports ratapprox.cli, so the
+    # import must not load dataclasses, typing or inspect (with ast, dis and
+    # tokenize behind them); every layer module stays loaded eagerly
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ratapprox.__file__)))
+    code = (
+        "import sys\n"
+        "import ratapprox.cli\n"
+        "from types import ModuleType\n"
+        "print(sorted(m for m in ('dataclasses', 'typing', 'inspect') if m in sys.modules))\n"
+        "layers = ('exactnum', 'cf', 'ostrowski', 'approx', 'conic', 'cli')\n"
+        "print([m for m in layers if 'ratapprox.' + m not in sys.modules])\n"
+        "print(sorted(n for n, v in vars(ratapprox).items()\n"
+        "             if not n.startswith('_') and not isinstance(v, ModuleType)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout.splitlines()
+    assert out == ["[]", "[]", repr(PUBLIC_NAMES)]

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
+import ratapprox
 from ratapprox.approx import detect_line, fit_coefficients, growth_profile, line_set
 from ratapprox.cf import CFContext
 from ratapprox.conic import (
@@ -293,3 +297,45 @@ def test_orbit_leaves_quadrant():
     assert form.value(1, 1) == 5
     with pytest.raises(OrbitLeavesQuadrant):
         conic_orbit(form, (1, 1), 4)
+
+
+def test_library_invariants_survive_optimized_mode():
+    # each internal check of conic and exactnum, broken on purpose, still
+    # raises InvariantViolation when `python -O` strips assert statements
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ratapprox.__file__)))
+    code = (
+        "import math\n"
+        "from ratapprox import conic, exactnum\n"
+        "from ratapprox.conic import Automorph, ConicForm\n"
+        "from ratapprox.errors import InvariantViolation\n"
+        "from ratapprox.exactnum import QuadIrr\n"
+        "def probe(fn, *args):\n"
+        "    try:\n"
+        "        fn(*args)\n"
+        "        print('accepted')\n"
+        "    except InvariantViolation as exc:\n"
+        "        print(type(exc).__name__)\n"
+        "print(__debug__)\n"
+        # raw QuadIrrs over the square D = 4 are rational: 3 + sqrt(4), sqrt(4) + 1/2
+        "probe(QuadIrr(3, 1, 4, 1).inverse)\n"
+        "probe(exactnum.qi_shift_half, QuadIrr(0, 1, 4, 1))\n"
+        "conic.gcd = lambda a, b: 3\n"
+        "probe(conic.minimal_polynomial, exactnum.qi_normalize(-1, 1, 5, 2))\n"
+        "conic.gcd = math.gcd\n"
+        "form = ConicForm(1, 0, -2, -1)\n"
+        "real_pell4, conic.pell4 = conic.pell4, lambda delta: (7, 2)\n"
+        "probe(conic.fundamental_automorph, form)\n"
+        "conic.pell4 = lambda delta: (8, 2)\n"
+        "probe(conic.fundamental_automorph, form)\n"
+        "conic.pell4 = real_pell4\n"
+        "conic.fundamental_automorph = lambda form: Automorph(2, 1, 1, 1)\n"
+        "probe(conic.conic_orbit, form, (1, 1), 3)\n"
+        "probe(conic._purely_periodic_value, [1], 3)\n"
+        "conic.qi_normalize = lambda P, e, D, Q: exactnum.qi_normalize(-P, e, D, Q)\n"
+        "probe(conic._purely_periodic_value, [1], 5)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout.split()
+    assert out == ["False"] + ["InvariantViolation"] * 8

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ratapprox import exactnum
 from ratapprox.errors import DegenerateRational, MixedField, PrecisionExhausted
 from ratapprox.exactnum import (
     Certified,
@@ -24,7 +25,7 @@ from ratapprox.exactnum import (
     squarefree_decompose,
 )
 
-from oracles import bisect_enclose, minpoly_triple, poly_sign
+from oracles import bisect_enclose, minpoly_triple, poly_sign, quad_floor
 
 PHI = qi_normalize(1, 1, 5, 2)
 INV_PHI = qi_normalize(-1, 1, 5, 2)
@@ -137,6 +138,29 @@ def test_exact_ordering_and_floor():
             assert (x > n) and (x < n + 1)
             assert x.sign() == (1 if iv.lo > 0 or iv.hi > 0 and x > 0 else -1) or True
             assert abs(x).sign() == 1
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    P=st.integers(-(10**40), 10**40),
+    e=st.integers(-(10**20), 10**20).filter(bool),
+    D=st.integers(2, 10**6),
+    Q=st.integers(1, 10**15),
+)
+# within 2*10**-5 of an integer, below and above, for either sign of e,
+# from Fibonacci and Lucas numbers: 6765*sqrt(5) ~ 15127, 10946*sqrt(5) ~ 24476
+@example(P=-15106, e=6765, D=5, Q=7)
+@example(P=24504, e=-10946, D=5, Q=7)
+@example(P=-24441, e=10946, D=5, Q=7)
+@example(P=15141, e=-6765, D=5, Q=7)
+@example(P=7 * 10**9 + math.isqrt(2 * 10**40), e=-(10**20), D=2, Q=10**9)
+def test_floor_matches_isqrt_oracle(P, e, D, Q):
+    try:
+        x = qi_normalize(P, e, D, Q)
+    except DegenerateRational:
+        assume(False)
+    assert x.floor() == quad_floor(x.P, x.e, x.D, x.Q)
+    assert x.nearest_int() == quad_floor(2 * x.P + x.Q, 2 * x.e, x.D, 2 * x.Q)
 
 
 def test_nearest_int():
@@ -313,6 +337,37 @@ def test_int_str_equals_str(n):
         assert int_str(n) == str(n)
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+# int_str splits at power-of-two widths: probe each side of those splits, of
+# the leaf width and of the cutover
+_GRID_BITS = sorted({w + d for w in [1 << k for k in range(10, 19)] + [INT_STR_CUTOVER_BITS]
+                     for d in (-1, 0, 1)})
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    widths=st.lists(st.one_of(st.sampled_from(_GRID_BITS), st.integers(2200, 300_000)),
+                    min_size=1, max_size=4),
+    seed=st.integers(0, 2**32),
+    limit=st.sampled_from([0, 640, 4300]),
+)
+def test_int_str_across_calls_and_digit_limits(widths, seed, limit):
+    # the powers of two that int_str keeps between calls are reused by
+    # numbers of other sizes and under another digit limit
+    rnd = random.Random(seed)
+    saved = sys.get_int_max_str_digits()
+    try:
+        for w in widths:
+            n = rnd.getrandbits(w) | (1 << (w - 1))
+            n = -n if rnd.random() < 0.5 else n
+            sys.set_int_max_str_digits(0)
+            expected = str(n)
+            sys.set_int_max_str_digits(limit)
+            assert int_str(n) == expected
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert all(w & (w - 1) == 0 for w in exactnum._DEC_POW2)
 
 
 def _digit_string_int(digits: str) -> int:
