@@ -42,8 +42,7 @@ class CFExpansion:
     sources.  `finite` marks a complete rational expansion.
     """
 
-    __slots__ = ("source", "a", "period", "finite", "_states", "_state_period", "_surd",
-                 "_enclosure")
+    __slots__ = ("source", "a", "period", "finite", "_states", "_surd", "_enclosure")
 
     def __init__(
         self,
@@ -52,7 +51,6 @@ class CFExpansion:
         period: tuple[int, int] | None = None,
         finite: bool = False,
         _states: list[tuple[int, int]] | None = None,
-        _state_period: tuple[int, int] | None = None,
         _surd: int = 0,
         _enclosure: RatInterval | None = None,
     ):
@@ -61,7 +59,6 @@ class CFExpansion:
         self.period = period
         self.finite = finite
         self._states = [] if _states is None else _states
-        self._state_period = _state_period
         self._surd = _surd  # E in zeta_n = (P_n + sqrt(E))/Q_n
         # certified sources: enclosure of the complete quotient whose floor is
         # the last digit (of alpha before the first digit)
@@ -107,8 +104,8 @@ class CFExpansion:
             raise RationalTarget("complete-quotient states exist only for quadratic targets")
         if n < len(self._states):
             return self._states[n]
-        ks, ls = self._state_period
-        return self._states[ks + (n - ks) % ls]
+        k, ell = self.period
+        return self._states[k + (n - k) % ell]
 
     def to_json(self) -> dict:
         k, ell = self.period if self.period else (None, None)
@@ -155,27 +152,11 @@ def _expand_quadratic(x: QuadIrr, depth: int) -> CFExpansion:
         digits.append(a)
         P = a * Q - P
         Q = (E - P * P) // Q
-    ks = seen[(P, Q)]
-    ls = len(states) - ks
-
-    # minimal digit period divides the state period
-    ell = next(
-        d
-        for d in range(1, ls + 1)
-        if ls % d == 0
-        and all(digits[i] == digits[ks + (i - ks) % d] for i in range(ks, ks + ls))
-    )
-    k = ks
-    while k > 0 and digits[k - 1] == digits[k - 1 + ell]:
-        k -= 1
-
+    # zeta_n fixes both (P_n, Q_n) and the digits from a_n on, so the first
+    # repeated state starts the minimal digit period
+    k = seen[(P, Q)]
     cf = CFExpansion(
-        source=x,
-        a=digits,
-        period=(k, ell),
-        _states=states,
-        _state_period=(ks, ls),
-        _surd=E,
+        source=x, a=digits, period=(k, len(states) - k), _states=states, _surd=E
     )
     while len(cf.a) < depth:
         cf.a.append(cf.digit(len(cf.a)))
@@ -205,17 +186,24 @@ def cf_expand(x: RealTarget, depth: int) -> CFExpansion:
     raise TypeError(f"not a real target: {x!r}")
 
 
+# M_n = (p_n, p_{n-1}, q_n, q_{n-1}), the matrix [[p_n, p_{n-1}], [q_n, q_{n-1}]]
+# as a row-major 4-tuple; M_-1 is the identity
+_M_START = (1, 0, 0, 1)
+
+
+def _step(M: tuple, a: int) -> tuple:
+    """M_{n+1} from M_n and a = a_{n+1}: the three-term recurrence."""
+    return (a * M[0] + M[1], M[0], a * M[2] + M[3], M[2])
+
+
 def convergents(cf: CFExpansion, n_max: int) -> list[Convergent]:
     """Principal convergents p_n/q_n for n = 0..n_max via the three-term
     recurrence with seeds (p_-1, q_-1) = (1, 0), (p_0, q_0) = (a_0, 1)."""
-    p_prev, q_prev = 1, 0
-    p, q = cf.digit(0), 1
-    out = [Convergent(0, p, q)]
-    for n in range(1, n_max + 1):
-        a = cf.digit(n)
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        out.append(Convergent(n, p, q))
+    out = []
+    M = _M_START
+    for n in range(n_max + 1):
+        M = _step(M, cf.digit(n))
+        out.append(Convergent(n, M[0], M[2]))
     return out
 
 
@@ -239,14 +227,10 @@ def complete_quotient(cf: CFExpansion, n: int):
     tail = cf.a[n:]
     if len(tail) < 3:
         raise PrecisionExhausted("need at least three tail digits to bracket zeta_n")
-    p_prev, q_prev = 1, 0
-    p, q = tail[0], 1
-    second_last = Fraction(p, q)
-    for a in tail[1:]:
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        second_last = Fraction(p_prev, q_prev)
-    last = Fraction(p, q)
+    M = _M_START
+    for a in tail:
+        M = _step(M, a)
+    last, second_last = Fraction(M[0], M[2]), Fraction(M[1], M[3])
     return RatInterval(min(last, second_last), max(last, second_last))
 
 
@@ -301,20 +285,19 @@ class DEnclosures:
 class CFContext:
     """Shared workspace for one target: expansion, convergents, and D_n.
 
-    Convergents walked in order are kept in a dense list; `first_index`
-    searches far ahead without it and keeps only the (p, q) pair it lands
-    on.  Everything is cached; the context itself is read-only from the
+    Convergents are kept as M_n = (p_n, p_{n-1}, q_n, q_{n-1}) in one map
+    n -> M_n.  It holds every M_n up to the dense frontier, which a walk in
+    order advances; `first_index` searches far ahead and stores only M_{m-1}
+    and M_m where it lands, and a lookup just past a stored M_n steps from
+    it.  Everything is cached; the context itself is read-only from the
     caller's perspective.
     """
 
     def __init__(self, alpha: RealTarget, depth: int = 64):
         self.alpha = alpha
         self.cf = cf_expand(alpha, depth)
-        self._p = [1, self.cf.digit(0)]
-        self._q = [0, 1]
-        # n -> (p_n, q_n) beyond the dense list: the pairs (m-1, m) that
-        # first_index landed on, and single steps past them
-        self._far: dict[int, tuple[int, int]] = {}
+        self._conv: dict[int, tuple] = {-1: _M_START}
+        self._dense = -1  # every M_n with n <= _dense is in _conv
         self._d_cache: dict[int, object] = {}
         self._d_enclosures: dict[Fraction, DEnclosures] = {}
 
@@ -322,31 +305,18 @@ class CFContext:
     def exact(self) -> bool:
         return isinstance(self.alpha, QuadIrr)
 
-    def _ensure(self, n: int) -> None:
-        while len(self._p) < n + 2:
-            m = len(self._p) - 1  # next convergent index
-            a = self.cf.digit(m)
-            self._p.append(a * self._p[-1] + self._p[-2])
-            self._q.append(a * self._q[-1] + self._q[-2])
-
-    def _far_pq(self, n: int) -> tuple[int, int] | None:
-        far = self._far
-        if n not in far and n - 1 in far and n - 2 in far:
-            a = self.cf.digit(n)
-            (p1, q1), (p0, q0) = far[n - 1], far[n - 2]
-            far[n] = (a * p1 + p0, a * q1 + q0)
-        return far.get(n)
-
-    def _base(self, n: int) -> tuple[int, tuple]:
-        """(m, [[p_m, p_{m-1}], [q_m, q_{m-1}]]) for m = n when that pair is
-        stored, else for the end of the dense list."""
-        if n < 0:
-            return -1, (1, 0, 0, 1)
-        if n in self._far and n - 1 in self._far:
-            (p1, q1), (p0, q0) = self._far[n], self._far[n - 1]
-            return n, (p1, p0, q1, q0)
-        m = min(n, len(self._p) - 2)
-        return m, (self._p[m + 1], self._p[m], self._q[m + 1], self._q[m])
+    def _grow(self, n: int) -> tuple:
+        """Store and return M_n, stepped from M_{n-1} when that is stored,
+        else from the dense frontier."""
+        if n < -1:
+            raise IndexError("convergent index must be >= -1")
+        m = n - 1 if n - 1 in self._conv else self._dense
+        M = self._conv[m]
+        for k in range(m + 1, n + 1):
+            M = self._conv[k] = _step(M, self.cf.digit(k))
+        if m == self._dense:
+            self._dense = n
+        return M
 
     def first_index(self, n0: int, pred, q_floor: int = 0) -> int:
         """Least m >= n0 with pred(m, q_m), for pred monotone in m (False,
@@ -355,24 +325,23 @@ class CFContext:
         Quadratic targets skip whole periods with powers of the period
         matrix while the index stays below n0 or q stays below q_floor;
         other targets roll the recurrence.  pred only sees indices past the
-        skipped ones, and only (p, q) at m-1 and m are kept.
+        skipped ones, and only M_{m-1} and M_m are stored.
         """
         if n0 < 0:
             raise IndexError("search index must be >= 0")
-        n, M = self._base(n0 - 1)
+        n = n0 - 1 if n0 - 1 in self._conv else self._dense
+        M = self._conv[n]
         period = self.cf.period
         while True:
             if period is not None and n >= period[0] - 1:
                 # one skip leaves less than a period below n0 or q_floor
                 n, M = self._skip_periods(n, M, n0, q_floor)
                 period = None
-            a = self.cf.digit(n + 1)
-            M = (a * M[0] + M[1], M[0], a * M[2] + M[3], M[2])
+            prev, M = M, _step(M, self.cf.digit(n + 1))
             n += 1
             if n >= n0 and pred(n, M[2]):
                 break
-        self._far[n - 1] = (M[1], M[3])
-        self._far[n] = (M[0], M[2])
+        self._conv[n - 1], self._conv[n] = prev, M
         return n
 
     def _skip_periods(self, n: int, M: tuple, n0: int, q_floor: int) -> tuple[int, tuple]:
@@ -380,10 +349,9 @@ class CFContext:
         n + j*L < n0 or q_{n+j*L} < q_floor; both hold for a prefix of j, so
         square the period matrix W past it, then descend by halving."""
         ell = self.cf.period[1]
-        W = (1, 0, 0, 1)
+        W = _M_START
         for i in range(n + 1, n + ell + 1):
-            a = self.cf.digit(i)
-            W = (a * W[0] + W[1], W[0], a * W[2] + W[3], W[2])
+            W = _step(W, self.cf.digit(i))
 
         def skippable(steps: int, X: tuple) -> bool:
             # the q entry of M*X is q_{n + steps}
@@ -401,16 +369,10 @@ class CFContext:
         return self.cf.digit(n)
 
     def p(self, n: int) -> int:
-        if n + 2 > len(self._p) and (far := self._far_pq(n)):
-            return far[0]
-        self._ensure(n)
-        return self._p[n + 1]
+        return (self._conv.get(n) or self._grow(n))[0]
 
     def q(self, n: int) -> int:
-        if n + 2 > len(self._q) and (far := self._far_pq(n)):
-            return far[1]
-        self._ensure(n)
-        return self._q[n + 1]
+        return (self._conv.get(n) or self._grow(n))[2]
 
     def convergent(self, n: int) -> Convergent:
         return Convergent(n, self.p(n), self.q(n))

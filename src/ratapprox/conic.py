@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .approx import ApproxSet, DecayReport, verify_order
-from .cf import CFContext, cf_expand, complete_quotient
+from .cf import _M_START, CFContext, _step, complete_quotient
 from .errors import InsufficientPairs, InvariantViolation, NotPeriodic, OrbitLeavesQuadrant
 from .exactnum import QuadIrr, enclose, int_str, qi_normalize, qi_pair, squarefree_decompose
 
@@ -161,7 +161,7 @@ def pell4(delta: int) -> tuple[int, int]:
         ):
             best = cand
     if best is None:
-        raise AssertionError(f"no Pell-4 solution located for delta={delta}")
+        raise InvariantViolation(f"no Pell-4 solution located for delta={delta}")
     return best
 
 
@@ -322,9 +322,10 @@ class PeriodicConstruction:
 
 def _purely_periodic_value(word: list[int], field_d: int) -> QuadIrr:
     """Exact value of [0; overline(word)] from its fixed-point equation."""
-    m00, m01, m10, m11 = 1, 0, 0, 1
+    M = _M_START
     for w in word:
-        m00, m01, m10, m11 = m00 * w + m01, m00, m10 * w + m11, m10
+        M = _step(M, w)
+    m00, m01, m10, m11 = M
     # Z = [overline(word)] solves m10 Z^2 + (m11 - m00) Z - m01 = 0, Z > 1
     disc = (m11 - m00) ** 2 + 4 * m10 * m01
     z = qi_normalize(m00 - m11, 1, disc, 2 * m10)
@@ -349,10 +350,10 @@ def periodic_construction(
         raise ValueError("alpha must lie in (0, 1)")
     if count < 1:
         raise ValueError("count must be >= 1")
-    cf = cf_expand(alpha, depth=4)
+    ctx = ctx or CFContext(alpha)
+    cf = ctx.cf
     k_word, ell = cf.period
     k_pre = k_word - 1  # a_0 = 0 does not count toward the preperiod here
-    ctx = ctx or CFContext(alpha)
     zeta = complete_quotient(cf, k_word)
     period_word = [cf.digit(k_word + i) for i in range(ell)]
     rev_value = _purely_periodic_value(period_word[::-1], alpha.D)

@@ -592,12 +592,9 @@ def enclose(x: RealTarget, width: Fraction) -> RatInterval:
     need = Fraction(abs(x.e), x.Q) / width
     while 10**k < need:
         k += 8
-    while True:
-        scaled = sqrt_bounds(x.D, k) * Fraction(x.e)
-        iv = RatInterval((x.P + scaled.lo) / x.Q, (x.P + scaled.hi) / x.Q)
-        if iv.width <= width:
-            return iv
-        k += 8
+    # sqrt_bounds has width <= 10**-k, so the result's is <= |e|/(Q*10**k) <= width
+    scaled = sqrt_bounds(x.D, k) * Fraction(x.e)
+    return RatInterval((x.P + scaled.lo) / x.Q, (x.P + scaled.hi) / x.Q)
 
 
 def as_interval(x, width: Fraction) -> RatInterval:

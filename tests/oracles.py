@@ -158,7 +158,7 @@ def sqrt_series_coeffs(kappa: Fraction, terms: int) -> list[Fraction]:
 
 
 def quad_cf_digits(P: int, D: int, Q: int, count: int) -> list[int]:
-    """The first `count` partial quotients of (P + sqrt(D))/Q, for Q > 0 and
+    """The first `count` partial quotients of (P + sqrt(D))/Q, for Q != 0 and
     D not a square, read off the Euclidean expansions of two rationals that
     bracket it rather than from the complete-quotient recurrence."""
     k = 2 * count + 8
@@ -174,6 +174,24 @@ def quad_cf_digits(P: int, D: int, Q: int, count: int) -> list[int]:
         if common > count:
             return lo[:count]
         k *= 2
+
+
+def eventual_period(digits: list[int]) -> tuple[int, int]:
+    """Least (K, L), least L first, with digits[i] == digits[i + L] for all
+    K <= i < len(digits) - L and K <= len(digits) // 2, by brute force.
+
+    For the digits of a number whose expansion has minimal period (K0, L0)
+    this is (K0, L0) once len(digits) >= 2*(K0 + 2*L0): a smaller L would
+    share a stretch of at least L0 + L digits with L0, so by Fine and Wilf
+    gcd(L, L0) < L0 would be a period too."""
+    n = len(digits)
+    for ell in range(1, n // 4 + 1):
+        k = n - ell
+        while k > 0 and digits[k - 1] == digits[k - 1 + ell]:
+            k -= 1
+        if k <= n // 2:
+            return k, ell
+    raise ValueError("no period shows in the window")
 
 
 def convergent_pairs(digits: list[int]) -> list[tuple[int, int]]:

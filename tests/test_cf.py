@@ -11,10 +11,15 @@ from ratapprox.cf import (
     complete_quotient,
     convergents,
 )
-from ratapprox.errors import InsufficientDepth, PrecisionExhausted, RationalTarget
+from ratapprox.errors import (
+    DegenerateRational,
+    InsufficientDepth,
+    PrecisionExhausted,
+    RationalTarget,
+)
 from ratapprox.exactnum import Certified, enclose, qi_normalize
 
-from oracles import cf_value, convergent_pairs, euclid_cf, quad_cf_digits
+from oracles import cf_value, convergent_pairs, euclid_cf, eventual_period, quad_cf_digits
 
 PHI = qi_normalize(1, 1, 5, 2)
 INV_PHI = qi_normalize(-1, 1, 5, 2)
@@ -60,6 +65,37 @@ def test_quadratic_expansions_and_periods():
         assert cf.a[: len(prefix)] == prefix
         assert cf.period == period
         assert cf.digit(40) == prefix[period[0] + (40 - period[0]) % period[1]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    P=st.integers(-20, 20),
+    e=st.integers(1, 3).flatmap(lambda e: st.sampled_from([e, -e])),
+    D=st.integers(2, 30),
+    Q=st.integers(1, 12),
+)
+@example(P=1, e=1, D=5, Q=2)  # purely periodic
+@example(P=2, e=1, D=3, Q=5)  # Q0 does not divide E - P0^2: rescaled start
+@example(P=3, e=-2, D=7, Q=5)  # e < 0 and a rescaled start
+@example(P=1, e=-1, D=5, Q=2)  # e < 0
+def test_period_and_complete_quotients_match_oracle(P, e, D, Q):
+    try:
+        x = qi_normalize(P, e, D, Q)
+    except DegenerateRational:
+        return
+    cf = cf_expand(x, 1)
+    K, L = cf.period
+    sign = 1 if x.e > 0 else -1  # x = (sign*P + sqrt(e^2 D)) / (sign*Q)
+    digits = quad_cf_digits(sign * x.P, x.e * x.e * x.D, sign * x.Q, max(200, 2 * (K + 2 * L)))
+    assert (K, L) == eventual_period(digits)
+    # x = (p_{n-1} zeta_n + p_{n-2}) / (q_{n-1} zeta_n + q_{n-2}), also for
+    # n past the (P_n, Q_n) states the expansion stores
+    pq = [(0, 1), (1, 0)] + convergent_pairs(digits)
+    for n in range(len(cf._states) + 2 * L + 2):
+        z = complete_quotient(cf, n)
+        (p1, q1), (p2, q2) = pq[n + 1], pq[n]
+        assert (p1 * z + p2) / (q1 * z + q2) == x
+        assert n == 0 or z > 1
 
 
 def test_sqrt2_digits_match_recurrence_oracle():
@@ -296,7 +332,9 @@ def test_first_index_matches_recurrence(key, periods, phase, offset, back, floor
     assert m == expected
     assert min(seen) >= n0 and seen[-1] == m
     _check_points(ctx, alpha, pairs, m, order)
-    assert len(ctx._q) == 2  # no convergent walked into the dense list
+    # no convergent walked in order: M_-1, the landing pair, one step past it
+    assert ctx._dense == -1
+    assert set(ctx._conv) == {-1, m - 1, m, m + 1}
 
 
 def test_first_index_after_dense_walk_and_between_searches():
@@ -308,7 +346,8 @@ def test_first_index_after_dense_walk_and_between_searches():
         T = pairs[i][1]
         assert ctx.first_index(n0, lambda m, q: q >= T, T) == max(i, n0)
         _check_points(ctx, alpha, pairs, max(i, n0), POINT_QUERIES)
-    assert len(ctx._q) == 32
+    assert ctx._dense == 30
+    assert sorted(n for n in ctx._conv if n > 30) == [34, 35, 36, 249, 250, 251, 389, 390, 391]
 
 
 @pytest.mark.parametrize("i", [2, 17, 60, 120])
@@ -320,4 +359,5 @@ def test_first_index_certified_golden(i):
     ctx = CFContext(alpha, depth=1)
     assert ctx.first_index(1, lambda m, q: q >= T, T) == i
     _check_points(ctx, alpha, pairs, i, list(reversed(POINT_QUERIES)))
-    assert len(ctx._q) == 2
+    assert ctx._dense == -1
+    assert set(ctx._conv) == {-1, i - 1, i, i + 1}

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -473,3 +474,20 @@ def test_cli_import_stays_light():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout.splitlines()
     assert out == ["[]", "[]", repr(PUBLIC_NAMES)]
+
+
+def test_library_has_no_assert():
+    # `python -O` strips assert statements, and an AssertionError escapes
+    # the CLI's typed error handling as a traceback: library checks raise
+    # InvariantViolation instead
+    found = []
+    for path in sorted(Path(ratapprox.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (
+                isinstance(exc, ast.Name) and exc.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -218,7 +218,10 @@ def test_periodic_construction_pairs_without_dense_walk(P, D, Q):
     K, L = pc.preperiod, pc.period
     pairs = convergent_pairs(quad_cf_digits(P, D, Q, K + 24 * L + 1))
     assert pc.aset.pairs == [pairs[K + 2 * k * L] for k in range(1, 13)]
-    assert len(ctx._q) == 2  # no convergent walked into the dense list
+    # no convergent walked in order: M_-1 and the landing pairs only
+    assert ctx._dense == -1
+    landings = [K + 2 * k * L for k in range(1, 13)]
+    assert set(ctx._conv) == {-1} | {n - d for n in landings for d in (0, 1)}
 
 
 def test_periodic_integrality():
@@ -328,6 +331,12 @@ def test_library_invariants_survive_optimized_mode():
         "conic.pell4 = lambda delta: (8, 2)\n"
         "probe(conic.fundamental_automorph, form)\n"
         "conic.pell4 = real_pell4\n"
+        # the expansion of sqrt(2) in place of sqrt(94), whose least u is past
+        # the direct search, holds no convergent of norm +-1 or +-4 for 94
+        "real_ctx = conic.CFContext\n"
+        "conic.CFContext = lambda alpha, depth: real_ctx(exactnum.qi_normalize(0, 1, 2, 1), depth)\n"
+        "probe(conic.pell4, 94)\n"
+        "conic.CFContext = real_ctx\n"
         "conic.fundamental_automorph = lambda form: Automorph(2, 1, 1, 1)\n"
         "probe(conic.conic_orbit, form, (1, 1), 3)\n"
         "probe(conic._purely_periodic_value, [1], 3)\n"
@@ -338,4 +347,4 @@ def test_library_invariants_survive_optimized_mode():
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout.split()
-    assert out == ["False"] + ["InvariantViolation"] * 8
+    assert out == ["False"] + ["InvariantViolation"] * 9
