@@ -22,6 +22,7 @@ from .errors import (
     SingularSystem,
 )
 from .exactnum import (
+    ByValue,
     Certified,
     QuadIrr,
     RatInterval,
@@ -34,7 +35,6 @@ from .exactnum import (
     int_str,
     pow10_exponent_below_exp,
 )
-from .ostrowski import RealDigits
 
 DEFAULT_WINDOW = 5
 DEFAULT_REL_TOLERANCE = Fraction(1, 1000)
@@ -72,7 +72,7 @@ class ApproxSet:
         return [s for _, s in self.pairs]
 
 
-class PsiSpec:
+class PsiSpec(ByValue):
     """Decreasing Psi restricted to families with exact comparability.
 
     exp_decay(c): Psi(s) = exp(-c*s); power(k): Psi(s) = s**-k;
@@ -93,18 +93,6 @@ class PsiSpec:
         self.c = c
         self.k = k
         self.table = table
-
-    def __repr__(self) -> str:
-        return f"PsiSpec(kind={self.kind!r}, c={self.c!r}, k={self.k!r}, table={self.table!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.c, self.k, self.table) == (
-                other.kind, other.c, other.k, other.table)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.c, self.k, self.table))
 
     @staticmethod
     def exp_decay(c) -> "PsiSpec":
@@ -381,8 +369,7 @@ class CertLine:
 
 
 class PsiConstruction:
-    __slots__ = ("alpha", "psi", "indices", "n_next", "s", "gamma_partial", "tail", "digits",
-                 "certificate")
+    __slots__ = ("alpha", "psi", "indices", "n_next", "s", "gamma_partial", "tail", "certificate")
 
     def __init__(
         self,
@@ -393,18 +380,16 @@ class PsiConstruction:
         s: list[int],
         gamma_partial: object,
         tail: Fraction,
-        digits: RealDigits,
         certificate: list[CertLine],
     ):
         self.alpha = alpha
         self.psi = psi
-        self.indices = indices  # n_1..n_K
+        self.indices = indices  # n_1..n_K, also gamma's digit support over D_n
         self.n_next = n_next
         self.s = s
         # exact field element (or RatInterval when certified)
         self.gamma_partial = gamma_partial
         self.tail = tail
-        self.digits = digits
         self.certificate = certificate
 
     @property
@@ -425,7 +410,6 @@ def construct_psi(
     psi: PsiSpec,
     count: int,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
-    ctx: CFContext | None = None,
 ) -> PsiConstruction:
     """Indices n_1 = 4, n_{k+1} = least n > n_k + 1 with 3/q_n <= Psi(q_{n_k+1});
     gamma = sum_k D_{n_k}; s_k = sum_{m<=k} q_{n_m}; certified per-pair bounds.
@@ -437,7 +421,7 @@ def construct_psi(
         raise ValueError("count must be >= 1")
     if isinstance(alpha, (int, Fraction)):
         raise RationalTarget("the construction needs an irrational alpha")
-    ctx = ctx or CFContext(alpha, depth=16)
+    ctx = CFContext(alpha, depth=16)
     if ctx.a(0) != 0:
         raise ValueError("alpha must lie in (0, 1)")
 
@@ -487,9 +471,7 @@ def _package(
     indices: list[int],
     n_next: int | None,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> PsiConstruction | None:
-    if not indices:
-        return None
+) -> PsiConstruction:
     exact = isinstance(alpha, QuadIrr)
     # s_k = sum_{m<=k} q_{n_m} and partials[k-1] = sum_{m<=k} D_{n_m}
     s_list = []
@@ -513,14 +495,6 @@ def _package(
         else:
             b0 = psi.tail_cap_exponent(t_last, digit_budget)
             tail = Fraction(1, 10**b0)
-
-    depth = indices[-1] + 1
-    b = [0] * depth
-    for n in indices:
-        b[n] = 1
-    digits = RealDigits(
-        b=b, depth=depth, tail_bound=RatInterval(-tail, tail), exact_remainder=None
-    )
 
     # remainders[k-1] bounds |sum_{m>k} D_{n_m}| with the tail beyond K; summed
     # from the far end, so the tail meets the largest denominator only once
@@ -571,7 +545,6 @@ def _package(
         s=s_list,
         gamma_partial=gamma_partial,
         tail=tail,
-        digits=digits,
         certificate=certificate,
     )
 

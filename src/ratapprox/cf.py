@@ -95,9 +95,6 @@ class CFExpansion:
         self.a.append(d)
         self._enclosure = iv
 
-    def __len__(self) -> int:
-        return len(self.a)
-
     def state(self, n: int) -> tuple[int, int]:
         """(P_n, Q_n) with zeta_n = (P_n + sqrt(E))/Q_n; quadratic only."""
         if self.period is None:
@@ -301,10 +298,6 @@ class CFContext:
         self._d_cache: dict[int, object] = {}
         self._d_enclosures: dict[Fraction, DEnclosures] = {}
 
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.alpha, QuadIrr)
-
     def _grow(self, n: int) -> tuple:
         """Store and return M_n, stepped from M_{n-1} when that is stored,
         else from the dense frontier."""
@@ -374,13 +367,11 @@ class CFContext:
     def q(self, n: int) -> int:
         return (self._conv.get(n) or self._grow(n))[2]
 
-    def convergent(self, n: int) -> Convergent:
-        return Convergent(n, self.p(n), self.q(n))
-
     def D(self, n: int):
         """Exact (or certified-interval) D_n, including D_-1 = -1 and D_0."""
         if n == -1:
-            return Fraction(-1) if self.exact else RatInterval.point(Fraction(-1))
+            exact = isinstance(self.alpha, QuadIrr)
+            return Fraction(-1) if exact else RatInterval.point(Fraction(-1))
         if n not in self._d_cache:
             if isinstance(self.alpha, QuadIrr):
                 v = self.alpha * self.q(n) - self.p(n)

@@ -38,7 +38,8 @@ from .conic import (
     quad_detect,
 )
 from .errors import RatApproxError
-from .exactnum import Certified, QuadIrr, RatInterval, as_interval, frac_str, int_str, qi_normalize
+from .exactnum import (ByValue, Certified, QuadIrr, RatInterval, as_interval, frac_str, int_str,
+                       qi_normalize)
 from .ostrowski import delta_profile, dist_bound, dist_direct, dist_formula, ostrowski_int, ostrowski_real
 
 CONFIG_ENV_VAR = "RATAPPROX_CONFIG"
@@ -69,14 +70,16 @@ def schema_path(name: str) -> str:
     return os.path.join(os.path.dirname(__file__), "schemas", f"{base}.schema.json")
 
 
-class Config:
+class Config(ByValue):
     """Runtime knobs; file values (key=value lines) are overridden by flags.
 
     Each field is also the top-level flag --field-name, typed like its default.
+    Compared by value, unhashable.
     """
 
     __slots__ = ("precision_digits", "decay_window", "decay_tolerance", "digit_budget",
                  "seed_bound", "prefix_exceptions")
+    __hash__ = None
 
     def __init__(
         self,
@@ -93,11 +96,6 @@ class Config:
         self.digit_budget = digit_budget
         self.seed_bound = seed_bound
         self.prefix_exceptions = prefix_exceptions
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return all(getattr(self, name) == getattr(other, name) for name, _ in CONFIG_FIELDS)
-        return NotImplemented
 
     def validate(self) -> None:
         for name, _ in CONFIG_FIELDS:
@@ -358,7 +356,8 @@ def _cmd_dist(args, cfg: Config) -> dict:
     ctx = CFContext(alpha, depth=args.depth + 2)
     width = Fraction(1, 10**args.width_digits)
     direct = dist_direct(args.s, gamma, alpha, width)
-    prof = delta_profile(args.s, gamma, ctx, args.depth, allow_orbit=args.allow_orbit)
+    prof = delta_profile(args.s, gamma, ctx, args.depth, allow_orbit=args.allow_orbit,
+                         precision_digits=cfg.precision_digits)
     doc = {
         "s": int_str(args.s),
         "m": prof.m,
@@ -418,7 +417,7 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
             "tail_bound": rat_str(cons.tail),
             "interval": iv.to_json(),
         },
-        "digit_support": cons.digits.support(),
+        "digit_support": cons.indices,
         "certified": cons.certified,
         "certificate": [
             {
@@ -492,7 +491,9 @@ def _cmd_laurent(args, cfg: Config) -> dict:
 
 def _cmd_build_periodic(args, cfg: Config):
     alpha = parse_target(args.alpha)
-    pc = periodic_construction(alpha, args.count)
+    pc = periodic_construction(
+        alpha, args.count, window=cfg.decay_window, rel_tolerance=cfg.decay_tolerance
+    )
     if args.csv:
         return report_csv(pc.report)
     doc = approx_set_json(pc.aset)

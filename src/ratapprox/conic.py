@@ -9,13 +9,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .approx import ApproxSet, DecayReport, verify_order
+from .approx import DEFAULT_REL_TOLERANCE, DEFAULT_WINDOW, ApproxSet, DecayReport, verify_order
 from .cf import _M_START, CFContext, _step, complete_quotient
 from .errors import InsufficientPairs, InvariantViolation, NotPeriodic, OrbitLeavesQuadrant
-from .exactnum import QuadIrr, enclose, int_str, qi_normalize, qi_pair, squarefree_decompose
+from .exactnum import ByValue, QuadIrr, enclose, int_str, qi_normalize, qi_pair, squarefree_decompose
 
 
-class ConicForm:
+class ConicForm(ByValue):
     """Primitive integer form a*r^2 + b*r*s + c*s^2 at level d.
 
     gcd(a, b, c) = 1, a > 0, and the discriminant b^2 - 4ac is positive and
@@ -38,17 +38,6 @@ class ConicForm:
         self.c = c
         self.d = d
 
-    def __repr__(self) -> str:
-        return f"ConicForm(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
     @property
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -67,7 +56,7 @@ class ConicForm:
         return {k: int_str(getattr(self, k)) for k in ("a", "b", "c", "d")}
 
 
-class Automorph:
+class Automorph(ByValue):
     """Unimodular integer substitution (r, s) -> (t11 r + t12 s, t21 r + t22 s)
     preserving a binary quadratic form.  Immutable by convention, compared
     and hashed by value."""
@@ -79,18 +68,6 @@ class Automorph:
         self.t12 = t12
         self.t21 = t21
         self.t22 = t22
-
-    def __repr__(self) -> str:
-        return f"Automorph(t11={self.t11!r}, t12={self.t12!r}, t21={self.t21!r}, t22={self.t22!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.t11, self.t12, self.t21, self.t22) == (
-                other.t11, other.t12, other.t21, other.t22)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.t11, self.t12, self.t21, self.t22))
 
     def det(self) -> int:
         return self.t11 * self.t22 - self.t12 * self.t21
@@ -280,10 +257,9 @@ def laurent_expansion(form: ConicForm, terms: int) -> LaurentExpansion:
             gamma.append(Fraction(0))
         else:
             gamma.append(qi_pair(Fraction(0), coeffs[j] * half_sqrt, delta))
-    # smallest s with |kappa|/s^2 <= 1/2
-    s_min = 1
-    while delta * s_min * s_min < 8 * abs(form.a * form.d):
-        s_min += 1
+    # smallest s >= 1 with |kappa|/s^2 <= 1/2, that is s^2 >= t = ceil(8|ad|/disc)
+    t = -(-8 * abs(form.a * form.d) // delta)
+    s_min = isqrt(t - 1) + 1 if t > 1 else 1
     nxt = coeffs[nxt_j]
     if nxt == 0:
         nxt_upper = Fraction(0)
@@ -339,10 +315,15 @@ def _purely_periodic_value(word: list[int], field_d: int) -> QuadIrr:
 
 
 def periodic_construction(
-    alpha: QuadIrr, count: int, ctx: CFContext | None = None
+    alpha: QuadIrr,
+    count: int,
+    ctx: CFContext | None = None,
+    window: int = DEFAULT_WINDOW,
+    rel_tolerance: Fraction = DEFAULT_REL_TOLERANCE,
 ) -> PeriodicConstruction:
     """Pairs (p_{K+2kL}, q_{K+2kL}) for k = 1..count, with the exact
-    gamma_2 = (-1)^{K+1} / (zeta_{K+1} + [0; overline(reversed period)]).
+    gamma_2 = (-1)^{K+1} / (zeta_{K+1} + [0; overline(reversed period)]);
+    the report is verify_order's with `window` and `rel_tolerance`.
     """
     if not isinstance(alpha, QuadIrr):
         raise NotPeriodic("periodic construction needs a quadratic irrational")
@@ -363,7 +344,7 @@ def periodic_construction(
                for k in range(1, count + 1)]
     pairs = [(ctx.p(n), ctx.q(n)) for n in indices]
     aset = ApproxSet(alpha=alpha, pairs=pairs, order=2, gamma=[Fraction(0), gamma2])
-    report = verify_order(aset)
+    report = verify_order(aset, window=window, rel_tolerance=rel_tolerance)
     return PeriodicConstruction(
         aset=aset, gamma2=gamma2, preperiod=k_pre, period=ell, report=report
     )

@@ -27,18 +27,18 @@ LN10_HI = Fraction(23025850929940458, 10**16)
 
 
 @lru_cache(maxsize=None)
-def squarefree_decompose(n: int, bound: int = SQUAREFREE_TRIAL_BOUND) -> tuple[int, int]:
+def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = f*f * core with core squarefree; returns (f, core).
 
-    Trial division up to `bound`, then a perfect-square check on the cofactor.
-    A cofactor that is neither 1 nor a perfect square has no square divisor
-    below bound**2, so it is left in core unchanged.
+    Trial division up to SQUAREFREE_TRIAL_BOUND, then a perfect-square check
+    on the cofactor.  A cofactor that is neither 1 nor a perfect square has
+    no square divisor below that bound squared, so it stays in core.
     """
     if n <= 0:
         raise ValueError("squarefree_decompose expects n > 0")
     f, core, m = 1, 1, n
     p = 2
-    while p <= bound and p * p <= m:
+    while p <= SQUAREFREE_TRIAL_BOUND and p * p <= m:
         if m % p == 0:
             k = 0
             while m % p == 0:
@@ -120,6 +120,29 @@ def surd_sign(x: int, y: int, D: int) -> int:
     return sx if x * x > y * y * D else sy
 
 
+class ByValue:
+    """Base of the value types: ==, hash and repr read the fields the
+    subclass names in __slots__, in order.  A subclass that must stay
+    unhashable sets __hash__ = None."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
 class QuadIrr:
     """Canonical element (P + e*sqrt(D))/Q of a real quadratic field.
 
@@ -168,24 +191,21 @@ class QuadIrr:
         if self.D != other.D:
             raise MixedField(f"sqrt({self.D}) vs sqrt({other.D})")
 
-    def __add__(self, other):
+    def _operand(self, other) -> tuple[int, int, int] | None:
+        """(P, e, Q) of a same-field QuadIrr or of a rational (e = 0), else None."""
         if isinstance(other, QuadIrr):
             self._check_field(other)
-            return QuadIrr.make(
-                self.P * other.Q + other.P * self.Q,
-                self.e * other.Q + other.e * self.Q,
-                self.D,
-                self.Q * other.Q,
-            )
+            return other.P, other.e, other.Q
         if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            return QuadIrr.make(
-                self.P * r.denominator + r.numerator * self.Q,
-                self.e * r.denominator,
-                self.D,
-                self.Q * r.denominator,
-            )
-        return NotImplemented
+            return other.numerator, 0, other.denominator
+        return None
+
+    def __add__(self, other):
+        op = self._operand(other)
+        if op is None:
+            return NotImplemented
+        P, e, Q = op
+        return QuadIrr.make(self.P * Q + P * self.Q, self.e * Q + e * self.Q, self.D, self.Q * Q)
 
     __radd__ = __add__
 
@@ -193,29 +213,20 @@ class QuadIrr:
         return QuadIrr(-self.P, -self.e, self.D, self.Q)
 
     def __sub__(self, other):
-        res = self + (-other if isinstance(other, QuadIrr) else -Fraction(other))
-        return res
+        return self + (-other if isinstance(other, QuadIrr) else -Fraction(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, QuadIrr):
-            self._check_field(other)
-            return QuadIrr.make(
-                self.P * other.P + self.e * other.e * self.D,
-                self.P * other.e + self.e * other.P,
-                self.D,
-                self.Q * other.Q,
-            )
-        if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            if r == 0:
-                return Fraction(0)
-            return QuadIrr.make(
-                self.P * r.numerator, self.e * r.numerator, self.D, self.Q * r.denominator
-            )
-        return NotImplemented
+        op = self._operand(other)
+        if op is None:
+            return NotImplemented
+        P, e, Q = op
+        # a zero rational factor gives e = 0, which make() returns as Fraction(0)
+        return QuadIrr.make(
+            self.P * P + self.e * e * self.D, self.P * e + self.e * P, self.D, self.Q * Q
+        )
 
     __rmul__ = __mul__
 
@@ -257,9 +268,6 @@ class QuadIrr:
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
-
-    def conjugate(self) -> "QuadIrr":
-        return QuadIrr(self.P, -self.e, self.D, self.Q)
 
     # -- order ------------------------------------------------------------
 
@@ -383,7 +391,7 @@ def as_pair(x, D: int) -> tuple[Fraction, Fraction]:
 # intervals
 
 
-class RatInterval:
+class RatInterval(ByValue):
     """Closed interval with exact rational endpoints, lo <= hi.  Immutable
     by convention, compared and hashed by value."""
 
@@ -394,17 +402,6 @@ class RatInterval:
             raise ValueError("interval endpoints out of order")
         self.lo = lo
         self.hi = hi
-
-    def __repr__(self) -> str:
-        return f"RatInterval(lo={self.lo!r}, hi={self.hi!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.lo == other.lo and self.hi == other.hi
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
 
     @staticmethod
     def point(x) -> "RatInterval":
@@ -517,7 +514,7 @@ def _contains_half(iv: RatInterval) -> bool:
 # real targets
 
 
-class Certified:
+class Certified(ByValue):
     """Real number known only through a decimal string and an enclosure.
     Immutable by convention, compared and hashed by value."""
 
@@ -528,17 +525,6 @@ class Certified:
             raise ValueError("certified enclosure must have positive width")
         self.digits = digits
         self.enclosure = enclosure
-
-    def __repr__(self) -> str:
-        return f"Certified(digits={self.digits!r}, enclosure={self.enclosure!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.digits == other.digits and self.enclosure == other.enclosure
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.digits, self.enclosure))
 
     @staticmethod
     def parse(text: str) -> "Certified":
@@ -676,11 +662,11 @@ def exp_bounds(x: Fraction, digits: int) -> RatInterval:
     return RatInterval(_exp_fixed(n, f, prec, False), _exp_fixed(n, f, prec, True))
 
 
-def exp_le(x: Fraction, bound: Fraction, start_digits: int = 30) -> bool:
+def exp_le(x: Fraction, bound: Fraction) -> bool:
     """Decide exp(x) <= bound exactly (terminates: exp(x) is irrational)."""
     if bound <= 0:
         return False
-    digits = start_digits
+    digits = 30
     while True:
         iv = exp_bounds(x, digits)
         if iv.hi <= bound:

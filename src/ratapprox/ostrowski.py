@@ -43,6 +43,7 @@ from .errors import (
     RationalTarget,
 )
 from .exactnum import (
+    ByValue,
     Certified,
     QuadIrr,
     RatInterval,
@@ -71,15 +72,16 @@ class IntDigits:
         return [n for n, d in enumerate(self.c) if d]
 
 
-class RealDigits:
+class RealDigits(ByValue):
     """Digits b with gamma = sum b[n] * D_n; b[n] is b_{n+1} in the classical
     one-based subscripting.
 
     tail_bound encloses the truncation remainder gamma - sum_{n<depth} b[n]D_n.
-    Compared by value.
+    Compared by value, unhashable.
     """
 
     __slots__ = ("b", "depth", "tail_bound", "exact_remainder")
+    __hash__ = None
 
     def __init__(
         self,
@@ -92,12 +94,6 @@ class RealDigits:
         self.depth = depth
         self.tail_bound = tail_bound
         self.exact_remainder = exact_remainder  # Fraction | QuadIrr on the exact path
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.b, self.depth, self.tail_bound, self.exact_remainder) == (
-                other.b, other.depth, other.tail_bound, other.exact_remainder)
-        return NotImplemented
 
     def support(self) -> list[int]:
         return [n for n, d in enumerate(self.b) if d]
@@ -347,13 +343,17 @@ def delta_profile(
     depth: int,
     allow_orbit: bool = False,
     real_digits: RealDigits | None = None,
+    precision_digits: int = 200,
 ) -> DeltaProfile:
-    """delta_{n+1} = c_{n+1} - b_{n+1} together with its leading index m."""
+    """delta_{n+1} = c_{n+1} - b_{n+1} together with its leading index m;
+    precision_digits is passed on to ostrowski_real."""
     ints = ostrowski_int(s, ctx)
     depth = max(depth, ints.M + 1)
     reals = real_digits
     if reals is None or reals.depth < depth:
-        reals = ostrowski_real(gamma, ctx, depth, allow_orbit=allow_orbit)
+        reals = ostrowski_real(
+            gamma, ctx, depth, allow_orbit=allow_orbit, precision_digits=precision_digits
+        )
     c = ints.c + [0] * (depth - len(ints.c))
     delta = [c[n] - reals.b[n] for n in range(depth)]
     for n, d in enumerate(delta):

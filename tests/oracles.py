@@ -157,6 +157,36 @@ def sqrt_series_coeffs(kappa: Fraction, terms: int) -> list[Fraction]:
     return c
 
 
+def laurent_threshold_by_scan(a: int, d: int, disc: int) -> int:
+    """Least s >= 1 with disc*s^2 >= 8|a*d|, by counting s up from 1."""
+    s = 1
+    while disc * s * s < 8 * abs(a * d):
+        s += 1
+    return s
+
+
+def surd_coords(x, D: int) -> tuple[Fraction, Fraction]:
+    """(u, v) with x = u + v*sqrt(D), read off a QuadIrr's fields or a rational."""
+    if isinstance(x, QuadIrr):
+        return Fraction(x.P, x.Q), Fraction(x.e, x.Q)
+    return Fraction(x), Fraction(0)
+
+
+def surd_arith(op: str, x, y, D: int) -> tuple[Fraction, Fraction]:
+    """(u, v) of x op y, op one of + - * /, by coordinate arithmetic in the
+    basis (1, sqrt(D)) with no normalization; D squarefree > 1."""
+    (a, b), (c, d) = surd_coords(x, D), surd_coords(y, D)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c + b * d * D, a * d + b * c
+    # (a + b*r)/(c + d*r) = (a + b*r)(c - d*r)/(c^2 - d^2*D), r = sqrt(D)
+    norm = c * c - d * d * D
+    return (a * c - b * d * D) / norm, (b * c - a * d) / norm
+
+
 def quad_cf_digits(P: int, D: int, Q: int, count: int) -> list[int]:
     """The first `count` partial quotients of (P + sqrt(D))/Q, for Q != 0 and
     D not a square, read off the Euclidean expansions of two rationals that

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -491,3 +492,75 @@ def test_library_has_no_assert():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_byvalue_and_quadirr_define_value_dunders():
+    # value types inherit ==, hash and repr from exactnum.ByValue; only
+    # QuadIrr, whose == also answers rationals, writes its own.  A
+    # `__hash__ = None` that keeps a value type unhashable is allowed.
+    dunders = {"__eq__", "__hash__", "__repr__"}
+    found = []
+    for path in sorted(Path(ratapprox.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef) or cls.name in ("ByValue", "QuadIrr"):
+                continue
+            for node in cls.body:
+                names = []
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    none = isinstance(node.value, ast.Constant) and node.value.value is None
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)
+                             and not (none and t.id == "__hash__")]
+                found += [f"{path.name}:{cls.name}.{n}" for n in names if n in dunders]
+    assert found == []
+
+
+PERIODIC = ["build-periodic", "--alpha", "quad:-1,1,5,2", "--count", "6"]
+
+
+def test_build_periodic_honours_decay_settings(tmp_path, capsys, monkeypatch):
+    code, out = run_cli(capsys, ["--decay-window", "3", "--decay-tolerance", "1/7", *PERIODIC])
+    report = json.loads(out)["report"]
+    assert code == 0
+    assert (report["window"], report["rel_tolerance"]) == (3, "1/7")
+    assert report["note"] == "final scaled residual below 1/7 of the first"
+    cfg_file = tmp_path / "ratapprox.cfg"
+    cfg_file.write_text("decay_window = 3\ndecay_tolerance = 1/7\n")
+    assert run_cli(capsys, ["--config", str(cfg_file), *PERIODIC]) == (code, out)
+    monkeypatch.setenv("RATAPPROX_CONFIG", str(cfg_file))
+    assert run_cli(capsys, PERIODIC) == (code, out)
+    monkeypatch.delenv("RATAPPROX_CONFIG")
+    report = json.loads(run_cli(capsys, PERIODIC)[1])["report"]
+    assert (report["window"], report["rel_tolerance"]) == (5, "1/1000")
+
+
+CERT_GAMMA = "dec:0.1234567890123456789012345678901234567890±1e-40"
+
+
+def test_dist_honours_precision_digits(capsys):
+    alpha = ["--alpha", "quad:-1,1,5,2", "--gamma", CERT_GAMMA, "--depth", "24"]
+    refusal = {"error": "PrecisionExhausted", "message": "digit at position 21 undecidable"}
+    code, out = run_cli(capsys, ["--precision-digits", "3", "ostrowski-real", *alpha])
+    assert (code, json.loads(out)) == (1, refusal)
+    code, out = run_cli(capsys, ["--precision-digits", "3", "dist", *alpha, "--s", "1000"])
+    assert (code, json.loads(out)) == (1, refusal)
+    code, out = run_cli(capsys, ["dist", *alpha, "--s", "1000"])
+    assert code == 0 and json.loads(out)["regime"] == "series"
+
+
+def test_laurent_threshold_for_a_huge_level(capsys):
+    d = 10**40
+    argv = ["laurent", "--form", "1,-1,-1", "--d", str(d), "--terms", "4"]
+    # a child first, so that a threshold found by counting s up times out
+    # instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ratapprox.__file__)))
+    child = subprocess.run([sys.executable, "-m", "ratapprox.cli", *argv], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=10)
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, argv)
+    assert time.perf_counter() - t0 < 0.5
+    assert (code, out) == (child.returncode, child.stdout) and code == 0
+    s = int(json.loads(out)["threshold_s"])
+    # the least s with 5*s^2 >= 8*d
+    assert 5 * s * s >= 8 * d > 5 * (s - 1) ** 2

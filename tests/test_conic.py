@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import ratapprox
 from ratapprox.approx import detect_line, fit_coefficients, growth_profile, line_set
@@ -24,7 +26,13 @@ from ratapprox.conic import (
 from ratapprox.errors import InsufficientPairs, NotPeriodic
 from ratapprox.exactnum import QuadIrr, enclose, qi_normalize, qi_pair
 
-from oracles import brute_pell4, convergent_pairs, quad_cf_digits, sqrt_series_coeffs
+from oracles import (
+    brute_pell4,
+    convergent_pairs,
+    laurent_threshold_by_scan,
+    quad_cf_digits,
+    sqrt_series_coeffs,
+)
 
 PHI = qi_normalize(1, 1, 5, 2)
 INV_PHI = qi_normalize(-1, 1, 5, 2)
@@ -164,6 +172,19 @@ def test_laurent_gamma2_level_identity():
 def test_laurent_zero_level():
     lx = laurent_expansion(GOLDEN_FORM.at_level(0), 6)
     assert all(g == 0 for g in lx.gamma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(1, 30), b=st.integers(-30, 30), c=st.integers(-30, 30),
+       d=st.integers(-10**5, 10**5))
+@example(a=1, b=-1, c=-1, d=10)  # 8|ad|/disc = 16 exactly: s = 4
+@example(a=1, b=-1, c=-1, d=0)
+@example(a=1, b=-1, c=-1, d=-1)
+def test_laurent_threshold_matches_scan(a, b, c, d):
+    disc = b * b - 4 * a * c
+    assume(gcd(gcd(a, abs(b)), abs(c)) == 1 and disc > 0 and isqrt(disc) ** 2 != disc)
+    lx = laurent_expansion(ConicForm(a, b, c, d), 1)
+    assert lx.threshold_s == laurent_threshold_by_scan(a, d, disc)
 
 
 def test_laurent_tail_bound_on_orbit():

@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 
 from ratapprox import exactnum
 from ratapprox.errors import DegenerateRational, MixedField, PrecisionExhausted
+from ratapprox.approx import PsiSpec
+from ratapprox.cli import Config
+from ratapprox.conic import Automorph, ConicForm
 from ratapprox.exactnum import (
     Certified,
+    QuadIrr,
     LN10_HI,
     LN10_LO,
     RatInterval,
@@ -24,8 +28,9 @@ from ratapprox.exactnum import (
     qi_pair,
     squarefree_decompose,
 )
+from ratapprox.ostrowski import RealDigits
 
-from oracles import bisect_enclose, minpoly_triple, poly_sign, quad_floor
+from oracles import bisect_enclose, minpoly_triple, poly_sign, quad_floor, surd_arith, surd_coords
 
 PHI = qi_normalize(1, 1, 5, 2)
 INV_PHI = qi_normalize(-1, 1, 5, 2)
@@ -396,3 +401,131 @@ def test_int_str_under_default_digit_limit(ndigits, sign):
         assert int_str(sign * 10**ndigits) == ("-" if sign < 0 else "") + "1" + "0" * ndigits
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+# -- the value types: ==, hash and repr from exactnum.ByValue ----------------
+
+_IV = RatInterval(Fraction(1, 2), Fraction(3, 4))
+_IV2 = RatInterval(Fraction(1, 3), Fraction(3, 4))
+
+# (class, fields, a different value for each field); each class is built
+# as cls(**fields), so a field can be swapped one at a time
+VALUE_TYPES = [
+    (RatInterval, {"lo": Fraction(1, 2), "hi": Fraction(3, 4)},
+     {"lo": Fraction(1, 3), "hi": Fraction(4, 5)}),
+    (Certified, {"digits": "0.6", "enclosure": _IV}, {"digits": "0.60", "enclosure": _IV2}),
+    (PsiSpec, {"kind": "power", "c": None, "k": 2, "table": None},
+     {"kind": "exp_decay", "c": Fraction(1, 2), "k": 3, "table": ((1, Fraction(1, 2)),)}),
+    (ConicForm, {"a": 1, "b": -1, "c": -1, "d": 1}, {"a": 3, "b": -3, "c": -3, "d": 5}),
+    (Automorph, {"t11": 0, "t12": 1, "t21": 1, "t22": 1},
+     {"t11": 2, "t12": -1, "t21": 5, "t22": 7}),
+    (RealDigits, {"b": [0, 1], "depth": 2, "tail_bound": _IV, "exact_remainder": None},
+     {"b": [0, 2], "depth": 3, "tail_bound": _IV2, "exact_remainder": Fraction(1, 9)}),
+    (Config, {"precision_digits": 200, "decay_window": 5, "decay_tolerance": Fraction(1, 1000),
+              "digit_budget": 100_000, "seed_bound": 10_000, "prefix_exceptions": 2},
+     {"precision_digits": 7, "decay_window": 3, "decay_tolerance": Fraction(1, 7),
+      "digit_budget": 9, "seed_bound": 11, "prefix_exceptions": 1}),
+]
+UNHASHABLE = (RealDigits, Config)
+
+
+def test_value_type_reprs_are_pinned():
+    assert repr(_IV) == "RatInterval(lo=Fraction(1, 2), hi=Fraction(3, 4))"
+    assert repr(Certified.parse("1.41±0.005")) == (
+        "Certified(digits='1.41', enclosure=RatInterval(lo=Fraction(281, 200), hi=Fraction(283, 200)))"
+    )
+    assert repr(PsiSpec.exp_decay(Fraction(1, 2))) == (
+        "PsiSpec(kind='exp_decay', c=Fraction(1, 2), k=None, table=None)"
+    )
+    assert repr(PsiSpec.power(2)) == "PsiSpec(kind='power', c=None, k=2, table=None)"
+    assert repr(PsiSpec.rational_table([(10, Fraction(1, 3)), (1, Fraction(1, 2))])) == (
+        "PsiSpec(kind='rational_table', c=None, k=None, "
+        "table=((1, Fraction(1, 2)), (10, Fraction(1, 3))))"
+    )
+    assert repr(ConicForm(1, -1, -1, 1)) == "ConicForm(a=1, b=-1, c=-1, d=1)"
+    assert repr(Automorph(0, 1, 1, 1)) == "Automorph(t11=0, t12=1, t21=1, t22=1)"
+    assert repr(Config()) == (
+        "Config(precision_digits=200, decay_window=5, decay_tolerance=Fraction(1, 1000), "
+        "digit_budget=100000, seed_bound=10000, prefix_exceptions=2)"
+    )
+
+
+@pytest.mark.parametrize("cls, fields, others", VALUE_TYPES, ids=[t[0].__name__ for t in VALUE_TYPES])
+def test_value_types_compare_and_hash_by_fields(cls, fields, others):
+    x, y = cls(**fields), cls(**dict(fields))
+    assert x == y and not (x != y)
+    if cls in UNHASHABLE:
+        for v in (x, y):
+            with pytest.raises(TypeError):
+                hash(v)
+    else:
+        assert hash(x) == hash(y) == hash(tuple(fields.values()))
+    for name, value in others.items():
+        z = cls(**{**fields, name: value})
+        assert x != z and not (x == z), name
+    # another class never compares equal, not even with the same fields
+    for other in (tuple(fields.values()), object(), _IV if cls is not RatInterval else x.lo):
+        assert x != other and not (x == other)
+        assert x.__eq__(other) is NotImplemented
+
+
+# -- QuadIrr arithmetic against (u, v) coordinate arithmetic -----------------
+
+_FIELDS = (2, 3, 5, 6, 7, 13)
+
+
+@st.composite
+def _same_field_operands(draw):
+    """(x, y, D): QuadIrrs of field D, ints or Fractions, at least one a QuadIrr."""
+    D = draw(st.sampled_from(_FIELDS))
+    small = st.integers(-40, 40)
+
+    def operand():
+        kind = draw(st.sampled_from(("quad", "int", "frac")))
+        if kind == "int":
+            return draw(small)
+        if kind == "frac":
+            return Fraction(draw(small), draw(st.integers(1, 30)))
+        e = draw(small.filter(bool))
+        return qi_normalize(draw(small), e, D, draw(st.integers(-30, 30).filter(bool)))
+
+    x, y = operand(), operand()
+    assume(isinstance(x, QuadIrr) or isinstance(y, QuadIrr))
+    return x, y, D
+
+
+_OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y,
+        "/": lambda x, y: x / y}
+
+
+@settings(max_examples=400, deadline=None)
+@given(operands=_same_field_operands(), op=st.sampled_from(sorted(_OPS)))
+@example(operands=(PHI, 0, 5), op="*")
+@example(operands=(Fraction(0), INV_PHI, 5), op="*")
+@example(operands=(0, SQRT2, 2), op="/")
+@example(operands=(SQRT2, Fraction(0), 2), op="/")
+@example(operands=(PHI, PHI, 5), op="-")
+@example(operands=(SQRT2, SQRT2, 2), op="*")
+@example(operands=(PHI, -PHI + 3, 5), op="+")
+def test_quadirr_arithmetic_matches_coordinates(operands, op):
+    x, y, D = operands
+    if op == "/" and surd_coords(y, D) == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        return
+    want = surd_arith(op, x, y, D)
+    got = _OPS[op](x, y)
+    assert surd_coords(got, D) == want
+    if want[1] == 0:
+        # a rational result is a Fraction, never a degenerate QuadIrr
+        assert type(got) is Fraction
+    else:
+        assert type(got) is QuadIrr
+        assert (got.D, got.Q > 0, math.gcd(got.P, got.e, got.Q)) == (D, True, 1)
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_quadirr_arithmetic_across_fields_is_mixed_field(op):
+    for x, y in ((PHI, SQRT2), (SQRT2, INV_PHI)):
+        with pytest.raises(MixedField):
+            _OPS[op](x, y)
