@@ -23,7 +23,6 @@ from .errors import (
 )
 from .exactnum import (
     ByValue,
-    Certified,
     QuadIrr,
     RatInterval,
     RealTarget,
@@ -33,6 +32,8 @@ from .exactnum import (
     exp_le,
     frac_str,
     int_str,
+    kind_of,
+    operand,
     pow10_exponent_below_exp,
 )
 
@@ -252,22 +253,16 @@ def _window_verdict(values: list, window: int, rel_tol: Fraction) -> tuple[bool,
 
 
 def _residual_rows(pairs, alpha, gamma, order: int) -> list[ReportRow]:
-    interval_mode = isinstance(alpha, Certified) or any(
-        isinstance(g, RatInterval) for g in gamma
-    )
+    # one inexact value makes every residual an interval
+    if not all(kind_of(v).exact for v in (alpha, *gamma)):
+        alpha = as_interval(alpha, _TIGHT)
+        gamma = [as_interval(g, _TIGHT) for g in gamma]
     rows = []
     for r, s in pairs:
-        weight = (abs(r) + abs(s)) ** order
-        if interval_mode:
-            rho = -as_interval(alpha, _TIGHT) + Fraction(r, s)
-            for j, g in enumerate(gamma, start=1):
-                rho = rho - as_interval(g, _TIGHT) * Fraction(1, s**j)
-            scaled = rho.abs() * weight
-        else:
-            rho = Fraction(r, s) - alpha
-            for j, g in enumerate(gamma, start=1):
-                rho = rho - g * Fraction(1, s**j)
-            scaled = abs(rho) * weight
+        rho = Fraction(r, s) - alpha
+        for j, g in enumerate(gamma, start=1):
+            rho = rho - g * Fraction(1, s**j)
+        scaled = abs(rho) * (abs(r) + abs(s)) ** order
         rows.append(ReportRow(r=r, s=s, residual=rho, scaled=scaled))
     return rows
 
@@ -283,14 +278,11 @@ def _solve_vandermonde(fit_pairs, alpha, order: int):
     right-hand side; coefficients come out exact for exact alpha and as
     intervals for certified alpha.
     """
-    a_val = alpha.enclosure if isinstance(alpha, Certified) else alpha
+    a_val = operand(alpha)
     mat = [
         [Fraction(s) ** (1 - j) for j in range(1, order + 1)] for _, s in fit_pairs
     ]
-    if isinstance(a_val, RatInterval):
-        rhs = [(-a_val * s) + r for r, s in fit_pairs]
-    else:
-        rhs = [r - a_val * s for r, s in fit_pairs]
+    rhs = [r - a_val * s for r, s in fit_pairs]
     n = order
     for col in range(n):
         piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
@@ -472,12 +464,11 @@ def _package(
     n_next: int | None,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> PsiConstruction:
-    exact = isinstance(alpha, QuadIrr)
+    exact = kind_of(alpha).exact
     # s_k = sum_{m<=k} q_{n_m} and partials[k-1] = sum_{m<=k} D_{n_m}
     s_list = []
     partials = []
-    total = 0
-    partial = Fraction(0) if exact else RatInterval.point(Fraction(0))
+    total = partial = 0
     for n in indices:
         total += ctx.q(n)
         s_list.append(total)
@@ -556,14 +547,9 @@ def nearest_numerators(alpha: RealTarget, s_list, gamma1=None) -> ApproxSet:
         s = int(s)
         if isinstance(alpha, QuadIrr):
             r = (alpha * s).nearest_int()
-        elif isinstance(alpha, (int, Fraction)):
-            t = Fraction(alpha) * s
-            double = 2 * t
-            if double.denominator == 1 and double.numerator % 2 == 1:
-                raise PrecisionExhausted(f"alpha*{s} is a half-integer: rounding tie")
-            r = (t.numerator * 2 + t.denominator) // (2 * t.denominator)
         else:
-            iv = alpha.enclosure * s
+            # a rational rounds through its point interval
+            iv = as_interval(alpha, _TIGHT) * s
             r = (2 * iv.mid.numerator + iv.mid.denominator) // (2 * iv.mid.denominator)
             if not (Fraction(2 * r - 1, 2) < iv.lo and iv.hi < Fraction(2 * r + 1, 2)):
                 raise PrecisionExhausted(f"cannot round alpha*{s} unambiguously")

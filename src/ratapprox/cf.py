@@ -27,6 +27,7 @@ from .exactnum import (
     RealTarget,
     as_interval,
     floor_of,
+    operand,
     qi_normalize,
 )
 
@@ -368,18 +369,12 @@ class CFContext:
         return (self._conv.get(n) or self._grow(n))[2]
 
     def D(self, n: int):
-        """Exact (or certified-interval) D_n, including D_-1 = -1 and D_0."""
-        if n == -1:
-            exact = isinstance(self.alpha, QuadIrr)
-            return Fraction(-1) if exact else RatInterval.point(Fraction(-1))
+        """Exact (or certified-interval) D_n, including D_-1 = -1 and D_0;
+        RationalTarget for a rational alpha."""
+        if self.cf.finite:
+            raise RationalTarget("D_n requires an irrational target")
         if n not in self._d_cache:
-            if isinstance(self.alpha, QuadIrr):
-                v = self.alpha * self.q(n) - self.p(n)
-            elif isinstance(self.alpha, Certified):
-                v = self.alpha.enclosure * self.q(n) - self.p(n)
-            else:
-                raise RationalTarget("D_n requires an irrational target")
-            self._d_cache[n] = v
+            self._d_cache[n] = operand(self.alpha) * self.q(n) - self.p(n)
         return self._d_cache[n]
 
     def d_enclosures(self, width: Fraction) -> DEnclosures:

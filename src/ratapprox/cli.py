@@ -38,8 +38,7 @@ from .conic import (
     quad_detect,
 )
 from .errors import RatApproxError
-from .exactnum import (ByValue, Certified, QuadIrr, RatInterval, as_interval, frac_str, int_str,
-                       qi_normalize)
+from .exactnum import KINDS, ByValue, RatInterval, as_interval, frac_str, int_str, kind_of
 from .ostrowski import delta_profile, dist_bound, dist_direct, dist_formula, ostrowski_int, ostrowski_real
 
 CONFIG_ENV_VAR = "RATAPPROX_CONFIG"
@@ -131,16 +130,10 @@ CONFIG_FIELDS = tuple((name, getattr(Config(), name)) for name in Config.__slots
 
 
 def parse_target(text: str):
-    kind, _, body = text.partition(":")
-    if kind == "rat" and body:
-        return Fraction(body)
-    if kind == "quad" and body:
-        parts = [int(x) for x in body.split(",")]
-        if len(parts) != 4:
-            raise ValueError("quad target needs P,e,D,Q")
-        return qi_normalize(*parts)
-    if kind == "dec" and body:
-        return Certified.parse(body)
+    name, _, body = text.partition(":")
+    parse = KINDS[name].parse if name in KINDS else None
+    if parse is not None and body:
+        return parse(body)
     raise ValueError(f"cannot parse target {text!r}; use rat:p/q, quad:P,e,D,Q or dec:digits±err")
 
 
@@ -196,19 +189,13 @@ def sci_str(x: Fraction, sig: int = 17) -> str:
 
 
 def target_json(x) -> dict:
-    if isinstance(x, QuadIrr):
-        return {"kind": "quad", "value": x.to_json()}
-    if isinstance(x, Certified):
-        return {"kind": "dec", "value": x.to_json()}
-    return {"kind": "rat", "value": rat_str(Fraction(x))}
+    """The {"kind", "value"} document of x; value_from_json inverts it."""
+    kind = kind_of(x)
+    return {"kind": kind.name, "value": kind.encode(x)}
 
 
 def gamma_json(g) -> dict:
-    if isinstance(g, QuadIrr):
-        return {"kind": "quad", "value": g.to_json()}
-    if isinstance(g, RatInterval):
-        return {"kind": "interval", "value": g.to_json()}
-    return {"kind": "rat", "value": rat_str(Fraction(g))}
+    return target_json(g)
 
 
 def approx_set_json(aset: ApproxSet) -> dict:
@@ -252,18 +239,7 @@ def report_csv(rep: DecayReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _interval_from_json(v: dict) -> RatInterval:
-    return RatInterval(Fraction(v["lo"]), Fraction(v["hi"]))
-
-
-# decoders of the "value" member, by "kind"; the inverse of target_json and
-# gamma_json
-_VALUE_DECODERS = {
-    "rat": Fraction,
-    "quad": lambda v: qi_normalize(int(v["P"]), int(v["e"]), int(v["D"]), int(v["Q"])),
-    "dec": lambda v: Certified(digits=v["digits"], enclosure=_interval_from_json(v["enclosure"])),
-    "interval": _interval_from_json,
-}
+# the kinds that an alpha and a gamma of an input file may have
 ALPHA_KINDS = ("rat", "quad", "dec")
 GAMMA_KINDS = ("rat", "quad", "interval")
 
@@ -273,7 +249,7 @@ def value_from_json(doc: dict, kinds: tuple[str, ...]):
     kind = doc["kind"]
     if kind not in kinds:
         raise ValueError(f"value kind {kind!r} is not one of {', '.join(kinds)}")
-    return _VALUE_DECODERS[kind](doc["value"])
+    return KINDS[kind].decode(doc["value"])
 
 
 def read_input(path: str, decode):

@@ -213,10 +213,12 @@ class QuadIrr:
         return QuadIrr(-self.P, -self.e, self.D, self.Q)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadIrr) else -Fraction(other))
+        if self._operand(other) is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         op = self._operand(other)
@@ -240,18 +242,12 @@ class QuadIrr:
         return res
 
     def __truediv__(self, other):
-        if isinstance(other, QuadIrr):
-            self._check_field(other)
-            return self * other.inverse()
-        if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            if r == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (1 / r)
-        return NotImplemented
+        if self._operand(other) is None:
+            return NotImplemented
+        return self * (other.inverse() if isinstance(other, QuadIrr) else 1 / Fraction(other))
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        return self.inverse().__mul__(other)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -308,12 +304,20 @@ class QuadIrr:
 
     # -- representation helpers -------------------------------------------
 
-    def as_pair(self) -> tuple[Fraction, Fraction]:
-        """Value written as u + v*sqrt(D) with exact rationals (u, v)."""
-        return Fraction(self.P, self.Q), Fraction(self.e, self.Q)
+    @staticmethod
+    def parse(text: str) -> "QuadIrr":
+        """Parse 'P,e,D,Q' as qi_normalize(P, e, D, Q)."""
+        parts = [int(x) for x in text.split(",")]
+        if len(parts) != 4:
+            raise ValueError("quad target needs P,e,D,Q")
+        return qi_normalize(*parts)
 
     def to_json(self) -> dict:
         return {k: int_str(getattr(self, k)) for k in ("P", "e", "D", "Q")}
+
+    @staticmethod
+    def from_json(v: dict) -> "QuadIrr":
+        return qi_normalize(int(v["P"]), int(v["e"]), int(v["D"]), int(v["Q"]))
 
 
 def qi_shift_half(x: QuadIrr) -> QuadIrr:
@@ -378,15 +382,6 @@ def floor_of(x) -> int:
     return f.numerator // f.denominator
 
 
-def as_pair(x, D: int) -> tuple[Fraction, Fraction]:
-    """Coordinates of x in the basis (1, sqrt(D)); MixedField if impossible."""
-    if isinstance(x, QuadIrr):
-        if x.D != D:
-            raise MixedField(f"sqrt({x.D}) vs sqrt({D})")
-        return x.as_pair()
-    return Fraction(x), Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # intervals
 
@@ -423,11 +418,25 @@ class RatInterval(ByValue):
     def overlaps(self, other: "RatInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def __add__(self, other):
+    @staticmethod
+    def from_json(v: dict) -> "RatInterval":
+        return RatInterval(Fraction(v["lo"]), Fraction(v["hi"]))
+
+    @staticmethod
+    def _bounds(other) -> tuple[Fraction, Fraction] | None:
+        """(lo, hi) of an interval or of a rational's point interval, else None."""
         if isinstance(other, RatInterval):
-            return RatInterval(self.lo + other.lo, self.hi + other.hi)
-        f = Fraction(other)
-        return RatInterval(self.lo + f, self.hi + f)
+            return other.lo, other.hi
+        if isinstance(other, (int, Fraction)):
+            f = Fraction(other)
+            return f, f
+        return None
+
+    def __add__(self, other):
+        b = self._bounds(other)
+        if b is None:
+            return NotImplemented
+        return RatInterval(self.lo + b[0], self.hi + b[1])
 
     __radd__ = __add__
 
@@ -435,24 +444,24 @@ class RatInterval(ByValue):
         return RatInterval(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, RatInterval) else -Fraction(other))
+        b = self._bounds(other)
+        if b is None:
+            return NotImplemented
+        return RatInterval(self.lo - b[1], self.hi - b[0])
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, RatInterval):
-            prods = [
-                self.lo * other.lo,
-                self.lo * other.hi,
-                self.hi * other.lo,
-                self.hi * other.hi,
-            ]
-            return RatInterval(min(prods), max(prods))
-        f = Fraction(other)
-        if f >= 0:
-            return RatInterval(self.lo * f, self.hi * f)
-        return RatInterval(self.hi * f, self.lo * f)
+        b = self._bounds(other)
+        if b is None:
+            return NotImplemented
+        lo, hi = b
+        if lo == hi:  # a point: its sign orders the two products
+            ends = (self.lo * lo, self.hi * lo)
+            return RatInterval(*ends) if lo >= 0 else RatInterval(ends[1], ends[0])
+        prods = [self.lo * lo, self.lo * hi, self.hi * lo, self.hi * hi]
+        return RatInterval(min(prods), max(prods))
 
     __rmul__ = __mul__
 
@@ -462,14 +471,12 @@ class RatInterval(ByValue):
         return RatInterval(1 / self.hi, 1 / self.lo)
 
     def __truediv__(self, other):
-        if isinstance(other, RatInterval):
-            return self * other.reciprocal()
-        f = Fraction(other)
-        if f == 0:
-            raise ZeroDivisionError("division by zero")
-        return self * (1 / f)
+        b = self._bounds(other)
+        if b is None:
+            return NotImplemented
+        return self * RatInterval(*b).reciprocal()
 
-    def abs(self) -> "RatInterval":
+    def __abs__(self) -> "RatInterval":
         if self.lo >= 0:
             return self
         if self.hi <= 0:
@@ -542,8 +549,55 @@ class Certified(ByValue):
     def to_json(self) -> dict:
         return {"digits": self.digits, "enclosure": self.enclosure.to_json()}
 
+    @staticmethod
+    def from_json(v: dict) -> "Certified":
+        return Certified(v["digits"], RatInterval.from_json(v["enclosure"]))
+
 
 RealTarget = Fraction | QuadIrr | Certified
+
+
+class Kind:
+    """One kind of real value.  `name` is both the CLI prefix ("quad:1,1,5,2")
+    and the JSON "kind"; `types` are the Python types of its values; `parse`
+    reads the CLI text after the prefix (None: the kind has no CLI form);
+    `decode` and `encode` map the JSON "value" member; `exact` says whether
+    arithmetic on a value is exact or runs on a certified interval."""
+
+    __slots__ = ("name", "types", "parse", "decode", "encode", "exact")
+
+    def __init__(self, name, types, parse, decode, encode, exact):
+        self.name = name
+        self.types = types
+        self.parse = parse
+        self.decode = decode
+        self.encode = encode
+        self.exact = exact
+
+
+KINDS = {
+    k.name: k
+    for k in (
+        Kind("rat", (int, Fraction), Fraction, Fraction, frac_str, True),
+        Kind("quad", (QuadIrr,), QuadIrr.parse, QuadIrr.from_json, QuadIrr.to_json, True),
+        Kind("dec", (Certified,), Certified.parse, Certified.from_json, Certified.to_json, False),
+        Kind("interval", (RatInterval,), None, RatInterval.from_json, RatInterval.to_json, False),
+    )
+}
+_KIND_OF_TYPE = {t: k for k in KINDS.values() for t in k.types}
+
+
+def kind_of(x) -> Kind:
+    """The KINDS entry of x, by type(x); TypeError for anything else."""
+    kind = _KIND_OF_TYPE.get(type(x))
+    if kind is None:
+        raise TypeError(f"no kind in KINDS holds {x!r}")
+    return kind
+
+
+def operand(x):
+    """The value arithmetic runs on: a Certified target's enclosure, else x."""
+    return x.enclosure if isinstance(x, Certified) else x
 
 
 def sqrt_bounds(n: int, scale_digits: int) -> RatInterval:
@@ -584,13 +638,9 @@ def enclose(x: RealTarget, width: Fraction) -> RatInterval:
 
 
 def as_interval(x, width: Fraction) -> RatInterval:
-    """x as a RatInterval: intervals as they are, a Certified value's stored
-    enclosure, anything else enclosed at `width`."""
-    if isinstance(x, RatInterval):
-        return x
-    if isinstance(x, Certified):
-        return x.enclosure
-    return enclose(x, width)
+    """x as a RatInterval: an exact value enclosed at `width`, an inexact one
+    as the interval it carries."""
+    return enclose(x, width) if kind_of(x).exact else operand(x)
 
 
 # ---------------------------------------------------------------------------

@@ -37,19 +37,17 @@ from .errors import (
     GammaOnOrbit,
     InsufficientDepth,
     InvariantViolation,
-    MixedField,
     OutOfRegime,
     PrecisionExhausted,
     RationalTarget,
 )
 from .exactnum import (
     ByValue,
-    Certified,
     QuadIrr,
     RatInterval,
     as_interval,
-    as_pair,
     enclose,
+    kind_of,
     sign_of,
     surd_sign,
 )
@@ -177,12 +175,11 @@ def int_digits_value(d: IntDigits, ctx: CFContext) -> int:
 
 def _gamma_orbit_certificate(gamma, alpha: QuadIrr):
     """Exact test: gamma = u + v*alpha with u, v in Z (the forbidden orbit)."""
-    g_rat, g_coef = as_pair(gamma, alpha.D)
-    a_rat, a_coef = alpha.as_pair()
-    v = g_coef / a_coef
+    gP, gE, gQ = alpha._operand(gamma)
+    v = Fraction(gE * alpha.Q, gQ * alpha.e)
     if v.denominator != 1:
         return None
-    u = g_rat - v * a_rat
+    u = Fraction(gP, gQ) - v * Fraction(alpha.P, alpha.Q)
     if u.denominator != 1:
         return None
     return int(v), int(u)
@@ -204,7 +201,8 @@ def ostrowski_real(
 ) -> RealDigits:
     """Digits of gamma in [-alpha, 1-alpha) over the basis D_n.
 
-    gamma may be a Fraction, a QuadIrr in alpha's field, or Certified.
+    gamma may be a Fraction, a QuadIrr in alpha's field, or a value of an
+    inexact kind (Certified, RatInterval), which takes the certified path.
     allow_orbit skips the gamma = s*alpha (mod 1) pre-check (used for
     targets like gamma = 0 whose digits are still well defined).  For exact
     targets the orbit check is algebraic and complete.  The certified path
@@ -214,8 +212,7 @@ def ostrowski_real(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     _require_unit_interval_irrational(ctx)
-    exact = isinstance(ctx.alpha, QuadIrr) and not isinstance(gamma, Certified)
-    if exact:
+    if kind_of(ctx.alpha).exact and kind_of(gamma).exact:
         if not allow_orbit:
             hit = _gamma_orbit_certificate(gamma, ctx.alpha)
             if hit is not None:
@@ -227,13 +224,7 @@ def ostrowski_real(
 def _extract_exact(gamma, ctx: CFContext, depth: int) -> RealDigits:
     alpha = ctx.alpha
     D = alpha.D
-    if isinstance(gamma, QuadIrr):
-        if gamma.D != D:
-            raise MixedField(f"sqrt({D}) vs sqrt({gamma.D})")
-        gP, gE, gQ = gamma.P, gamma.e, gamma.Q
-    else:
-        g = Fraction(gamma)
-        gP, gE, gQ = g.numerator, 0, g.denominator
+    gP, gE, gQ = alpha._operand(gamma)
     # rem = (U + V*sqrt(D))/L, and D_n = (x + y*sqrt(D))/L from _d_num
     L = lcm(alpha.Q, gQ)
     k = L // alpha.Q
@@ -398,7 +389,7 @@ def dist_formula(profile: DeltaProfile, ctx: CFContext):
         d_lo, d_hi = memo.num[n]
         lo, hi = (lo + d * d_lo, hi + d * d_hi) if d > 0 else (lo + d * d_hi, hi + d * d_lo)
     total = RatInterval(Fraction(lo, memo.den), Fraction(hi, memo.den))
-    return (total - profile.real_digits.tail_bound).abs()
+    return abs(total - profile.real_digits.tail_bound)
 
 
 def dist_formula_terms(profile: DeltaProfile, ctx: CFContext) -> list:
@@ -422,9 +413,9 @@ def dist_formula_terms(profile: DeltaProfile, ctx: CFContext) -> list:
 
 def dist_direct(s: int, gamma, alpha, width: Fraction = DEFAULT_WIDTH) -> RatInterval:
     """Reference oracle: certified interval for ||s*alpha - gamma||."""
-    if isinstance(alpha, QuadIrr) and not isinstance(gamma, Certified):
+    if kind_of(alpha).exact and kind_of(gamma).exact:
         t = alpha * s - gamma
-        if isinstance(t, Fraction):
+        if isinstance(t, (int, Fraction)):
             f = t - (t.numerator // t.denominator)
             return RatInterval.point(min(f, 1 - f))
         k = t.nearest_int()
@@ -444,5 +435,5 @@ def dist_direct(s: int, gamma, alpha, width: Fraction = DEFAULT_WIDTH) -> RatInt
 def dist_bound(profile: DeltaProfile, ctx: CFContext) -> Fraction:
     """Upper bound (|delta_{m+1}| + 2) * ||q_m alpha||, as an exact rational."""
     m = _require_regime(profile)
-    upper = ctx.d_enclosures(DEFAULT_WIDTH).interval(m).abs().hi
+    upper = abs(ctx.d_enclosures(DEFAULT_WIDTH).interval(m)).hi
     return (abs(profile.delta[m]) + 2) * upper

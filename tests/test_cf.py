@@ -17,7 +17,7 @@ from ratapprox.errors import (
     PrecisionExhausted,
     RationalTarget,
 )
-from ratapprox.exactnum import Certified, enclose, qi_normalize
+from ratapprox.exactnum import Certified, RatInterval, enclose, qi_normalize
 
 from oracles import cf_value, convergent_pairs, euclid_cf, eventual_period, quad_cf_digits
 
@@ -260,6 +260,18 @@ def test_context_negative_index_seeds():
     assert ctx.p(-1) == 1 and ctx.q(-1) == 0
     assert ctx.D(-1) == Fraction(-1)
     assert ctx.p(0) == 1 and ctx.q(0) == 1
+
+
+def test_d_minus_one_for_each_target_kind():
+    # D_-1 = alpha*q_-1 - p_-1 = -1 in the value type of every other D_n
+    rational = CFContext(Fraction(3, 7))
+    for n in (-1, 0):
+        with pytest.raises(RationalTarget):
+            rational.D(n)
+    d = CFContext(PHI).D(-1)
+    assert (type(d), d) == (Fraction, -1)
+    certified = CFContext(Certified.parse("0.6180339887498948482045868343656±1e-30"), depth=8)
+    assert certified.D(-1) == RatInterval.point(-1)
 
 
 def test_certified_last_digit_decidable_without_lookahead():

@@ -13,8 +13,12 @@ from jsonschema import Draft7Validator
 
 import ratapprox
 from ratapprox.approx import ApproxSet
-from ratapprox.cli import Config, approx_set_json, load_approx_set, main, schema_path, sci_str
-from ratapprox.exactnum import Certified, RatInterval, qi_normalize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ratapprox.cli import (Config, approx_set_json, load_approx_set, main, parse_target,
+                           schema_path, sci_str, target_json, value_from_json)
+from ratapprox.exactnum import KINDS, Certified, RatInterval, qi_normalize
 
 GOLDEN = {
     "cf-phi": ["cf", "--alpha", "quad:1,1,5,2", "--depth", "10"],
@@ -494,6 +498,20 @@ def test_library_has_no_assert():
     assert found == []
 
 
+def test_cli_reads_kinds_from_the_table():
+    # exactnum.KINDS decides the kind of a value; cli never tests its type
+    kinds = {"QuadIrr", "Certified", "RatInterval"}
+    path = Path(ratapprox.__file__).parent / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            arg = node.args[1]
+            names = arg.elts if isinstance(arg, ast.Tuple) else [arg]
+            if any(getattr(n, "id", None) in kinds for n in names):
+                found.append(f"cli.py:{node.lineno}")
+    assert found == []
+
+
 def test_only_byvalue_and_quadirr_define_value_dunders():
     # value types inherit ==, hash and repr from exactnum.ByValue; only
     # QuadIrr, whose == also answers rationals, writes its own.  A
@@ -564,3 +582,52 @@ def test_laurent_threshold_for_a_huge_level(capsys):
     s = int(json.loads(out)["threshold_s"])
     # the least s with 5*s^2 >= 8*d
     assert 5 * s * s >= 8 * d > 5 * (s - 1) ** 2
+
+
+# (value, its CLI text after the prefix or None) for every kind in KINDS
+_small = st.integers(-(10**6), 10**6)
+_KIND_CASES = {
+    "rat": st.one_of(
+        _small.map(lambda n: (n, str(n))),
+        st.fractions(max_denominator=10**9).map(lambda f: (f, str(f))),
+    ),
+    "quad": st.tuples(_small, _small.filter(bool), st.sampled_from((2, 3, 5, 7, 13)),
+                      st.integers(1, 30), _small.filter(bool)).map(
+        lambda t: (qi_normalize(t[0], t[1], t[2] * t[3] ** 2, t[4]),
+                   f"{t[0]},{t[1]},{t[2] * t[3] ** 2},{t[4]}")),
+    "dec": st.tuples(st.decimals(-(10**6), 10**6, places=20), st.integers(1, 40),
+                     st.sampled_from(("±", "+-"))).map(
+        lambda t: (Certified(str(t[0]), RatInterval(Fraction(t[0]) - Fraction(1, 10**t[1]),
+                                                    Fraction(t[0]) + Fraction(1, 10**t[1]))),
+                   f"{t[0]}{t[2]}1e-{t[1]}")),
+    "interval": st.lists(st.fractions(max_denominator=10**9), min_size=2, max_size=2).map(
+        lambda b: (RatInterval(min(b), max(b)), None)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_kinds_round_trip_through_json_and_cli_text(name, data):
+    x, text = data.draw(_KIND_CASES[name])
+    doc = json.loads(json.dumps(target_json(x)))
+    assert doc["kind"] == name
+    assert value_from_json(doc, (name,)) == x
+    if text is not None:
+        assert parse_target(f"{name}:{text}") == x
+
+
+@pytest.mark.parametrize("text", ["float:1", "interval:0,1", "rat:", "quad", "alg:-2,0,0,1", ""])
+def test_parse_target_unknown_message(text):
+    with pytest.raises(ValueError) as exc:
+        parse_target(text)
+    assert str(exc.value) == (
+        f"cannot parse target {text!r}; use rat:p/q, quad:P,e,D,Q or dec:digits±err"
+    )
+
+
+def test_parse_target_quad_arity_message():
+    for text in ("quad:1,2,3", "quad:1,1,5,2,1"):
+        with pytest.raises(ValueError) as exc:
+            parse_target(text)
+        assert str(exc.value) == "quad target needs P,e,D,Q"

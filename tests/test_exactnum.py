@@ -1,5 +1,7 @@
 import math
+import operator
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -141,7 +143,8 @@ def test_exact_ordering_and_floor():
             assert n <= iv.lo or iv.lo.numerator // iv.lo.denominator == n
             assert Fraction(n) < iv.hi and iv.lo < Fraction(n + 1)
             assert (x > n) and (x < n + 1)
-            assert x.sign() == (1 if iv.lo > 0 or iv.hi > 0 and x > 0 else -1) or True
+            # |P + e*sqrt(D)| >= 1/64 here, so the enclosure excludes 0
+            assert x.sign() == (1 if iv.lo > 0 else -1 if iv.hi < 0 else 0)
             assert abs(x).sign() == 1
 
 
@@ -174,8 +177,8 @@ def test_nearest_int():
     assert (PHI * 55).nearest_int() == 89
 
 
-def test_as_pair_and_qi_pair_roundtrip():
-    u, v = PHI.as_pair()
+def test_qi_pair_roundtrip():
+    u, v = surd_coords(PHI, 5)
     assert u == Fraction(1, 2) and v == Fraction(1, 2)
     assert qi_pair(u, v, 5) == PHI
     assert qi_pair(Fraction(3, 7), Fraction(0), 5) == Fraction(3, 7)
@@ -225,7 +228,7 @@ def test_interval_arithmetic():
     assert (a * b) == RatInterval(Fraction(-1), Fraction(3, 2))
     assert (-a) == RatInterval(Fraction(-1, 2), Fraction(-1, 3))
     assert (a / 2).width == a.width / 2
-    assert b.abs() == RatInterval(Fraction(0), Fraction(3))
+    assert abs(b) == RatInterval(Fraction(0), Fraction(3))
     with pytest.raises(ZeroDivisionError):
         b.reciprocal()
     assert a.reciprocal() == RatInterval(Fraction(2), Fraction(3))
@@ -524,8 +527,115 @@ def test_quadirr_arithmetic_matches_coordinates(operands, op):
         assert (got.D, got.Q > 0, math.gcd(got.P, got.e, got.Q)) == (D, True, 1)
 
 
-@pytest.mark.parametrize("op", sorted(_OPS))
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _oracle_sign(u: Fraction, v: Fraction, D: int) -> int:
+    """Sign of u + v*sqrt(D): u's when u**2 > v**2*D or v = 0, else v's
+    (u**2 = v**2*D only for u = v = 0, sqrt(D) being irrational)."""
+    w = u if v == 0 or u * u > v * v * D else v
+    return (w > 0) - (w < 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(operands=_same_field_operands())
+@example(operands=(PHI, PHI, 5))
+@example(operands=(PHI, 2, 5))
+@example(operands=(Fraction(3, 2), INV_PHI + 1, 5))
+@example(operands=(SQRT2, -SQRT2, 2))
+def test_quadirr_order_matches_coordinates(operands):
+    x, y, D = operands
+    want = _oracle_sign(*surd_arith("-", x, y, D), D)
+    for name, op in _ORDER.items():
+        assert op(x, y) == op(want, 0), name
+        assert op(y, x) == op(0, want), name
+
+
+@pytest.mark.parametrize("op", sorted({**_OPS, **_ORDER}))
 def test_quadirr_arithmetic_across_fields_is_mixed_field(op):
+    f = {**_OPS, **_ORDER}[op]
     for x, y in ((PHI, SQRT2), (SQRT2, INV_PHI)):
         with pytest.raises(MixedField):
-            _OPS[op](x, y)
+            f(x, y)
+
+
+def _quads():
+    return st.builds(qi_normalize, st.integers(-(10**12), 10**12),
+                     st.integers(-(10**6), 10**6).filter(bool), st.sampled_from(_FIELDS),
+                     st.integers(1, 10**9))
+
+
+def _intervals():
+    bound = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9)
+    return st.lists(bound, min_size=2, max_size=2).map(lambda b: RatInterval(min(b), max(b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.one_of(_quads(), _intervals()),
+    other=st.one_of(st.floats(), st.decimals(), st.complex_numbers()),
+    op=st.sampled_from(sorted(_OPS)),
+)
+@example(x=PHI, other=0.1, op="-")
+@example(x=_IV, other=0.1, op="+")
+def test_operators_refuse_inexact_operands(x, other, op):
+    # a float, Decimal or complex never enters exact arithmetic, from either
+    # side, and the error names the operator that was written
+    for a, b in ((x, other), (other, x)):
+        with pytest.raises(TypeError, match=f"for {re.escape(op)}:"):
+            _OPS[op](a, b)
+
+
+def _certified():
+    center = st.decimals(min_value=-(10**6), max_value=10**6, places=12)
+    radius = st.integers(1, 40).map(lambda k: Fraction(1, 10**k))
+    return st.builds(lambda c, r: Certified(str(c), RatInterval(Fraction(c) - r, Fraction(c) + r)),
+                     center, radius)
+
+
+# a value strategy for every kind in exactnum.KINDS
+_KIND_VALUES = {
+    "rat": st.one_of(st.integers(-(10**12), 10**12), st.fractions(max_denominator=10**12)),
+    "quad": _quads(),
+    "dec": _certified(),
+    "interval": _intervals(),
+}
+
+
+def _mp_value(x):
+    if isinstance(x, QuadIrr):
+        return (x.P + x.e * mpmath.sqrt(x.D)) / x.Q
+    if isinstance(x, Certified):
+        x = Fraction(x.digits)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def test_every_kind_has_a_value_strategy():
+    assert sorted(_KIND_VALUES) == sorted(exactnum.KINDS)
+
+
+@pytest.mark.parametrize("name", sorted(_KIND_VALUES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), digits=st.integers(0, 40))
+def test_enclose_and_as_interval_contain_the_value(name, data, digits):
+    x = data.draw(_KIND_VALUES[name])
+    width = Fraction(1, 10**digits)
+    if name == "interval":
+        assert exactnum.as_interval(x, width) is x
+        return
+    if name == "dec":
+        assert exactnum.as_interval(x, width) is x.enclosure
+        if x.enclosure.width > width:
+            with pytest.raises(PrecisionExhausted):
+                enclose(x, width)
+            return
+        iv = enclose(x, width)
+        assert iv is x.enclosure
+    else:
+        iv = enclose(x, width)
+        assert iv.width <= width
+        assert exactnum.as_interval(x, width) == iv
+    with mpmath.workdps(90):
+        value = _mp_value(x)
+        eps = mpmath.mpf(10) ** -75 * max(1, abs(value))
+        assert _mp_value(iv.lo) - eps <= value <= _mp_value(iv.hi) + eps
