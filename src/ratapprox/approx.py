@@ -11,7 +11,7 @@ the rational-line case exactly, and classifies denominator growth.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from .cf import CFContext
 from .errors import (
@@ -23,7 +23,6 @@ from .errors import (
 )
 from .exactnum import (
     ByValue,
-    QuadIrr,
     RatInterval,
     RealTarget,
     as_interval,
@@ -35,6 +34,7 @@ from .exactnum import (
     kind_of,
     operand,
     pow10_exponent_below_exp,
+    rational,
 )
 
 DEFAULT_WINDOW = 5
@@ -97,7 +97,7 @@ class PsiSpec(ByValue):
 
     @staticmethod
     def exp_decay(c) -> "PsiSpec":
-        c = Fraction(c)
+        c = rational(c)
         if c <= 0:
             raise ValueError("exp_decay rate must be positive")
         return PsiSpec(kind="exp_decay", c=c)
@@ -411,9 +411,9 @@ def construct_psi(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if isinstance(alpha, (int, Fraction)):
-        raise RationalTarget("the construction needs an irrational alpha")
     ctx = CFContext(alpha, depth=16)
+    if ctx.cf.finite:
+        raise RationalTarget("the construction needs an irrational alpha")
     if ctx.a(0) != 0:
         raise ValueError("alpha must lie in (0, 1)")
 
@@ -502,8 +502,8 @@ def _package(
         detail = ""
         if exact:
             drift = alpha * s_k - partials[k - 1]
-            is_int = isinstance(drift, Fraction) and drift.denominator == 1
-            detail = "s_k*alpha - partial_k integral; " if is_int else "DRIFT NOT INTEGRAL; "
+            integral = drift == floor(drift)
+            detail = "s_k*alpha - partial_k integral; " if integral else "DRIFT NOT INTEGRAL; "
         next_idx = indices[k] if k < K else n_next
         if next_idx is not None:
             bound = min(Fraction(3, ctx.q(next_idx + 1)), remainders[k - 1])
@@ -545,14 +545,15 @@ def nearest_numerators(alpha: RealTarget, s_list, gamma1=None) -> ApproxSet:
     pairs = []
     for s in s_list:
         s = int(s)
-        if isinstance(alpha, QuadIrr):
-            r = (alpha * s).nearest_int()
+        t = operand(alpha) * s
+        if kind_of(t).exact:
+            r = round(t)
+            tie = 2 * abs(t - r) == 1
         else:
-            # a rational rounds through its point interval
-            iv = as_interval(alpha, _TIGHT) * s
-            r = (2 * iv.mid.numerator + iv.mid.denominator) // (2 * iv.mid.denominator)
-            if not (Fraction(2 * r - 1, 2) < iv.lo and iv.hi < Fraction(2 * r + 1, 2)):
-                raise PrecisionExhausted(f"cannot round alpha*{s} unambiguously")
+            r = round(t.mid)
+            tie = not (2 * r - 1 < 2 * t.lo and 2 * t.hi < 2 * r + 1)
+        if tie:
+            raise PrecisionExhausted(f"cannot round alpha*{s} unambiguously")
         pairs.append((r, s))
     gamma = [gamma1] if gamma1 is not None else []
     return ApproxSet(alpha=alpha, pairs=pairs, order=len(gamma), gamma=gamma)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import isqrt, lcm
+from math import floor, lcm
 
 from .errors import (
     InsufficientDepth,
@@ -26,9 +26,10 @@ from .exactnum import (
     RatInterval,
     RealTarget,
     as_interval,
-    floor_of,
+    kind_of,
     operand,
     qi_normalize,
+    surd_floor,
 )
 
 
@@ -88,8 +89,8 @@ class CFExpansion:
                     f"fractional part undecidable after {len(self.a)} digits"
                 )
             iv = frac.reciprocal()
-        d = floor_of(iv.lo)
-        if d != floor_of(iv.hi):
+        d = floor(iv.lo)
+        if d != floor(iv.hi):
             raise PrecisionExhausted(
                 f"enclosure straddles an integer after {len(self.a)} digits"
             )
@@ -110,21 +111,15 @@ class CFExpansion:
         return {"a": list(self.a), "K": k, "L": ell}
 
 
-def _floor_surd(P: int, E: int, r: int, Q: int) -> int:
-    # exact floor((P + sqrt(E))/Q) given r = isqrt(E), E non-square
-    if Q > 0:
-        return (P + r) // Q
-    return (P + r + 1) // Q
-
-
-def _expand_rational(x: Fraction) -> list[int]:
+def _expand_rational(x, depth: int) -> CFExpansion:
+    x = Fraction(x)
     p, q = x.numerator, x.denominator
     out = []
     while q:
         a, r = divmod(p, q)
         out.append(a)
         p, q = q, r
-    return out
+    return CFExpansion(source=x, a=out, finite=True)
 
 
 def _expand_quadratic(x: QuadIrr, depth: int) -> CFExpansion:
@@ -137,7 +132,6 @@ def _expand_quadratic(x: QuadIrr, depth: int) -> CFExpansion:
         P0 *= abs(Q0)
         E *= Q0 * Q0
         Q0 *= abs(Q0)
-    r = isqrt(E)
 
     digits: list[int] = []
     states: list[tuple[int, int]] = []
@@ -146,7 +140,7 @@ def _expand_quadratic(x: QuadIrr, depth: int) -> CFExpansion:
     while (P, Q) not in seen:
         seen[(P, Q)] = len(states)
         states.append((P, Q))
-        a = _floor_surd(P, E, r, Q)
+        a = surd_floor(P, 1, E, Q)
         digits.append(a)
         P = a * Q - P
         Q = (E - P * P) // Q
@@ -167,6 +161,10 @@ def _expand_certified(x: Certified, depth: int) -> CFExpansion:
     return cf
 
 
+# the expansion of each KINDS entry that is a real target
+_EXPAND = {"rat": _expand_rational, "quad": _expand_quadratic, "dec": _expand_certified}
+
+
 def cf_expand(x: RealTarget, depth: int) -> CFExpansion:
     """Expand x as a simple continued fraction to at least `depth` digits.
 
@@ -175,13 +173,10 @@ def cf_expand(x: RealTarget, depth: int) -> CFExpansion:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if isinstance(x, (int, Fraction)):
-        return CFExpansion(source=Fraction(x), a=_expand_rational(Fraction(x)), finite=True)
-    if isinstance(x, QuadIrr):
-        return _expand_quadratic(x, depth)
-    if isinstance(x, Certified):
-        return _expand_certified(x, depth)
-    raise TypeError(f"not a real target: {x!r}")
+    expand = _EXPAND.get(kind_of(x).name)
+    if expand is None:
+        raise TypeError(f"not a real target: {x!r}")
+    return expand(x, depth)
 
 
 # M_n = (p_n, p_{n-1}, q_n, q_{n-1}), the matrix [[p_n, p_{n-1}], [q_n, q_{n-1}]]

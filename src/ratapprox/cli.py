@@ -194,15 +194,11 @@ def target_json(x) -> dict:
     return {"kind": kind.name, "value": kind.encode(x)}
 
 
-def gamma_json(g) -> dict:
-    return target_json(g)
-
-
 def approx_set_json(aset: ApproxSet) -> dict:
     return {
         "alpha": target_json(aset.alpha),
         "N": aset.order,
-        "gamma": [gamma_json(g) for g in aset.gamma],
+        "gamma": [target_json(g) for g in aset.gamma],
         "pairs": [[int_str(r), int_str(s)] for r, s in aset.pairs],
     }
 
@@ -389,7 +385,7 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
         "n_next": cons.n_next,
         "s": [int_str(v) for v in cons.s],
         "gamma": {
-            "partial": gamma_json(cons.gamma_partial),
+            "partial": target_json(cons.gamma_partial),
             "tail_bound": rat_str(cons.tail),
             "interval": iv.to_json(),
         },
@@ -458,7 +454,7 @@ def _cmd_laurent(args, cfg: Config) -> dict:
     return {
         "form": lx.form.to_json(),
         "alpha": target_json(lx.alpha),
-        "gamma": [gamma_json(g) for g in lx.gamma],
+        "gamma": [target_json(g) for g in lx.gamma],
         "threshold_s": int_str(lx.threshold_s),
         "next_term_j": lx.next_term_j,
         "next_term_upper": rat_str(lx.next_term_upper),
@@ -473,7 +469,7 @@ def _cmd_build_periodic(args, cfg: Config):
     if args.csv:
         return report_csv(pc.report)
     doc = approx_set_json(pc.aset)
-    doc["gamma2"] = gamma_json(pc.gamma2)
+    doc["gamma2"] = target_json(pc.gamma2)
     doc["K"] = pc.preperiod
     doc["L"] = pc.period
     doc["report"] = report_json(pc.report)

@@ -12,7 +12,8 @@ from math import gcd, isqrt
 from .approx import DEFAULT_REL_TOLERANCE, DEFAULT_WINDOW, ApproxSet, DecayReport, verify_order
 from .cf import _M_START, CFContext, _step, complete_quotient
 from .errors import InsufficientPairs, InvariantViolation, NotPeriodic, OrbitLeavesQuadrant
-from .exactnum import ByValue, QuadIrr, enclose, int_str, qi_normalize, qi_pair, squarefree_decompose
+from .exactnum import (ByValue, QuadIrr, enclose, int_str, kind_of, qi_normalize, qi_pair,
+                       squarefree_decompose)
 
 
 class ConicForm(ByValue):
@@ -325,7 +326,7 @@ def periodic_construction(
     gamma_2 = (-1)^{K+1} / (zeta_{K+1} + [0; overline(reversed period)]);
     the report is verify_order's with `window` and `rel_tolerance`.
     """
-    if not isinstance(alpha, QuadIrr):
+    if kind_of(alpha).name != "quad":
         raise NotPeriodic("periodic construction needs a quadratic irrational")
     if not (Fraction(0) < alpha < Fraction(1)):
         raise ValueError("alpha must lie in (0, 1)")

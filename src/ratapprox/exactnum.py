@@ -11,7 +11,7 @@ from __future__ import annotations
 import decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import ceil, floor, gcd, isqrt
 
 from .errors import DegenerateRational, InvariantViolation, MixedField, PrecisionExhausted
 
@@ -118,6 +118,25 @@ def surd_sign(x: int, y: int, D: int) -> int:
     if not sx:
         return sy
     return sx if x * x > y * y * D else sy
+
+
+def surd_floor(x: int, y: int, D: int, Q: int) -> int:
+    """Exact floor((x + y*sqrt(D))/Q) for Q != 0 and D > 0 not a square."""
+    if Q < 0:
+        x, y, Q = -x, -y, -Q
+    t = isqrt(y * y * D)
+    if y < 0:
+        t = -t - 1  # y*sqrt(D) is irrational, so its floor is -t - 1
+    # floor((x + z)/Q) = floor((x + floor(z))/Q) for integers x and Q > 0
+    return (x + t) // Q
+
+
+def rational(x) -> Fraction:
+    """x as a Fraction when it is an int or a Fraction; TypeError for a
+    float, Decimal, complex or anything else inexact."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
 
 
 class ByValue:
@@ -256,7 +275,7 @@ class QuadIrr:
         base: QuadIrr | Fraction = self
         while n > 0:
             if n & 1:
-                result = base * result if isinstance(base, QuadIrr) else result * base
+                result = result * base
             n >>= 1
             if n:
                 base = base * base
@@ -292,15 +311,15 @@ class QuadIrr:
     # -- integer parts ----------------------------------------------------
 
     def floor(self) -> int:
-        t = isqrt(self.e * self.e * self.D)
-        if self.e < 0:
-            t = -t - 1  # e*sqrt(D) is irrational, so floor is exact
-        # floor((P + x)/Q) = floor((P + floor(x))/Q) for integers P and Q > 0
-        return (self.P + t) // self.Q
+        return surd_floor(self.P, self.e, self.D, self.Q)
 
     def nearest_int(self) -> int:
         # x + 1/2 is irrational, so there is never a tie
         return qi_shift_half(self).floor()
+
+    # math.floor(x) and round(x) answer as they do for a Fraction
+    __floor__ = floor
+    __round__ = nearest_int
 
     # -- representation helpers -------------------------------------------
 
@@ -372,14 +391,7 @@ def qi_pair(rat: Fraction, coef: Fraction, D: int) -> QuadIrr | Fraction:
 def sign_of(x) -> int:
     if isinstance(x, QuadIrr):
         return x.sign()
-    return _norm_sign(Fraction(x))
-
-
-def floor_of(x) -> int:
-    if isinstance(x, QuadIrr):
-        return x.floor()
-    f = Fraction(x)
-    return f.numerator // f.denominator
+    return _norm_sign(rational(x))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +412,7 @@ class RatInterval(ByValue):
 
     @staticmethod
     def point(x) -> "RatInterval":
-        f = Fraction(x)
+        f = rational(x)
         return RatInterval(f, f)
 
     @property
@@ -412,8 +424,7 @@ class RatInterval(ByValue):
         return (self.lo + self.hi) / 2
 
     def contains(self, x) -> bool:
-        f = Fraction(x)
-        return self.lo <= f <= self.hi
+        return self.lo <= rational(x) <= self.hi
 
     def overlaps(self, other: "RatInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
@@ -488,7 +499,7 @@ class RatInterval(ByValue):
         if self.width >= 1:
             return RatInterval(Fraction(0), Fraction(1, 2))
         lo_d, hi_d = _frac_dist(self.lo), _frac_dist(self.hi)
-        has_int = floor_of(self.hi) >= ceil_of_frac(self.lo)
+        has_int = floor(self.hi) >= ceil(self.lo)
         mn = Fraction(0) if has_int else min(lo_d, hi_d)
         # a half-integer inside pushes the max to 1/2
         mx = Fraction(1, 2) if _contains_half(self) else max(lo_d, hi_d)
@@ -498,23 +509,14 @@ class RatInterval(ByValue):
         return {"lo": frac_str(self.lo), "hi": frac_str(self.hi)}
 
 
-def ceil_of_frac(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
-
-
 def _frac_dist(x: Fraction) -> Fraction:
-    f = x - (x.numerator // x.denominator)
+    f = x - floor(x)
     return min(f, 1 - f)
 
 
 def _contains_half(iv: RatInterval) -> bool:
-    lo2, hi2 = 2 * iv.lo, 2 * iv.hi
-    k = floor_of(hi2)
-    while k >= ceil_of_frac(lo2):
-        if k % 2 != 0:
-            return True
-        k -= 1
-    return False
+    # k + 1/2 lies in [lo, hi] for an integer k in [lo - 1/2, hi - 1/2]
+    return ceil(iv.lo - Fraction(1, 2)) <= floor(iv.hi - Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -613,20 +615,20 @@ def enclose(x: RealTarget, width: Fraction) -> RatInterval:
     """Interval of width <= `width` provably containing x.
 
     Quadratic values are bracketed by certified digit extraction of sqrt(D);
-    Certified targets refuse (PrecisionExhausted) when the stored enclosure
-    is wider than requested.
+    inexact kinds return the interval they carry, or refuse
+    (PrecisionExhausted) when it is wider than requested.
     """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    if isinstance(x, (int, Fraction)):
-        return RatInterval.point(Fraction(x))
-    if isinstance(x, Certified):
-        if x.enclosure.width <= width:
-            return x.enclosure
-        raise PrecisionExhausted(
-            f"stored enclosure width {x.enclosure.width} exceeds requested {width}"
-        )
+    kind = kind_of(x)
+    if not kind.exact:
+        iv = operand(x)
+        if iv.width <= width:
+            return iv
+        raise PrecisionExhausted(f"stored enclosure width {iv.width} exceeds requested {width}")
+    if kind.name == "rat":
+        return RatInterval.point(x)
     # quadratic: (P + e sqrt(D))/Q with exact outward rounding of sqrt(D)
     k = 1
     need = Fraction(abs(x.e), x.Q) / width
@@ -699,7 +701,7 @@ def exp_bounds(x: Fraction, digits: int) -> RatInterval:
     The endpoints are dyadic rationals with about `digits` significant digits
     plus a guard.
     """
-    x = Fraction(x)
+    x = rational(x)
     if x < 0:
         pos = exp_bounds(-x, digits)
         return RatInterval(1 / pos.hi, 1 / pos.lo)
@@ -714,6 +716,7 @@ def exp_bounds(x: Fraction, digits: int) -> RatInterval:
 
 def exp_le(x: Fraction, bound: Fraction) -> bool:
     """Decide exp(x) <= bound exactly (terminates: exp(x) is irrational)."""
+    x, bound = rational(x), rational(bound)
     if bound <= 0:
         return False
     digits = 30

@@ -19,7 +19,7 @@ gamma = s*alpha (mod 1), and raises GammaOnOrbit.
 Both extractors run on integers.  For quadratic alpha = (P + e*sqrt(D))/Q
 and exact gamma, every quantity is (x + y*sqrt(D))/L over the one
 denominator L = lcm(Q, den gamma): D_n has numerators
-((q_n*P - p_n*Q)*L/Q, q_n*e*L/Q), the digit is one exact floor by isqrt, and
+((q_n*P - p_n*Q)*L/Q, q_n*e*L/Q), the digit is one exact surd_floor, and
 each sign is a comparison of squares.  For certified targets the remainder
 and the memoized D_n enclosures (CFContext.d_enclosures) are integer
 numerators over a common denominator, and the digit is the ceiling of four
@@ -30,7 +30,7 @@ once, at the end.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
 from .cf import CFContext
 from .errors import (
@@ -49,6 +49,7 @@ from .exactnum import (
     enclose,
     kind_of,
     sign_of,
+    surd_floor,
     surd_sign,
 )
 
@@ -139,7 +140,7 @@ def check_admissible(digits: list[int], ctx: CFContext) -> None:
 
 
 def _require_unit_interval_irrational(ctx: CFContext) -> None:
-    if isinstance(ctx.alpha, (int, Fraction)):
+    if ctx.cf.finite:
         raise RationalTarget("Ostrowski expansions need an irrational alpha")
     if ctx.a(0) != 0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -247,8 +248,7 @@ def _extract_exact(gamma, ctx: CFContext, depth: int) -> RealDigits:
         if N < 0:
             r, s, N = -r, -s, -N
         if s:
-            t = isqrt(s * s * D)  # floor of the irrational s*sqrt(D) is t or -t-1
-            b = (r + (t if s > 0 else -t - 1)) // N + 1
+            b = surd_floor(r, s, D, N) + 1
             on_boundary = False
         else:
             b = -(-r // N)
@@ -415,12 +415,7 @@ def dist_direct(s: int, gamma, alpha, width: Fraction = DEFAULT_WIDTH) -> RatInt
     """Reference oracle: certified interval for ||s*alpha - gamma||."""
     if kind_of(alpha).exact and kind_of(gamma).exact:
         t = alpha * s - gamma
-        if isinstance(t, (int, Fraction)):
-            f = t - (t.numerator // t.denominator)
-            return RatInterval.point(min(f, 1 - f))
-        k = t.nearest_int()
-        val = abs(t - k)
-        return enclose(val, width)
+        return enclose(abs(t - round(t)), width)
     # s*alpha and gamma each get half of the width budget
     a_iv = as_interval(alpha, width / (2 * abs(s)) if s else width)
     g_iv = as_interval(gamma, width / 2)

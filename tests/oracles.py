@@ -9,7 +9,7 @@ binomial product formula, brute force instead of continued fractions).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt
 
 from ratapprox.errors import GammaOnOrbit, PrecisionExhausted
 from ratapprox.exactnum import (
@@ -17,9 +17,7 @@ from ratapprox.exactnum import (
     QuadIrr,
     RatInterval,
     as_interval,
-    ceil_of_frac,
     enclose,
-    floor_of,
 )
 
 
@@ -260,7 +258,7 @@ def reference_real_digits(gamma, ctx, depth: int, precision_digits: int = 200):
     for n in range(depth):
         if exact:
             ratio = (rem + ctx.D(n + 1)) / ctx.D(n)
-            b = max(0, -floor_of(-ratio))
+            b = max(0, -floor(-ratio))
             cap = ctx.a(n + 1) - (1 if prev_nonzero else 0)
             tie = isinstance(ratio, Fraction) and ratio.denominator == 1 and ratio >= 0
             if tie and b + 1 <= cap:
@@ -278,8 +276,8 @@ def reference_real_digits(gamma, ctx, depth: int, precision_digits: int = 200):
             if dn.lo <= 0 <= dn.hi:
                 raise PrecisionExhausted(f"D_{n} enclosure straddles zero")
             ratio = (rem + dn1) / dn
-            b = ceil_of_frac(ratio.lo)
-            if b != ceil_of_frac(ratio.hi):
+            b = ceil(ratio.lo)
+            if b != ceil(ratio.hi):
                 raise PrecisionExhausted(f"digit at position {n} undecidable")
             b = max(0, b)
             cap = ctx.a(n + 1) - (1 if prev_nonzero else 0)

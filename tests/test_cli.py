@@ -129,6 +129,30 @@ def test_invariant_violation_is_a_json_error(capsys, monkeypatch):
         Draft7Validator(json.load(fh)).validate(doc)
 
 
+NOT_IRRATIONAL = {
+    "build-psi": (["build-psi", "--alpha", "rat:1/3", "--psi", "power:2", "--count", "2"],
+                  "RationalTarget", "the construction needs an irrational alpha"),
+    "build-periodic-rat": (["build-periodic", "--alpha", "rat:1/3", "--count", "3"],
+                           "NotPeriodic", "periodic construction needs a quadratic irrational"),
+    "build-periodic-dec": (["build-periodic", "--alpha", "dec:0.3±0.01", "--count", "3"],
+                           "NotPeriodic", "periodic construction needs a quadratic irrational"),
+    "ostrowski-int": (["ostrowski-int", "--alpha", "rat:1/3", "--s", "5"],
+                      "RationalTarget", "Ostrowski expansions need an irrational alpha"),
+    "ostrowski-real": (["ostrowski-real", "--alpha", "rat:1/3", "--gamma", "rat:0", "--depth", "4"],
+                       "RationalTarget", "Ostrowski expansions need an irrational alpha"),
+    "dist": (["dist", "--alpha", "rat:1/3", "--gamma", "rat:0", "--s", "5"],
+             "RationalTarget", "Ostrowski expansions need an irrational alpha"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_IRRATIONAL))
+def test_alpha_that_is_not_irrational_is_a_json_error(capsys, case):
+    argv, error, message = NOT_IRRATIONAL[case]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    assert out == json.dumps({"error": error, "message": message}, indent=2) + "\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -499,16 +523,18 @@ def test_library_has_no_assert():
 
 
 def test_cli_reads_kinds_from_the_table():
-    # exactnum.KINDS decides the kind of a value; cli never tests its type
-    kinds = {"QuadIrr", "Certified", "RatInterval"}
-    path = Path(ratapprox.__file__).parent / "cli.py"
+    # exactnum.KINDS decides the kind of a value; no module above exactnum
+    # tests a value's Python type
+    kinds = {"QuadIrr", "Certified", "RatInterval", "Fraction", "int"}
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
-            arg = node.args[1]
-            names = arg.elts if isinstance(arg, ast.Tuple) else [arg]
-            if any(getattr(n, "id", None) in kinds for n in names):
-                found.append(f"cli.py:{node.lineno}")
+    for name in ("cli.py", "cf.py", "approx.py", "conic.py", "ostrowski.py"):
+        path = Path(ratapprox.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                arg = node.args[1]
+                names = arg.elts if isinstance(arg, ast.Tuple) else [arg]
+                if any(getattr(n, "id", None) in kinds for n in names):
+                    found.append(f"{name}:{node.lineno}")
     assert found == []
 
 

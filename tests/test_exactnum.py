@@ -29,6 +29,7 @@ from ratapprox.exactnum import (
     qi_normalize,
     qi_pair,
     squarefree_decompose,
+    surd_floor,
 )
 from ratapprox.ostrowski import RealDigits
 
@@ -153,7 +154,7 @@ def test_exact_ordering_and_floor():
     P=st.integers(-(10**40), 10**40),
     e=st.integers(-(10**20), 10**20).filter(bool),
     D=st.integers(2, 10**6),
-    Q=st.integers(1, 10**15),
+    Q=st.integers(-(10**15), 10**15).filter(bool),
 )
 # within 2*10**-5 of an integer, below and above, for either sign of e,
 # from Fibonacci and Lucas numbers: 6765*sqrt(5) ~ 15127, 10946*sqrt(5) ~ 24476
@@ -162,13 +163,20 @@ def test_exact_ordering_and_floor():
 @example(P=-24441, e=10946, D=5, Q=7)
 @example(P=15141, e=-6765, D=5, Q=7)
 @example(P=7 * 10**9 + math.isqrt(2 * 10**40), e=-(10**20), D=2, Q=10**9)
+# negative Q and radicands that are not squarefree (1300 = 10**2 * 13, 12 = 2**2 * 3)
+@example(P=7, e=-3, D=1300, Q=-11)
+@example(P=-24441, e=10946 // 2, D=20, Q=-7)
+@example(P=5, e=1, D=12, Q=-2)
 def test_floor_matches_isqrt_oracle(P, e, D, Q):
-    try:
-        x = qi_normalize(P, e, D, Q)
-    except DegenerateRational:
-        assume(False)
-    assert x.floor() == quad_floor(x.P, x.e, x.D, x.Q)
-    assert x.nearest_int() == quad_floor(2 * x.P + x.Q, 2 * x.e, x.D, 2 * x.Q)
+    assume(math.isqrt(D) ** 2 != D)
+    # quad_floor takes Q > 0: (P + e*sqrt(D))/Q = (-P - e*sqrt(D))/(-Q)
+    sign = 1 if Q > 0 else -1
+    assert surd_floor(P, e, D, Q) == quad_floor(sign * P, sign * e, D, sign * Q)
+    x = qi_normalize(P, e, D, Q)  # e != 0 and D not a square: never rational
+    floor = quad_floor(x.P, x.e, x.D, x.Q)
+    assert x.floor() == math.floor(x) == floor
+    nearest = quad_floor(2 * x.P + x.Q, 2 * x.e, x.D, 2 * x.Q)
+    assert x.nearest_int() == round(x) == nearest
 
 
 def test_nearest_int():
@@ -586,6 +594,38 @@ def test_operators_refuse_inexact_operands(x, other, op):
             _OPS[op](a, b)
 
 
+# every exactnum entry point that takes a rational value, and PsiSpec's
+_ENTRY_POINTS = {
+    "RatInterval.point": RatInterval.point,
+    "RatInterval.contains": lambda v: RatInterval(0, 1).contains(v),
+    "sign_of": exactnum.sign_of,
+    "exp_bounds": lambda v: exp_bounds(v, 5),
+    "exp_le": lambda v: exp_le(v, 2),
+    "exp_le-bound": lambda v: exp_le(1, v),
+    "PsiSpec.exp_decay": PsiSpec.exp_decay,
+    "enclose": lambda v: enclose(v, Fraction(1, 10)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entry=st.sampled_from(sorted(_ENTRY_POINTS)),
+    value=st.one_of(st.floats(), st.decimals(), st.complex_numbers()),
+)
+@example(entry="RatInterval.point", value=0.1)
+@example(entry="RatInterval.contains", value=0.1)
+@example(entry="sign_of", value=0.1)
+@example(entry="exp_bounds", value=0.1)
+@example(entry="exp_le", value=0.1)
+@example(entry="PsiSpec.exp_decay", value=0.1)
+@example(entry="enclose", value=0.5)
+def test_entry_points_refuse_inexact_values(entry, value):
+    # the sibling of test_operators_refuse_inexact_operands for the entry
+    # points that take a value rather than an operand
+    with pytest.raises(TypeError):
+        _ENTRY_POINTS[entry](value)
+
+
 def _certified():
     center = st.decimals(min_value=-(10**6), max_value=10**6, places=12)
     radius = st.integers(1, 40).map(lambda k: Fraction(1, 10**k))
@@ -621,7 +661,13 @@ def test_enclose_and_as_interval_contain_the_value(name, data, digits):
     x = data.draw(_KIND_VALUES[name])
     width = Fraction(1, 10**digits)
     if name == "interval":
+        # answers as a dec value does: the interval it is, if narrow enough
         assert exactnum.as_interval(x, width) is x
+        if x.width > width:
+            with pytest.raises(PrecisionExhausted):
+                enclose(x, width)
+        else:
+            assert enclose(x, width) is x
         return
     if name == "dec":
         assert exactnum.as_interval(x, width) is x.enclosure

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,6 @@ from ratapprox.exactnum import (
     RatInterval,
     as_interval,
     enclose,
-    floor_of,
     qi_normalize,
 )
 from ratapprox.ostrowski import (
@@ -439,7 +439,7 @@ def _kernel_gamma(alpha, kind, num, den, coef, digits):
     else:
         g = Fraction(num, den)
     if kind != "certified-raw":
-        g = g - floor_of(g + (alpha.enclosure.mid if isinstance(alpha, Certified) else alpha))
+        g = g - floor(g + (alpha.enclosure.mid if isinstance(alpha, Certified) else alpha))
     if kind.startswith("certified"):
         iv = enclose(g, Fraction(1, 10**digits))
         return Certified("~", RatInterval(iv.lo - Fraction(1 + num % 97, 97 * 10**digits), iv.hi))
