@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import floor, gcd
+from operator import index
 
 from .cf import CFContext
 from .errors import (
@@ -25,6 +26,7 @@ from .exactnum import (
     ByValue,
     RatInterval,
     RealTarget,
+    Record,
     as_interval,
     exp_bounds,
     exp_exceeds_pow10,
@@ -47,7 +49,7 @@ _TIGHT = Fraction(1, 10**40)
 # data types
 
 
-class ApproxSet:
+class ApproxSet(Record):
     """Pairs sorted by strictly increasing positive denominator, plus the
     claimed order N and expansion coefficients gamma_1..gamma_N."""
 
@@ -63,10 +65,7 @@ class ApproxSet:
             if s <= last:
                 raise ValueError("denominators must be strictly increasing and positive")
             last = s
-        self.alpha = alpha
-        self.pairs = pairs
-        self.order = order
-        self.gamma = gamma
+        super().__init__(alpha, pairs, order, gamma)
 
     @property
     def denominators(self) -> list[int]:
@@ -77,40 +76,32 @@ class PsiSpec(ByValue):
     """Decreasing Psi restricted to families with exact comparability.
 
     exp_decay(c): Psi(s) = exp(-c*s); power(k): Psi(s) = s**-k;
-    rational_table: explicit (s, Psi(s)) pairs read as a step function.
-    Immutable by convention, compared and hashed by value.
+    rational_table: explicit (s, Psi(s)) pairs read as a step function,
+    a tuple of (int, Fraction) sorted by s.  The fields of the other
+    families are None.  Immutable by convention, compared and hashed by
+    value.
     """
 
     __slots__ = ("kind", "c", "k", "table")
-
-    def __init__(
-        self,
-        kind: str,
-        c: Fraction | None = None,
-        k: int | None = None,
-        table: tuple[tuple[int, Fraction], ...] | None = None,
-    ):
-        self.kind = kind
-        self.c = c
-        self.k = k
-        self.table = table
 
     @staticmethod
     def exp_decay(c) -> "PsiSpec":
         c = rational(c)
         if c <= 0:
             raise ValueError("exp_decay rate must be positive")
-        return PsiSpec(kind="exp_decay", c=c)
+        return PsiSpec("exp_decay", c, None, None)
 
     @staticmethod
     def power(k: int) -> "PsiSpec":
+        k = index(k)
         if k < 1:
             raise ValueError("power exponent must be >= 1")
-        return PsiSpec(kind="power", k=k)
+        return PsiSpec("power", None, k, None)
 
     @staticmethod
     def rational_table(rows) -> "PsiSpec":
-        rows = tuple(sorted(((int(s), Fraction(v)) for s, v in rows)))
+        """Rows (s, Psi(s)) of ints s and exact rational values."""
+        rows = tuple(sorted(((index(s), rational(v)) for s, v in rows)))
         if not rows:
             raise ValueError("table must be nonempty")
         prev = None
@@ -120,7 +111,7 @@ class PsiSpec(ByValue):
             if prev is not None and v > prev:
                 raise ValueError("table must be non-increasing")
             prev = v
-        return PsiSpec(kind="rational_table", table=rows)
+        return PsiSpec("rational_table", None, None, rows)
 
     def _table_value(self, t: int) -> Fraction:
         best = None
@@ -191,42 +182,24 @@ class PsiSpec(ByValue):
         }
 
 
-class ReportRow:
+class ReportRow(Record):
+    """One pair (r, s), its residual rho = r/s - alpha - sum_j gamma_j s^-j
+    and the scaled residual |rho|*(|r|+|s|)^N: a Fraction or QuadIrr, or a
+    RatInterval when alpha or a gamma_j is inexact."""
+
     __slots__ = ("r", "s", "residual", "scaled")
 
-    def __init__(self, r: int, s: int, residual: object, scaled: object):
-        self.r = r
-        self.s = s
-        self.residual = residual  # Fraction | QuadIrr | RatInterval
-        self.scaled = scaled
 
-
-class DecayReport:
+class DecayReport(Record):
     """Per-pair scaled residuals |rho|*(|r|+|s|)^N and the window verdict.
 
     PASS means the trailing `window` scaled values are non-increasing and
     the final one falls below the tolerance, which is `rel_tolerance` times
     the first scaled residual of the report; an all-zero trailing window
-    passes outright.
+    passes outright.  `note` says which rule decided the verdict.
     """
 
     __slots__ = ("order", "rows", "window", "rel_tolerance", "verdict", "note")
-
-    def __init__(
-        self,
-        order: int,
-        rows: list[ReportRow],
-        window: int,
-        rel_tolerance: Fraction,
-        verdict: bool,
-        note: str = "",
-    ):
-        self.order = order
-        self.rows = rows
-        self.window = window
-        self.rel_tolerance = rel_tolerance
-        self.verdict = verdict
-        self.note = note
 
     @property
     def passed(self) -> bool:
@@ -252,7 +225,8 @@ def _window_verdict(values: list, window: int, rel_tol: Fraction) -> tuple[bool,
     return False, "final scaled residual above tolerance"
 
 
-def _residual_rows(pairs, alpha, gamma, order: int) -> list[ReportRow]:
+def _report(pairs, alpha, gamma, order: int, window: int, rel_tol: Fraction) -> DecayReport:
+    """The residual rows of `pairs` against alpha and gamma, and their verdict."""
     # one inexact value makes every residual an interval
     if not all(kind_of(v).exact for v in (alpha, *gamma)):
         alpha = as_interval(alpha, _TIGHT)
@@ -263,8 +237,9 @@ def _residual_rows(pairs, alpha, gamma, order: int) -> list[ReportRow]:
         for j, g in enumerate(gamma, start=1):
             rho = rho - g * Fraction(1, s**j)
         scaled = abs(rho) * (abs(r) + abs(s)) ** order
-        rows.append(ReportRow(r=r, s=s, residual=rho, scaled=scaled))
-    return rows
+        rows.append(ReportRow(r, s, rho, scaled))
+    verdict, note = _window_verdict([row.scaled for row in rows], window, rel_tol)
+    return DecayReport(order, rows, window, rel_tol, verdict, note)
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +294,9 @@ def fit_coefficients(
         raise SingularSystem("duplicate denominators")
     if len(pairs) < order + 2:
         raise InsufficientPairs(f"need at least {order + 2} pairs for order {order}")
-    if order == 0:
-        rows = _residual_rows(pairs, alpha, [], 0)
-        verdict, note = _window_verdict([r.scaled for r in rows], window, rel_tolerance)
-        return [], DecayReport(0, rows, window, rel_tolerance, verdict, note)
-    fit_part = pairs[-order:]
-    rest = pairs[:-order]
-    gamma = _solve_vandermonde(fit_part, alpha, order)
-    rows = _residual_rows(rest, alpha, gamma, order)
-    verdict, note = _window_verdict([r.scaled for r in rows], window, rel_tolerance)
-    return gamma, DecayReport(order, rows, window, rel_tolerance, verdict, note)
+    split = len(pairs) - order
+    gamma = _solve_vandermonde(pairs[split:], alpha, order)
+    return gamma, _report(pairs[:split], alpha, gamma, order, window, rel_tolerance)
 
 
 def verify_order(
@@ -337,52 +305,30 @@ def verify_order(
     rel_tolerance: Fraction = DEFAULT_REL_TOLERANCE,
 ) -> DecayReport:
     """Evaluate the o((|r|+|s|)^-N) claim on every pair of the set."""
-    rows = _residual_rows(aset.pairs, aset.alpha, aset.gamma, aset.order)
-    verdict, note = _window_verdict([r.scaled for r in rows], window, rel_tolerance)
-    return DecayReport(aset.order, rows, window, rel_tolerance, verdict, note)
+    return _report(aset.pairs, aset.alpha, aset.gamma, aset.order, window, rel_tolerance)
 
 
 # ---------------------------------------------------------------------------
 # the Psi-driven existence construction
 
 
-class CertLine:
+class CertLine(Record):
+    """The certificate of pair k with denominator s_k.  `route` is "numeric"
+    (the rational `bound` on ||s_k alpha - gamma|| was compared with
+    Psi(s_k)) or "monotone" (bound None: Psi is decreasing and s_k <=
+    q_{n_k+1}); `ok` is the verdict and `detail` the checks it rests on."""
+
     __slots__ = ("k", "s", "route", "bound", "ok", "detail")
 
-    def __init__(
-        self, k: int, s: int, route: str, bound: Fraction | None, ok: bool, detail: str = ""
-    ):
-        self.k = k
-        self.s = s
-        self.route = route  # "numeric" or "monotone"
-        self.bound = bound
-        self.ok = ok
-        self.detail = detail
 
+class PsiConstruction(Record):
+    """The construction's indices n_1..n_K, which are also gamma's digit
+    support over D_n; n_next, the next index or None past the digit
+    budget; the denominators s_1..s_K; gamma_partial = sum_k D_{n_k}, an
+    exact field element (a RatInterval for a certified alpha); the rational
+    bound `tail` on the rest of gamma; and one CertLine per pair."""
 
-class PsiConstruction:
     __slots__ = ("alpha", "psi", "indices", "n_next", "s", "gamma_partial", "tail", "certificate")
-
-    def __init__(
-        self,
-        alpha: RealTarget,
-        psi: PsiSpec,
-        indices: list[int],
-        n_next: int | None,
-        s: list[int],
-        gamma_partial: object,
-        tail: Fraction,
-        certificate: list[CertLine],
-    ):
-        self.alpha = alpha
-        self.psi = psi
-        self.indices = indices  # n_1..n_K, also gamma's digit support over D_n
-        self.n_next = n_next
-        self.s = s
-        # exact field element (or RatInterval when certified)
-        self.gamma_partial = gamma_partial
-        self.tail = tail
-        self.certificate = certificate
 
     @property
     def certified(self) -> bool:
@@ -528,16 +474,8 @@ def _package(
             )
         )
 
-    return PsiConstruction(
-        alpha=alpha,
-        psi=psi,
-        indices=list(indices),
-        n_next=n_next,
-        s=s_list,
-        gamma_partial=gamma_partial,
-        tail=tail,
-        certificate=certificate,
-    )
+    return PsiConstruction(alpha, psi, list(indices), n_next, s_list, gamma_partial, tail,
+                           certificate)
 
 
 def nearest_numerators(alpha: RealTarget, s_list, gamma1=None) -> ApproxSet:
@@ -563,14 +501,11 @@ def nearest_numerators(alpha: RealTarget, s_list, gamma1=None) -> ApproxSet:
 # the rational-line case
 
 
-class LineFit:
-    __slots__ = ("a", "b", "d", "exceptions")
+class LineFit(Record):
+    """Integers a, b > 0, d with b*r = a*s + d, and the number of pairs
+    (`exceptions`, all in the allowed prefix) off the line."""
 
-    def __init__(self, a: int, b: int, d: int, exceptions: int):
-        self.a = a
-        self.b = b
-        self.d = d
-        self.exceptions = exceptions
+    __slots__ = ("a", "b", "d", "exceptions")
 
 
 def line_set(a: int, b: int, d: int, count: int) -> ApproxSet:
@@ -619,14 +554,12 @@ def detect_line(pairs, max_prefix_exceptions: int = 2) -> LineFit | None:
 # growth profiling
 
 
-class GrowthProfile:
-    __slots__ = ("classification", "ratios", "differences")
+class GrowthProfile(Record):
+    """`classification` is "linear", "polynomial", "exponential" or
+    "super_exponential"; `ratios` and `differences` are those of successive
+    denominators."""
 
-    def __init__(self, classification: str, ratios: list[Fraction], differences: list[int]):
-        # linear | polynomial | exponential | super_exponential
-        self.classification = classification
-        self.ratios = ratios
-        self.differences = differences
+    __slots__ = ("classification", "ratios", "differences")
 
 
 def growth_profile(s_list) -> GrowthProfile:

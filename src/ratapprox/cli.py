@@ -157,7 +157,7 @@ def parse_psi(text: str) -> PsiSpec:
     if kind == "power" and body:
         return PsiSpec.power(int(body))
     if kind == "table" and body:
-        return read_input(body, PsiSpec.rational_table)
+        return read_input(body, _table_from_json)
     raise ValueError(f"cannot parse psi {text!r}; use exp:c, power:k or table:FILE")
 
 
@@ -248,13 +248,17 @@ def value_from_json(doc: dict, kinds: tuple[str, ...]):
     return KINDS[kind].decode(doc["value"])
 
 
+def _refuse_inexact(text: str):
+    raise ValueError(f"inexact JSON number {text}; write integers, or rationals as strings")
+
+
 def read_input(path: str, decode):
-    """decode(the JSON document in `path`); a file that is not JSON, or a
-    document without the expected keys, shape or values, raises ValueError
-    naming the file."""
+    """decode(the JSON document in `path`); a file that is not JSON, holds a
+    JSON number that is not an integer, or lacks the expected keys, shape or
+    values, raises ValueError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_refuse_inexact, parse_constant=_refuse_inexact)
         return decode(doc)
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed input file {path}: {type(exc).__name__} {exc}") from exc
@@ -262,6 +266,14 @@ def read_input(path: str, decode):
 
 def _pairs_from_json(raw) -> list[tuple[int, int]]:
     return [(int(r), int(s)) for r, s in raw]
+
+
+def _table_from_json(rows) -> PsiSpec:
+    # s and Psi(s) are JSON integers or decimal strings such as "1/10"
+    return PsiSpec.rational_table(
+        [(int(s) if isinstance(s, str) else s, Fraction(v) if isinstance(v, str) else v)
+         for s, v in rows]
+    )
 
 
 def load_pairs(path: str) -> list[tuple[int, int]]:

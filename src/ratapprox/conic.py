@@ -9,10 +9,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .approx import DEFAULT_REL_TOLERANCE, DEFAULT_WINDOW, ApproxSet, DecayReport, verify_order
+from .approx import DEFAULT_REL_TOLERANCE, DEFAULT_WINDOW, ApproxSet, verify_order
 from .cf import _M_START, CFContext, _step, complete_quotient
 from .errors import InsufficientPairs, InvariantViolation, NotPeriodic, OrbitLeavesQuadrant
-from .exactnum import (ByValue, QuadIrr, enclose, int_str, kind_of, qi_normalize, qi_pair,
+from .exactnum import (ByValue, QuadIrr, Record, enclose, int_str, kind_of, qi_normalize, qi_pair,
                        squarefree_decompose)
 
 
@@ -34,10 +34,7 @@ class ConicForm(ByValue):
         disc = b * b - 4 * a * c
         if disc <= 0 or isqrt(disc) ** 2 == disc:
             raise ValueError("discriminant must be positive and non-square")
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
+        super().__init__(a, b, c, d)
 
     @property
     def disc(self) -> int:
@@ -63,12 +60,6 @@ class Automorph(ByValue):
     and hashed by value."""
 
     __slots__ = ("t11", "t12", "t21", "t22")
-
-    def __init__(self, t11: int, t12: int, t21: int, t22: int):
-        self.t11 = t11
-        self.t12 = t12
-        self.t21 = t21
-        self.t22 = t22
 
     def det(self) -> int:
         return self.t11 * self.t22 - self.t12 * self.t21
@@ -205,31 +196,17 @@ def conic_orbit(form: ConicForm, seed: tuple[int, int], count: int) -> ApproxSet
     return ApproxSet(alpha=form.root(), pairs=pairs, order=0, gamma=[])
 
 
-class LaurentExpansion:
+class LaurentExpansion(Record):
     """Exact coefficients of r/s = alpha + sum_j gamma_j s^-j on the conic.
 
     Only even j contribute: gamma_{2k} = (sqrt(disc)/(2a)) * C(1/2, k) *
     (4ad/disc)^k.  For s >= threshold_s the series terms shrink at least
     geometrically (ratio 1/2), giving tail_bound its validity.
+    next_term_upper is a rational upper bound on |gamma_j| at j =
+    next_term_j, the first even j past the coefficients returned.
     """
 
     __slots__ = ("form", "alpha", "gamma", "threshold_s", "next_term_j", "next_term_upper")
-
-    def __init__(
-        self,
-        form: ConicForm,
-        alpha: QuadIrr,
-        gamma: list,
-        threshold_s: int,
-        next_term_j: int,
-        next_term_upper: Fraction,
-    ):
-        self.form = form
-        self.alpha = alpha
-        self.gamma = gamma
-        self.threshold_s = threshold_s
-        self.next_term_j = next_term_j
-        self.next_term_upper = next_term_upper
 
     def tail_bound(self, s: int) -> Fraction:
         if s < self.threshold_s:
@@ -267,34 +244,17 @@ def laurent_expansion(form: ConicForm, terms: int) -> LaurentExpansion:
     else:
         val = qi_pair(Fraction(0), abs(nxt) * half_sqrt, delta)
         nxt_upper = enclose(val, Fraction(1, 10**20)).hi
-    return LaurentExpansion(
-        form=form,
-        alpha=form.root(),
-        gamma=gamma,
-        threshold_s=s_min,
-        next_term_j=nxt_j,
-        next_term_upper=nxt_upper,
-    )
+    return LaurentExpansion(form, form.root(), gamma, s_min, nxt_j, nxt_upper)
 
 
-class PeriodicConstruction:
-    """Even-period convergent subsequence with its exact second-order term."""
+class PeriodicConstruction(Record):
+    """Even-period convergent subsequence with its exact second-order term.
+
+    `preperiod` is K in the [0; a_1..a_K, periodic] convention, `period`
+    the period length L, and `report` verify_order's report on `aset`.
+    """
 
     __slots__ = ("aset", "gamma2", "preperiod", "period", "report")
-
-    def __init__(
-        self,
-        aset: ApproxSet,
-        gamma2: QuadIrr | Fraction,
-        preperiod: int,
-        period: int,
-        report: DecayReport,
-    ):
-        self.aset = aset
-        self.gamma2 = gamma2
-        self.preperiod = preperiod  # K in the [0; a_1..a_K, periodic] convention
-        self.period = period
-        self.report = report
 
 
 def _purely_periodic_value(word: list[int], field_d: int) -> QuadIrr:
@@ -346,9 +306,7 @@ def periodic_construction(
     pairs = [(ctx.p(n), ctx.q(n)) for n in indices]
     aset = ApproxSet(alpha=alpha, pairs=pairs, order=2, gamma=[Fraction(0), gamma2])
     report = verify_order(aset, window=window, rel_tolerance=rel_tolerance)
-    return PeriodicConstruction(
-        aset=aset, gamma2=gamma2, preperiod=k_pre, period=ell, report=report
-    )
+    return PeriodicConstruction(aset, gamma2, k_pre, ell, report)
 
 
 def quad_detect(pairs, max_prefix_exceptions: int = 2) -> ConicForm | None:
@@ -358,24 +316,16 @@ def quad_detect(pairs, max_prefix_exceptions: int = 2) -> ConicForm | None:
     pairs = sorted(pairs, key=lambda p: p[1])
     if len(pairs) < 5:
         raise InsufficientPairs("need at least 5 pairs")
-    rows = [
-        [Fraction(r * r), Fraction(r * s), Fraction(s * s), Fraction(-1)]
-        for r, s in pairs[-3:]
-    ]
-    vec = _kernel_vector(rows)
-    if vec is None:
+    rows = [(r * r, r * s, s * s, -1) for r, s in pairs[-3:]]
+    # the signed 3x3 minors span the kernel of the rank-3 rows, and all
+    # vanish exactly when the rank is below 3
+    vec = [(-1) ** j * _det3([row[:j] + row[j + 1:] for row in rows]) for j in range(4)]
+    g = gcd(*vec)
+    if g == 0:
         return None
-    lcm = 1
-    for x in vec:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    if ints[0] < 0 or (ints[0] == 0 and ints[2] < 0):
-        ints = [-x for x in ints]
-    a, b, c, d = ints
+    a, b, c, d = (x // g for x in vec)
+    if a < 0 or (a == 0 and c < 0):
+        a, b, c, d = -a, -b, -c, -d
     if a <= 0 or gcd(gcd(a, abs(b)), abs(c)) != 1:
         return None
     disc = b * b - 4 * a * c
@@ -388,28 +338,6 @@ def quad_detect(pairs, max_prefix_exceptions: int = 2) -> ConicForm | None:
     return form
 
 
-def _kernel_vector(rows) -> list[Fraction] | None:
-    """One-dimensional kernel of a 3x4 rational matrix, or None."""
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(4):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        m[rank] = [x / m[rank][col] for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank != 3:
-        return None
-    free = next(c for c in range(4) if c not in pivots)
-    vec = [Fraction(0)] * 4
-    vec[free] = Fraction(1)
-    for row, pcol in zip(m[:rank], pivots):
-        vec[pcol] = -row[free]
-    return vec
+def _det3(m) -> int:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)

@@ -131,15 +131,44 @@ def surd_floor(x: int, y: int, D: int, Q: int) -> int:
     return (x + t) // Q
 
 
+# the exact rational types; a float, Decimal or complex is none of them
+_RATIONAL = (int, Fraction)
+
+
 def rational(x) -> Fraction:
     """x as a Fraction when it is an int or a Fraction; TypeError for a
     float, Decimal, complex or anything else inexact."""
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, _RATIONAL):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class ByValue:
+class Record:
+    """Base of the result types: the constructor takes the fields the
+    subclass names in __slots__, in order, each by position or by name.
+    A missing field, an extra positional argument or an unknown name raises
+    TypeError.  Records compare by identity unless they are ByValue."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{self.__class__.__name__} takes {len(names)} fields "
+                            f"({', '.join(names)}), got {len(args)} positional arguments")
+        for name, value in zip(names, args):
+            setattr(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{self.__class__.__name__} missing field {name!r}")
+            setattr(self, name, kwargs.pop(name))
+        if kwargs:
+            name = next(iter(kwargs))
+            what = "given twice" if name in names else "unknown"
+            raise TypeError(f"{self.__class__.__name__} field {name!r} {what}")
+
+
+class ByValue(Record):
     """Base of the value types: ==, hash and repr read the fields the
     subclass names in __slots__, in order.  A subclass that must stay
     unhashable sets __hash__ = None."""
@@ -404,7 +433,10 @@ class RatInterval(ByValue):
 
     __slots__ = ("lo", "hi")
 
+    # kept apart from Record.__init__: every interval operation builds one
     def __init__(self, lo: Fraction, hi: Fraction):
+        if not (isinstance(lo, _RATIONAL) and isinstance(hi, _RATIONAL)):
+            raise TypeError(f"interval endpoints must be exact rationals: {lo!r}, {hi!r}")
         if lo > hi:
             raise ValueError("interval endpoints out of order")
         self.lo = lo
@@ -532,8 +564,7 @@ class Certified(ByValue):
     def __init__(self, digits: str, enclosure: RatInterval):
         if enclosure.width <= 0:
             raise ValueError("certified enclosure must have positive width")
-        self.digits = digits
-        self.enclosure = enclosure
+        super().__init__(digits, enclosure)
 
     @staticmethod
     def parse(text: str) -> "Certified":
@@ -559,7 +590,7 @@ class Certified(ByValue):
 RealTarget = Fraction | QuadIrr | Certified
 
 
-class Kind:
+class Kind(Record):
     """One kind of real value.  `name` is both the CLI prefix ("quad:1,1,5,2")
     and the JSON "kind"; `types` are the Python types of its values; `parse`
     reads the CLI text after the prefix (None: the kind has no CLI form);
@@ -567,14 +598,6 @@ class Kind:
     arithmetic on a value is exact or runs on a certified interval."""
 
     __slots__ = ("name", "types", "parse", "decode", "encode", "exact")
-
-    def __init__(self, name, types, parse, decode, encode, exact):
-        self.name = name
-        self.types = types
-        self.parse = parse
-        self.decode = decode
-        self.encode = encode
-        self.exact = exact
 
 
 KINDS = {
@@ -618,7 +641,7 @@ def enclose(x: RealTarget, width: Fraction) -> RatInterval:
     inexact kinds return the interval they carry, or refuse
     (PrecisionExhausted) when it is wider than requested.
     """
-    width = Fraction(width)
+    width = rational(width)
     if width <= 0:
         raise ValueError("width must be positive")
     kind = kind_of(x)

@@ -45,6 +45,7 @@ from .exactnum import (
     ByValue,
     QuadIrr,
     RatInterval,
+    Record,
     as_interval,
     enclose,
     kind_of,
@@ -56,16 +57,11 @@ from .exactnum import (
 DEFAULT_WIDTH = Fraction(1, 10**30)
 
 
-class IntDigits:
+class IntDigits(Record):
     """Digits c with s = sum c[n] * q_n; c[n] is c_{n+1} in the classical
-    one-based subscripting."""
+    one-based subscripting, and M is the largest n with q_n <= s."""
 
     __slots__ = ("s", "c", "M")
-
-    def __init__(self, s: int, c: list[int], M: int):
-        self.s = s
-        self.c = c
-        self.M = M
 
     def support(self) -> list[int]:
         return [n for n, d in enumerate(self.c) if d]
@@ -75,53 +71,27 @@ class RealDigits(ByValue):
     """Digits b with gamma = sum b[n] * D_n; b[n] is b_{n+1} in the classical
     one-based subscripting.
 
-    tail_bound encloses the truncation remainder gamma - sum_{n<depth} b[n]D_n.
-    Compared by value, unhashable.
+    tail_bound encloses the truncation remainder gamma - sum_{n<depth} b[n]D_n;
+    exact_remainder is that remainder as a Fraction or QuadIrr on the exact
+    path, None on the certified one.  Compared by value, unhashable.
     """
 
     __slots__ = ("b", "depth", "tail_bound", "exact_remainder")
     __hash__ = None
 
-    def __init__(
-        self,
-        b: list[int],
-        depth: int,
-        tail_bound: RatInterval,
-        exact_remainder: object | None = None,
-    ):
-        self.b = b
-        self.depth = depth
-        self.tail_bound = tail_bound
-        self.exact_remainder = exact_remainder  # Fraction | QuadIrr on the exact path
-
     def support(self) -> list[int]:
         return [n for n, d in enumerate(self.b) if d]
 
 
-class DeltaProfile:
-    """delta[n] = c[n] - b[n] and m, the first index with delta[m] != 0.
+class DeltaProfile(Record):
+    """delta[n] = c[n] - b[n] and m, the first index with delta[m] != 0,
+    from the IntDigits of s and the RealDigits of gamma.
 
     m is None when the two digit strings agree through the whole profile
     depth ("m beyond depth").
     """
 
     __slots__ = ("s", "depth", "delta", "m", "int_digits", "real_digits")
-
-    def __init__(
-        self,
-        s: int,
-        depth: int,
-        delta: list[int],
-        m: int | None,
-        int_digits: IntDigits,
-        real_digits: RealDigits,
-    ):
-        self.s = s
-        self.depth = depth
-        self.delta = delta
-        self.m = m
-        self.int_digits = int_digits
-        self.real_digits = real_digits
 
 
 def check_admissible(digits: list[int], ctx: CFContext) -> None:
@@ -164,7 +134,7 @@ def ostrowski_int(s: int, ctx: CFContext) -> IntDigits:
     if rem:
         raise InvariantViolation(f"greedy expansion of {s} leaves {rem}")
     check_admissible(digits, ctx)
-    out = IntDigits(s=s, c=digits, M=M)
+    out = IntDigits(s, digits, M)
     if int_digits_value(out, ctx) != s:
         raise InvariantViolation(f"digits of {s} do not sum to it")
     return out
@@ -273,7 +243,7 @@ def _extract_exact(gamma, ctx: CFContext, depth: int) -> RealDigits:
     check_admissible(digits, ctx)
     rem = QuadIrr.make(U, V, D, L)
     tail = enclose(rem, ctx.d_abs_upper(depth - 1) / 2**20)
-    return RealDigits(b=digits, depth=depth, tail_bound=tail, exact_remainder=rem)
+    return RealDigits(digits, depth, tail, rem)
 
 
 def _extract_certified(gamma, ctx: CFContext, depth: int, precision_digits: int) -> RealDigits:
@@ -315,7 +285,7 @@ def _extract_certified(gamma, ctx: CFContext, depth: int, precision_digits: int)
         prev_nonzero = b > 0
     check_admissible(digits, ctx)
     tail = RatInterval(Fraction(lo, L), Fraction(hi, L))
-    return RealDigits(b=digits, depth=depth, tail_bound=tail, exact_remainder=None)
+    return RealDigits(digits, depth, tail, None)
 
 
 def real_digits_partial(d: RealDigits, ctx: CFContext):
@@ -351,9 +321,7 @@ def delta_profile(
         if abs(d) > ctx.a(n + 1):
             raise InvariantViolation(f"|delta| = {abs(d)} at {n} exceeds a_{n + 1}")
     m = next((n for n, d in enumerate(delta) if d), None)
-    return DeltaProfile(
-        s=s, depth=depth, delta=delta, m=m, int_digits=ints, real_digits=reals
-    )
+    return DeltaProfile(s, depth, delta, m, ints, reals)
 
 
 def _require_regime(profile: DeltaProfile) -> int:

@@ -405,6 +405,29 @@ def test_schema_keeps_only_referenced_definitions(path):
     assert reached == set(definitions)
 
 
+@pytest.mark.parametrize(
+    "argv, text, number",
+    [
+        ("growth --pairs {}", '{"pairs": [[1.5, 2], [3, 4.7], [5, 6]]}', "1.5"),
+        ("growth --pairs {}", '{"pairs": [[1, 2], [3, Infinity], [5, 6]]}', "Infinity"),
+        ("detect-quad --pairs {}", "[[1, 1], [2, 1], [3, 2], [5, 3], [8, 5e0]]", "5e0"),
+        ("build-psi --alpha quad:-1,1,5,2 --psi table:{} --count 2", "[[1, 0.1]]", "0.1"),
+        ("build-psi --alpha quad:-1,1,5,2 --psi table:{} --count 2", '[[1.9, "1/10"]]', "1.9"),
+    ],
+    ids=["growth-pairs", "growth-infinity", "detect-quad-exponent", "psi-table-value",
+         "psi-table-s"],
+)
+def test_input_files_refuse_inexact_numbers(tmp_path, capsys, argv, text, number):
+    # a JSON number with a fraction or an exponent is a float, which int()
+    # would truncate and Fraction() would take at its binary value
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out = run_cli(capsys, argv.format(path).split())
+    message = (f"malformed input file {path}: ValueError inexact JSON number {number}; "
+               "write integers, or rationals as strings")
+    assert (code, json.loads(out)) == (1, {"error": "ValueError", "message": message})
+
+
 def test_malformed_psi_table_is_typed_error(tmp_path, capsys):
     path = tmp_path / "table.json"
     path.write_text("5\n")
@@ -557,6 +580,45 @@ def test_only_byvalue_and_quadirr_define_value_dunders():
                     names = [t.id for t in node.targets if isinstance(t, ast.Name)
                              and not (none and t.id == "__hash__")]
                 found += [f"{path.name}:{cls.name}.{n}" for n in names if n in dunders]
+    assert found == []
+
+
+# the classes that keep a constructor which only checks and copies its
+# arguments, instead of taking exactnum.Record's, and why
+COPYING_INIT_ALLOWED = {
+    "QuadIrr": "built by every field operation, where a generic constructor costs about 4x",
+    "RatInterval": "built by every interval operation",
+    "Config": "its defaults are the knob table that CONFIG_FIELDS reads",
+}
+
+
+def _copies_arguments(init: ast.FunctionDef) -> bool:
+    """Whether the body is guard `if`s that raise, then `self.x = x` for
+    parameters x, and nothing else."""
+    params = {arg.arg for arg in init.args.args[1:] + init.args.kwonlyargs}
+    copies = 0
+    for node in init.body:
+        target = node.targets[0] if isinstance(node, ast.Assign) and len(node.targets) == 1 else None
+        if (isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self"
+                and getattr(node.value, "id", None) == target.attr and target.attr in params):
+            copies += 1
+        elif not (isinstance(node, ast.If) and not node.orelse and not copies
+                  and all(isinstance(n, ast.Raise) for n in node.body)):
+            return False
+    return copies > 0
+
+
+def test_records_take_their_constructor_from_record():
+    # a record's fields are its __slots__, and exactnum.Record builds it from
+    # them; an __init__ that only checks and copies its arguments repeats that
+    found = []
+    for path in sorted(Path(ratapprox.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef) or cls.name in COPYING_INIT_ALLOWED:
+                continue
+            found += [f"{path.name}:{cls.name}" for node in cls.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+                      and _copies_arguments(node)]
     assert found == []
 
 

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from ratapprox import exactnum
 from ratapprox.errors import DegenerateRational, MixedField, PrecisionExhausted
+from ratapprox import approx, conic, ostrowski
 from ratapprox.approx import PsiSpec
 from ratapprox.cli import Config
 from ratapprox.conic import Automorph, ConicForm
 from ratapprox.exactnum import (
     Certified,
     QuadIrr,
+    Record,
     LN10_HI,
     LN10_LO,
     RatInterval,
@@ -480,6 +482,70 @@ def test_value_types_compare_and_hash_by_fields(cls, fields, others):
         assert x.__eq__(other) is NotImplemented
 
 
+_REPORT = approx.DecayReport(0, [], 5, Fraction(1, 1000), False, "no verification pairs")
+_ASET = approx.ApproxSet(PHI, [(2, 1), (3, 2)], 0, [])
+# the fields of every Record subclass, in __slots__ order
+RECORD_FIELDS = {cls: fields for cls, fields, _ in VALUE_TYPES} | {
+    exactnum.Kind: {"name": "rat", "types": (int, Fraction), "parse": Fraction,
+                    "decode": Fraction, "encode": str, "exact": True},
+    approx.ApproxSet: {"alpha": PHI, "pairs": [(2, 1), (3, 2)], "order": 0, "gamma": []},
+    approx.ReportRow: {"r": 1, "s": 2, "residual": Fraction(1, 2), "scaled": Fraction(3, 2)},
+    approx.DecayReport: {"order": 0, "rows": [], "window": 5, "rel_tolerance": Fraction(1, 1000),
+                         "verdict": False, "note": "no verification pairs"},
+    approx.CertLine: {"k": 1, "s": 5, "route": "monotone", "bound": None, "ok": True,
+                      "detail": "s_k <= q_{n_k+1} and Psi decreasing"},
+    approx.PsiConstruction: {"alpha": INV_PHI, "psi": PsiSpec.power(2), "indices": [4],
+                             "n_next": 8, "s": [5], "gamma_partial": Fraction(1, 3),
+                             "tail": Fraction(1, 10), "certificate": []},
+    approx.LineFit: {"a": 1, "b": 2, "d": 3, "exceptions": 0},
+    approx.GrowthProfile: {"classification": "linear", "ratios": [Fraction(2)],
+                           "differences": [1]},
+    conic.LaurentExpansion: {"form": ConicForm(1, -1, -1, 1), "alpha": PHI, "gamma": [0, 1],
+                             "threshold_s": 2, "next_term_j": 4,
+                             "next_term_upper": Fraction(1, 8)},
+    conic.PeriodicConstruction: {"aset": _ASET, "gamma2": Fraction(1, 5), "preperiod": 0,
+                                 "period": 1, "report": _REPORT},
+    ostrowski.IntDigits: {"s": 3, "c": [1, 1], "M": 1},
+    ostrowski.DeltaProfile: {"s": 3, "depth": 2, "delta": [0, 1], "m": 1,
+                             "int_digits": None, "real_digits": None},
+}
+# their own constructors default a field: ConicForm's d and every Config knob
+DEFAULTED = (ConicForm, Config)
+
+
+def _record_types():
+    todo, found = [Record], set()
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__slots__:
+            found.add(cls)
+    return found
+
+
+def test_every_record_type_is_listed():
+    assert _record_types() == set(RECORD_FIELDS)
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_records_take_their_slots_by_position_or_name(cls):
+    fields = RECORD_FIELDS[cls]
+    names, values = cls.__slots__, list(fields.values())
+    assert tuple(fields) == names
+    for x in (cls(*values), cls(**fields)):
+        assert [getattr(x, name) for name in names] == values
+    name = re.escape(cls.__name__)
+    with pytest.raises(TypeError, match=name):
+        cls(*values, 0)
+    with pytest.raises(TypeError, match=f"{name}.*'bogus'"):
+        cls(**fields, bogus=0)
+    with pytest.raises(TypeError, match=f"{name}.*'{names[0]}'"):
+        cls(*values, **{names[0]: values[0]})
+    if cls not in DEFAULTED:
+        with pytest.raises(TypeError, match=f"{name}.*'{names[-1]}'"):
+            cls(*values[:-1])
+
+
 # -- QuadIrr arithmetic against (u, v) coordinate arithmetic -----------------
 
 _FIELDS = (2, 3, 5, 6, 7, 13)
@@ -603,7 +669,13 @@ _ENTRY_POINTS = {
     "exp_le": lambda v: exp_le(v, 2),
     "exp_le-bound": lambda v: exp_le(1, v),
     "PsiSpec.exp_decay": PsiSpec.exp_decay,
+    "PsiSpec.power": PsiSpec.power,
+    "PsiSpec.rational_table-s": lambda v: PsiSpec.rational_table([(v, Fraction(1, 2))]),
+    "PsiSpec.rational_table-value": lambda v: PsiSpec.rational_table([(1, v)]),
     "enclose": lambda v: enclose(v, Fraction(1, 10)),
+    "enclose-width": lambda v: enclose(Fraction(1, 3), v),
+    "RatInterval-lo": lambda v: RatInterval(v, 1),
+    "RatInterval-hi": lambda v: RatInterval(0, v),
 }
 
 
@@ -619,6 +691,12 @@ _ENTRY_POINTS = {
 @example(entry="exp_le", value=0.1)
 @example(entry="PsiSpec.exp_decay", value=0.1)
 @example(entry="enclose", value=0.5)
+@example(entry="PsiSpec.power", value=2.5)
+@example(entry="PsiSpec.rational_table-s", value=1.9)
+@example(entry="PsiSpec.rational_table-value", value=0.1)
+@example(entry="enclose-width", value=0.1)
+@example(entry="RatInterval-lo", value=0.1)
+@example(entry="RatInterval-hi", value=0.25)
 def test_entry_points_refuse_inexact_values(entry, value):
     # the sibling of test_operators_refuse_inexact_operands for the entry
     # points that take a value rather than an operand
