@@ -18,14 +18,7 @@ from .approx import (
     nearest_numerators,
     verify_order,
 )
-from .cf import (
-    CFContext,
-    CFExpansion,
-    Convergent,
-    cf_expand,
-    complete_quotient,
-    convergents,
-)
+from .cf import CFContext
 from .conic import (
     Automorph,
     ConicForm,

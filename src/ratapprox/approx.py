@@ -358,7 +358,7 @@ def construct_psi(
     if count < 1:
         raise ValueError("count must be >= 1")
     ctx = CFContext(alpha, depth=16)
-    if ctx.cf.finite:
+    if ctx.finite:
         raise RationalTarget("the construction needs an irrational alpha")
     if ctx.a(0) != 0:
         raise ValueError("alpha must lie in (0, 1)")

@@ -1,5 +1,6 @@
-"""Continued fractions: expansion, convergents, complete quotients, and the
-derived quantities xi_n = q_{n-1}/q_n and D_n = q_n*alpha - p_n.
+"""Continued fractions: one CFContext per target holds its expansion,
+convergents, complete quotients, and the derived quantities
+xi_n = q_{n-1}/q_n and D_n = q_n*alpha - p_n.
 
 Rational targets expand by the Euclidean algorithm (canonical: the last
 partial quotient is >= 2 whenever the expansion has length > 1).  Quadratic
@@ -11,7 +12,6 @@ an interval straddles an integer.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import floor, lcm
 
@@ -33,96 +33,17 @@ from .exactnum import (
 )
 
 
-Convergent = namedtuple("Convergent", "n p q")
-
-
-class CFExpansion:
-    """Materialized prefix of a simple continued fraction.
-
-    `period` is the minimal (K, L) of the digit word a_0, a_1, ...: digits
-    repeat with period L from index K onward.  Present exactly for quadratic
-    sources.  `finite` marks a complete rational expansion.
-    """
-
-    __slots__ = ("source", "a", "period", "finite", "_states", "_surd", "_enclosure")
-
-    def __init__(
-        self,
-        source: RealTarget,
-        a: list[int],
-        period: tuple[int, int] | None = None,
-        finite: bool = False,
-        _states: list[tuple[int, int]] | None = None,
-        _surd: int = 0,
-        _enclosure: RatInterval | None = None,
-    ):
-        self.source = source
-        self.a = a
-        self.period = period
-        self.finite = finite
-        self._states = [] if _states is None else _states
-        self._surd = _surd  # E in zeta_n = (P_n + sqrt(E))/Q_n
-        # certified sources: enclosure of the complete quotient whose floor is
-        # the last digit (of alpha before the first digit)
-        self._enclosure = _enclosure
-
-    def digit(self, n: int) -> int:
-        if n < 0:
-            raise IndexError("digit index must be >= 0")
-        if n < len(self.a):
-            return self.a[n]
-        if self.period is not None:
-            k, ell = self.period
-            return self.a[k + (n - k) % ell]
-        if self.finite:
-            raise InsufficientDepth(f"finite expansion has {len(self.a)} digits")
-        while n >= len(self.a):
-            self._extract_digit()
-        return self.a[n]
-
-    def _extract_digit(self) -> None:
-        iv = self._enclosure
-        if self.a:
-            frac = iv - self.a[-1]
-            if frac.lo <= 0:
-                raise PrecisionExhausted(
-                    f"fractional part undecidable after {len(self.a)} digits"
-                )
-            iv = frac.reciprocal()
-        d = floor(iv.lo)
-        if d != floor(iv.hi):
-            raise PrecisionExhausted(
-                f"enclosure straddles an integer after {len(self.a)} digits"
-            )
-        self.a.append(d)
-        self._enclosure = iv
-
-    def state(self, n: int) -> tuple[int, int]:
-        """(P_n, Q_n) with zeta_n = (P_n + sqrt(E))/Q_n; quadratic only."""
-        if self.period is None:
-            raise RationalTarget("complete-quotient states exist only for quadratic targets")
-        if n < len(self._states):
-            return self._states[n]
-        k, ell = self.period
-        return self._states[k + (n - k) % ell]
-
-    def to_json(self) -> dict:
-        k, ell = self.period if self.period else (None, None)
-        return {"a": list(self.a), "K": k, "L": ell}
-
-
-def _expand_rational(x, depth: int) -> CFExpansion:
-    x = Fraction(x)
+def _expand_rational(x, depth: int) -> dict:
     p, q = x.numerator, x.denominator
     out = []
     while q:
         a, r = divmod(p, q)
         out.append(a)
         p, q = q, r
-    return CFExpansion(source=x, a=out, finite=True)
+    return {"_digits": out, "finite": True}
 
 
-def _expand_quadratic(x: QuadIrr, depth: int) -> CFExpansion:
+def _expand_quadratic(x: QuadIrr, depth: int) -> dict:
     # bring (P + e sqrt(D))/Q to the form (P0 + sqrt(E))/Q0 with Q0 | E - P0^2
     P0, Q0 = x.P, x.Q
     if x.e < 0:
@@ -134,12 +55,10 @@ def _expand_quadratic(x: QuadIrr, depth: int) -> CFExpansion:
         Q0 *= abs(Q0)
 
     digits: list[int] = []
-    states: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
+    seen: dict[tuple[int, int], int] = {}  # (P_n, Q_n) -> n
     P, Q = P0, Q0
     while (P, Q) not in seen:
-        seen[(P, Q)] = len(states)
-        states.append((P, Q))
+        seen[(P, Q)] = len(digits)
         a = surd_floor(P, 1, E, Q)
         digits.append(a)
         P = a * Q - P
@@ -147,36 +66,19 @@ def _expand_quadratic(x: QuadIrr, depth: int) -> CFExpansion:
     # zeta_n fixes both (P_n, Q_n) and the digits from a_n on, so the first
     # repeated state starts the minimal digit period
     k = seen[(P, Q)]
-    cf = CFExpansion(
-        source=x, a=digits, period=(k, len(states) - k), _states=states, _surd=E
-    )
-    while len(cf.a) < depth:
-        cf.a.append(cf.digit(len(cf.a)))
-    return cf
+    ell = len(digits) - k
+    # digits below `depth` are read by index, past it through the period
+    digits += [digits[k + (n - k) % ell] for n in range(len(digits), depth)]
+    return {"_digits": digits, "period": (k, ell), "_states": list(seen), "_surd": E}
 
 
-def _expand_certified(x: Certified, depth: int) -> CFExpansion:
-    cf = CFExpansion(source=x, a=[], _enclosure=x.enclosure)
-    cf.digit(depth - 1)
-    return cf
+def _expand_certified(x: Certified, depth: int) -> dict:
+    # encloses zeta_n for the last digit a_n, or alpha while there is none
+    return {"_digits": [], "_enclosure": x.enclosure}
 
 
-# the expansion of each KINDS entry that is a real target
+# the starting state of a CFContext for each KINDS entry that is a real target
 _EXPAND = {"rat": _expand_rational, "quad": _expand_quadratic, "dec": _expand_certified}
-
-
-def cf_expand(x: RealTarget, depth: int) -> CFExpansion:
-    """Expand x as a simple continued fraction to at least `depth` digits.
-
-    Rational targets always get their full finite expansion; quadratic
-    targets also get exact minimal period metadata (K, L).
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    expand = _EXPAND.get(kind_of(x).name)
-    if expand is None:
-        raise TypeError(f"not a real target: {x!r}")
-    return expand(x, depth)
 
 
 # M_n = (p_n, p_{n-1}, q_n, q_{n-1}), the matrix [[p_n, p_{n-1}], [q_n, q_{n-1}]]
@@ -187,44 +89,6 @@ _M_START = (1, 0, 0, 1)
 def _step(M: tuple, a: int) -> tuple:
     """M_{n+1} from M_n and a = a_{n+1}: the three-term recurrence."""
     return (a * M[0] + M[1], M[0], a * M[2] + M[3], M[2])
-
-
-def convergents(cf: CFExpansion, n_max: int) -> list[Convergent]:
-    """Principal convergents p_n/q_n for n = 0..n_max via the three-term
-    recurrence with seeds (p_-1, q_-1) = (1, 0), (p_0, q_0) = (a_0, 1)."""
-    out = []
-    M = _M_START
-    for n in range(n_max + 1):
-        M = _step(M, cf.digit(n))
-        out.append(Convergent(n, M[0], M[2]))
-    return out
-
-
-def complete_quotient(cf: CFExpansion, n: int):
-    """zeta_n = [a_n; a_{n+1}, ...]: exact QuadIrr for quadratic sources,
-    a certified RatInterval for certified sources, an exact Fraction for
-    in-range tails of finite expansions (RationalTarget beyond them)."""
-    if n < 0:
-        raise IndexError("complete quotient index must be >= 0")
-    if cf.period is not None:
-        P, Q = cf.state(n)
-        return qi_normalize(P, 1, cf._surd, Q)
-    if cf.finite:
-        if n >= len(cf.a):
-            raise RationalTarget(f"finite expansion has no zeta_{n}")
-        v = Fraction(cf.a[-1])
-        for a in reversed(cf.a[n:-1]):
-            v = a + 1 / v
-        return v
-    # certified: bracket the tail value by its last two partial convergents
-    tail = cf.a[n:]
-    if len(tail) < 3:
-        raise PrecisionExhausted("need at least three tail digits to bracket zeta_n")
-    M = _M_START
-    for a in tail:
-        M = _step(M, a)
-    last, second_last = Fraction(M[0], M[2]), Fraction(M[1], M[3])
-    return RatInterval(min(last, second_last), max(last, second_last))
 
 
 def _mul(x: tuple, y: tuple) -> tuple:
@@ -276,7 +140,12 @@ class DEnclosures:
 
 
 class CFContext:
-    """Shared workspace for one target: expansion, convergents, and D_n.
+    """One target's continued fraction: digits a_n, complete quotients
+    zeta_n, convergents p_n/q_n and D_n = q_n*alpha - p_n.
+
+    `period` is the minimal (K, L) of the digit word a_0, a_1, ...: digits
+    repeat with period L from index K onward; it is set exactly for
+    quadratic targets.  `finite` marks a rational target, stored whole.
 
     Convergents are kept as M_n = (p_n, p_{n-1}, q_n, q_{n-1}) in one map
     n -> M_n.  It holds every M_n up to the dense frontier, which a walk in
@@ -287,12 +156,58 @@ class CFContext:
     """
 
     def __init__(self, alpha: RealTarget, depth: int = 64):
+        """Expand alpha to at least `depth` digits up front."""
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        expand = _EXPAND.get(kind_of(alpha).name)
+        if expand is None:
+            raise TypeError(f"not a real target: {alpha!r}")
         self.alpha = alpha
-        self.cf = cf_expand(alpha, depth)
+        self.period: tuple[int, int] | None = None
+        self.finite = False
+        self.__dict__.update(expand(alpha, depth))
+        if not self.finite:
+            self.a(depth - 1)
         self._conv: dict[int, tuple] = {-1: _M_START}
         self._dense = -1  # every M_n with n <= _dense is in _conv
         self._d_cache: dict[int, object] = {}
         self._d_enclosures: dict[Fraction, DEnclosures] = {}
+
+    def a(self, n: int) -> int:
+        """The digit a_n; InsufficientDepth past a finite expansion."""
+        if n < 0:
+            raise IndexError("digit index must be >= 0")
+        digits = self._digits
+        if n < len(digits):
+            return digits[n]
+        if self.period is not None:
+            k, ell = self.period
+            return digits[k + (n - k) % ell]
+        if self.finite:
+            raise InsufficientDepth(f"finite expansion has {len(digits)} digits")
+        while n >= len(digits):
+            self._extract_digit()
+        return digits[n]
+
+    def digits(self, depth: int) -> list[int]:
+        """a_0..a_{depth-1}, or the whole expansion when it is finite."""
+        if self.finite:
+            return list(self._digits)
+        return [self.a(n) for n in range(depth)]
+
+    def _extract_digit(self) -> None:
+        iv = self._enclosure
+        digits = self._digits
+        if digits:
+            frac = iv - digits[-1]
+            if frac.lo <= 0:
+                raise PrecisionExhausted(f"fractional part undecidable after {len(digits)} digits")
+            iv = frac.reciprocal()
+        d = floor(iv.lo)
+        if d != floor(iv.hi):
+            raise PrecisionExhausted(f"enclosure straddles an integer after {len(digits)} digits")
+        digits.append(d)
+        self._enclosure = iv
 
     def _grow(self, n: int) -> tuple:
         """Store and return M_n, stepped from M_{n-1} when that is stored,
@@ -302,7 +217,7 @@ class CFContext:
         m = n - 1 if n - 1 in self._conv else self._dense
         M = self._conv[m]
         for k in range(m + 1, n + 1):
-            M = self._conv[k] = _step(M, self.cf.digit(k))
+            M = self._conv[k] = _step(M, self.a(k))
         if m == self._dense:
             self._dense = n
         return M
@@ -320,13 +235,13 @@ class CFContext:
             raise IndexError("search index must be >= 0")
         n = n0 - 1 if n0 - 1 in self._conv else self._dense
         M = self._conv[n]
-        period = self.cf.period
+        period = self.period
         while True:
             if period is not None and n >= period[0] - 1:
                 # one skip leaves less than a period below n0 or q_floor
                 n, M = self._skip_periods(n, M, n0, q_floor)
                 period = None
-            prev, M = M, _step(M, self.cf.digit(n + 1))
+            prev, M = M, _step(M, self.a(n + 1))
             n += 1
             if n >= n0 and pred(n, M[2]):
                 break
@@ -337,10 +252,10 @@ class CFContext:
         """Advance (n, M_n), n >= K - 1, by the most whole periods j such that
         n + j*L < n0 or q_{n+j*L} < q_floor; both hold for a prefix of j, so
         square the period matrix W past it, then descend by halving."""
-        ell = self.cf.period[1]
+        ell = self.period[1]
         W = _M_START
         for i in range(n + 1, n + ell + 1):
-            W = _step(W, self.cf.digit(i))
+            W = _step(W, self.a(i))
 
         def skippable(steps: int, X: tuple) -> bool:
             # the q entry of M*X is q_{n + steps}
@@ -354,9 +269,6 @@ class CFContext:
                 n, M = n + (ell << i), _mul(M, powers[i])
         return n, M
 
-    def a(self, n: int) -> int:
-        return self.cf.digit(n)
-
     def p(self, n: int) -> int:
         return (self._conv.get(n) or self._grow(n))[0]
 
@@ -366,7 +278,7 @@ class CFContext:
     def D(self, n: int):
         """Exact (or certified-interval) D_n, including D_-1 = -1 and D_0;
         RationalTarget for a rational alpha."""
-        if self.cf.finite:
+        if self.finite:
             raise RationalTarget("D_n requires an irrational target")
         if n not in self._d_cache:
             self._d_cache[n] = operand(self.alpha) * self.q(n) - self.p(n)
@@ -384,7 +296,34 @@ class CFContext:
         return Fraction(1, self.q(n + 1))
 
     def zeta(self, n: int):
-        return complete_quotient(self.cf, n)
+        """zeta_n = [a_n; a_{n+1}, ...]: exact QuadIrr for quadratic targets,
+        a certified RatInterval for certified targets, an exact Fraction for
+        in-range tails of finite expansions (RationalTarget beyond them)."""
+        if n < 0:
+            raise IndexError("complete quotient index must be >= 0")
+        digits = self._digits
+        if self.period is not None:
+            if n >= len(self._states):
+                k, ell = self.period
+                n = k + (n - k) % ell
+            P, Q = self._states[n]
+            return qi_normalize(P, 1, self._surd, Q)
+        if self.finite:
+            if n >= len(digits):
+                raise RationalTarget(f"finite expansion has no zeta_{n}")
+            v = Fraction(digits[-1])
+            for a in reversed(digits[n:-1]):
+                v = a + 1 / v
+            return v
+        # certified: bracket the tail value by its last two partial convergents
+        tail = digits[n:]
+        if len(tail) < 3:
+            raise PrecisionExhausted("need at least three tail digits to bracket zeta_n")
+        M = _M_START
+        for a in tail:
+            M = _step(M, a)
+        last, second_last = Fraction(M[0], M[2]), Fraction(M[1], M[3])
+        return RatInterval(min(last, second_last), max(last, second_last))
 
     def xi(self, n: int) -> Fraction:
         if n < 1:

@@ -28,7 +28,7 @@ from .approx import (
     nearest_numerators,
     verify_order,
 )
-from .cf import CFContext, cf_expand, convergents
+from .cf import CFContext
 from .conic import (
     ConicForm,
     conic_orbit,
@@ -252,13 +252,27 @@ def _refuse_inexact(text: str):
     raise ValueError(f"inexact JSON number {text}; write integers, or rationals as strings")
 
 
+def _refuse_booleans(doc) -> None:
+    # int(True) is 1, so a boolean would pass for a count or an order
+    todo = [doc]
+    while todo:
+        x = todo.pop()
+        if x is True or x is False:
+            raise ValueError(f"JSON boolean {json.dumps(x)}; no input value is true or false")
+        if isinstance(x, dict):
+            todo.extend(x.values())
+        elif isinstance(x, list):
+            todo.extend(x)
+
+
 def read_input(path: str, decode):
     """decode(the JSON document in `path`); a file that is not JSON, holds a
-    JSON number that is not an integer, or lacks the expected keys, shape or
-    values, raises ValueError naming the file."""
+    JSON number that is not an integer or a boolean anywhere, or lacks the
+    expected keys, shape or values, raises ValueError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=_refuse_inexact, parse_constant=_refuse_inexact)
+        _refuse_booleans(doc)
         return decode(doc)
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed input file {path}: {type(exc).__name__} {exc}") from exc
@@ -300,20 +314,19 @@ def load_approx_set(path: str) -> ApproxSet:
 
 
 def _cmd_cf(args, cfg: Config) -> dict:
-    cf = cf_expand(parse_target(args.alpha), args.depth)
-    doc = cf.to_json()
-    doc["a"] = doc["a"][: args.depth] if not cf.finite else doc["a"]
-    return doc
+    ctx = CFContext(parse_target(args.alpha), args.depth)
+    k, ell = ctx.period or (None, None)
+    return {"a": ctx.digits(args.depth), "K": k, "L": ell}
 
 
 def _cmd_convergents(args, cfg: Config) -> dict:
-    cf = cf_expand(parse_target(args.alpha), args.n + 1)
-    cv = convergents(cf, args.n)
-    return {"convergents": [[int_str(c.p), int_str(c.q)] for c in cv]}
+    ctx = CFContext(parse_target(args.alpha), args.n + 1)
+    return {"convergents": [[int_str(ctx.p(n)), int_str(ctx.q(n))] for n in range(args.n + 1)]}
 
 
 def _cmd_ostrowski_int(args, cfg: Config) -> dict:
-    ctx = CFContext(parse_target(args.alpha), depth=args.depth)
+    # digits are certified as ostrowski_int asks for them
+    ctx = CFContext(parse_target(args.alpha), depth=1)
     d = ostrowski_int(args.s, ctx)
     return {"s": int_str(d.s), "M": d.M, "digits": list(d.c)}
 
@@ -539,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("ostrowski-int", _cmd_ostrowski_int, help="integer Ostrowski digits")
     p.add_argument("--alpha", required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--depth", type=int, default=64)
 
     p = cmd("ostrowski-real", _cmd_ostrowski_real, help="real Ostrowski digits")
     p.add_argument("--alpha", required=True)

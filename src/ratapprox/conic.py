@@ -10,10 +10,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .approx import DEFAULT_REL_TOLERANCE, DEFAULT_WINDOW, ApproxSet, verify_order
-from .cf import _M_START, CFContext, _step, complete_quotient
+from .cf import CFContext
 from .errors import InsufficientPairs, InvariantViolation, NotPeriodic, OrbitLeavesQuadrant
-from .exactnum import (ByValue, QuadIrr, Record, enclose, int_str, kind_of, qi_normalize, qi_pair,
-                       squarefree_decompose)
+from .exactnum import ByValue, QuadIrr, Record, enclose, int_str, kind_of, qi_normalize, qi_pair
 
 
 class ConicForm(ByValue):
@@ -96,42 +95,26 @@ def minimal_polynomial(x: QuadIrr) -> tuple[int, int, int]:
 def pell4(delta: int) -> tuple[int, int]:
     """Fundamental solution (t, u) of t^2 - delta*u^2 = 4 with minimal u > 0.
 
-    Small u by direct search; beyond that, every solution comes from a
-    convergent of sqrt(delta) with norm in {1, -1, 4, -4}.
+    With d = delta, or 4*delta when delta = 2 or 3 (mod 4), the solutions
+    are the units (t + u*sqrt(delta))/2 of Z[omega], omega = (d mod 2 +
+    sqrt(d))/2.  omega's expansion is periodic from a_1 with period L, so
+    zeta_1...zeta_L = 1/|D_{L-1}| = p_{L-1} - q_{L-1}*conj(omega) is the
+    least unit above 1, of norm (-1)^L; its square when L is odd.
     """
     if delta <= 0 or isqrt(delta) ** 2 == delta:
         raise ValueError("delta must be positive and non-square")
-    for u in range(1, 41):
-        t2 = 4 + delta * u * u
-        t = isqrt(t2)
-        if t * t == t2:
-            return t, u
-    ctx = CFContext(qi_normalize(0, 1, delta, 1), depth=4)
-    k_pre, ell = ctx.cf.period
-    best: tuple[int, int] | None = None
-    for n in range(2 * (k_pre + ell) + 5):
-        h, k = ctx.p(n), ctx.q(n)
-        norm = h * h - delta * k * k
-        cand = None
-        if norm == 1:
-            cand = (2 * h, 2 * k)
-        elif norm == -1:
-            cand = (2 * (h * h + delta * k * k), 4 * h * k)
-        elif norm == 4:
-            cand = (h, k)
-        elif norm == -4 and (h * h + delta * k * k) % 2 == 0:
-            cand = ((h * h + delta * k * k) // 2, h * k)
-        if (
-            cand
-            and cand[0] > 0
-            and cand[1] > 0
-            and cand[0] ** 2 - delta * cand[1] ** 2 == 4
-            and (best is None or cand[1] < best[1])
-        ):
-            best = cand
-    if best is None:
+    # d = f^2 * delta, and s = d mod 2
+    f, s = (1, delta % 4) if delta % 4 < 2 else (2, 0)
+    ctx = CFContext(qi_normalize(s, f, delta, 2), depth=1)
+    ell = ctx.period[1]
+    p, q = ctx.p(ell - 1), ctx.q(ell - 1)
+    # p - q*conj(omega) = (2p - s*q + f*q*sqrt(delta))/2
+    t, u = 2 * p - s * q, f * q
+    if ell % 2:
+        t, u = (t * t + delta * u * u) // 2, t * u
+    if u <= 0 or t * t - delta * u * u != 4:
         raise InvariantViolation(f"no Pell-4 solution located for delta={delta}")
-    return best
+    return t, u
 
 
 def fundamental_automorph(form: ConicForm) -> Automorph:
@@ -257,24 +240,6 @@ class PeriodicConstruction(Record):
     __slots__ = ("aset", "gamma2", "preperiod", "period", "report")
 
 
-def _purely_periodic_value(word: list[int], field_d: int) -> QuadIrr:
-    """Exact value of [0; overline(word)] from its fixed-point equation."""
-    M = _M_START
-    for w in word:
-        M = _step(M, w)
-    m00, m01, m10, m11 = M
-    # Z = [overline(word)] solves m10 Z^2 + (m11 - m00) Z - m01 = 0, Z > 1
-    disc = (m11 - m00) ** 2 + 4 * m10 * m01
-    z = qi_normalize(m00 - m11, 1, disc, 2 * m10)
-    if z <= 1:
-        raise InvariantViolation(f"purely periodic value {z} is not > 1")
-    _, core = squarefree_decompose(disc)
-    if core != field_d:
-        raise InvariantViolation("reversed-period value left the field")
-    inv = z.inverse()
-    return inv
-
-
 def periodic_construction(
     alpha: QuadIrr,
     count: int,
@@ -293,13 +258,12 @@ def periodic_construction(
     if count < 1:
         raise ValueError("count must be >= 1")
     ctx = ctx or CFContext(alpha)
-    cf = ctx.cf
-    k_word, ell = cf.period
+    k_word, ell = ctx.period
     k_pre = k_word - 1  # a_0 = 0 does not count toward the preperiod here
-    zeta = complete_quotient(cf, k_word)
-    period_word = [cf.digit(k_word + i) for i in range(ell)]
-    rev_value = _purely_periodic_value(period_word[::-1], alpha.D)
-    gamma2 = (-1) ** (k_pre + 1) / (zeta + rev_value)
+    # zeta_{K+1} is purely periodic, so by Galois' theorem [0; overline(
+    # reversed period)] = -conj(zeta_{K+1}), and the sum is 2e*sqrt(D)/Q
+    zeta = ctx.zeta(k_word)
+    gamma2 = (-1) ** (k_pre + 1) / qi_normalize(0, 2 * zeta.e, zeta.D, zeta.Q)
     # each search lands on its index at once and keeps only (p, q) there
     indices = [ctx.first_index(k_pre + 2 * k * ell, lambda m, q: True)
                for k in range(1, count + 1)]

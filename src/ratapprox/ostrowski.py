@@ -110,7 +110,7 @@ def check_admissible(digits: list[int], ctx: CFContext) -> None:
 
 
 def _require_unit_interval_irrational(ctx: CFContext) -> None:
-    if ctx.cf.finite:
+    if ctx.finite:
         raise RationalTarget("Ostrowski expansions need an irrational alpha")
     if ctx.a(0) != 0:
         raise ValueError("alpha must lie in (0, 1)")

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratapprox.cf import (
-    CFContext,
-    cf_expand,
-    complete_quotient,
-    convergents,
-)
+from ratapprox.cf import CFContext
 from ratapprox.errors import (
     DegenerateRational,
     InsufficientDepth,
@@ -32,11 +27,13 @@ TARGETS = [PHI, INV_PHI, SQRT2, SQRT3, SQRT13_1_2, SQRT2_M1]
 
 
 def test_rational_expansion_examples():
-    assert cf_expand(Fraction(10, 7), 1).a == [1, 2, 3]
-    assert cf_expand(Fraction(10, 7), 1).a == euclid_cf(10, 7)
-    assert cf_expand(Fraction(3, 7), 1).a == [0, 2, 3]
-    assert cf_expand(Fraction(-7, 3), 1).a == [-3, 1, 2]
-    assert cf_expand(Fraction(5), 1).a == [5]
+    # a finite expansion is stored whole, whatever the depth asked for
+    assert CFContext(Fraction(10, 7), 1).digits(1) == [1, 2, 3]
+    assert CFContext(Fraction(10, 7), 1).digits(1) == euclid_cf(10, 7)
+    assert CFContext(Fraction(3, 7), 1).digits(1) == [0, 2, 3]
+    assert CFContext(Fraction(-7, 3), 1).digits(1) == [-3, 1, 2]
+    assert CFContext(Fraction(5), 1).digits(1) == [5]
+    assert CFContext(Fraction(10, 7)).finite and CFContext(Fraction(10, 7)).period is None
 
 
 def test_rational_expansion_is_canonical_random():
@@ -44,7 +41,7 @@ def test_rational_expansion_is_canonical_random():
     for _ in range(200):
         p = rng.randint(-400, 400)
         q = rng.randint(1, 400)
-        a = cf_expand(Fraction(p, q), 1).a
+        a = CFContext(Fraction(p, q), 1).digits(1)
         assert cf_value(a) == Fraction(p, q)
         if len(a) > 1:
             assert a[-1] >= 2
@@ -61,10 +58,10 @@ def test_quadratic_expansions_and_periods():
         SQRT2_M1: ([0, 2, 2, 2], (1, 1)),
     }
     for alpha, (prefix, period) in cases.items():
-        cf = cf_expand(alpha, len(prefix))
-        assert cf.a[: len(prefix)] == prefix
-        assert cf.period == period
-        assert cf.digit(40) == prefix[period[0] + (40 - period[0]) % period[1]]
+        ctx = CFContext(alpha, len(prefix))
+        assert ctx.digits(len(prefix)) == prefix
+        assert ctx.period == period and not ctx.finite
+        assert ctx.a(40) == prefix[period[0] + (40 - period[0]) % period[1]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -83,16 +80,17 @@ def test_period_and_complete_quotients_match_oracle(P, e, D, Q):
         x = qi_normalize(P, e, D, Q)
     except DegenerateRational:
         return
-    cf = cf_expand(x, 1)
-    K, L = cf.period
+    ctx = CFContext(x, 1)
+    K, L = ctx.period
     sign = 1 if x.e > 0 else -1  # x = (sign*P + sqrt(e^2 D)) / (sign*Q)
     digits = quad_cf_digits(sign * x.P, x.e * x.e * x.D, sign * x.Q, max(200, 2 * (K + 2 * L)))
     assert (K, L) == eventual_period(digits)
     # x = (p_{n-1} zeta_n + p_{n-2}) / (q_{n-1} zeta_n + q_{n-2}), also for
-    # n past the (P_n, Q_n) states the expansion stores
+    # n past the (P_n, Q_n) states the context stores
     pq = [(0, 1), (1, 0)] + convergent_pairs(digits)
-    for n in range(len(cf._states) + 2 * L + 2):
-        z = complete_quotient(cf, n)
+    assert ctx.digits(len(digits)) == digits
+    for n in range(len(ctx._states) + 2 * L + 2):
+        z = ctx.zeta(n)
         (p1, q1), (p2, q2) = pq[n + 1], pq[n]
         assert (p1 * z + p2) / (q1 * z + q2) == x
         assert n == 0 or z > 1
@@ -110,26 +108,35 @@ def test_sqrt2_digits_match_recurrence_oracle():
         digits.append(a)
         P = a * Q - P
         Q = (E - P * P) // Q
-    assert cf_expand(SQRT2, 12).a[:12] == digits
+    assert CFContext(SQRT2, 12).digits(12) == digits
+
+
+def _convergents(ctx, n_max):
+    return [(ctx.p(n), ctx.q(n)) for n in range(n_max + 1)]
 
 
 def test_convergents_phi_fibonacci():
-    cf = cf_expand(PHI, 6)
-    cv = convergents(cf, 4)
-    assert [(c.p, c.q) for c in cv] == [(1, 1), (2, 1), (3, 2), (5, 3), (8, 5)]
+    assert _convergents(CFContext(PHI, 6), 4) == [(1, 1), (2, 1), (3, 2), (5, 3), (8, 5)]
 
 
 def test_convergents_sqrt2():
-    cv = convergents(cf_expand(SQRT2, 6), 4)
-    assert [(c.p, c.q) for c in cv] == [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29)]
+    assert _convergents(CFContext(SQRT2, 6), 4) == [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29)]
 
 
 def test_finite_cf_reproduces_value():
-    cf = cf_expand(Fraction(10, 7), 1)
-    cv = convergents(cf, len(cf.a) - 1)
-    assert Fraction(cv[-1].p, cv[-1].q) == Fraction(10, 7)
+    ctx = CFContext(Fraction(10, 7), 1)
+    n = len(ctx.digits(1)) - 1
+    assert Fraction(ctx.p(n), ctx.q(n)) == Fraction(10, 7)
     with pytest.raises(InsufficientDepth):
-        convergents(cf, len(cf.a))
+        ctx.p(n + 1)
+    with pytest.raises(InsufficientDepth):
+        ctx.a(n + 1)
+
+
+def test_depth_below_one_is_refused():
+    for alpha in (Fraction(1, 2), PHI, Certified.parse("0.5±0.1")):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            CFContext(alpha, 0)
 
 
 def test_recurrence_identity():
@@ -191,18 +198,18 @@ def test_d_nearest_integer_identity():
 
 
 def test_complete_quotient_examples():
-    assert complete_quotient(cf_expand(PHI, 4), 1) == PHI
+    assert CFContext(PHI, 4).zeta(1) == PHI
     one_plus_sqrt2 = qi_normalize(1, 1, 2, 1)
-    assert complete_quotient(cf_expand(SQRT2, 4), 1) == one_plus_sqrt2
-    assert complete_quotient(cf_expand(INV_PHI, 4), 1) == PHI
+    assert CFContext(SQRT2, 4).zeta(1) == one_plus_sqrt2
+    assert CFContext(INV_PHI, 4).zeta(1) == PHI
 
 
 def test_complete_quotient_rational_tail():
-    cf = cf_expand(Fraction(10, 7), 1)
-    assert complete_quotient(cf, 1) == Fraction(7, 3)
-    assert complete_quotient(cf, 2) == Fraction(3)
+    ctx = CFContext(Fraction(10, 7), 1)
+    assert ctx.zeta(1) == Fraction(7, 3)
+    assert ctx.zeta(2) == Fraction(3)
     with pytest.raises(RationalTarget):
-        complete_quotient(cf, 3)
+        ctx.zeta(3)
 
 
 def test_xi_examples():
@@ -226,23 +233,25 @@ def test_d_value_examples():
 
 def test_certified_expansion():
     c = Certified.parse("0.6180339887±0.0000000001")
-    cf = cf_expand(c, 8)
-    assert cf.a == [0, 1, 1, 1, 1, 1, 1, 1]
-    assert cf.period is None
+    ctx = CFContext(c, 8)
+    assert ctx.digits(8) == [0, 1, 1, 1, 1, 1, 1, 1]
+    assert ctx.period is None and not ctx.finite
     with pytest.raises(PrecisionExhausted):
-        cf_expand(c, 40)
+        CFContext(c, 40)
+    # digits past the depth are certified on demand, up to the same limit
+    with pytest.raises(PrecisionExhausted):
+        ctx.a(39)
 
 
 def test_certified_straddle_raises():
     c = Certified.parse("0.5±0.25")
     with pytest.raises(PrecisionExhausted):
-        cf_expand(c, 3)
+        CFContext(c, 3)
 
 
 def test_certified_complete_quotient_brackets():
     c = Certified.parse("0.61803398874989484820458683436563811772±1e-30")
-    cf = cf_expand(c, 20)
-    z = complete_quotient(cf, 1)
+    z = CFContext(c, 20).zeta(1)
     phi_iv = enclose(PHI, Fraction(1, 10**12))
     assert z.overlaps(phi_iv)
 
@@ -278,9 +287,9 @@ def test_certified_last_digit_decidable_without_lookahead():
     # enclosure [2.0, 2.3]: the first digit is decidable even though the
     # fractional part touches zero and blocks everything after it
     c = Certified.parse("2.15±0.15")
-    assert cf_expand(c, 1).a == [2]
+    assert CFContext(c, 1).digits(1) == [2]
     with pytest.raises(PrecisionExhausted):
-        cf_expand(c, 2)
+        CFContext(c, 2)
 
 
 # alpha = (P + sqrt(D))/Q with its period (K, L): purely periodic (K = 0),

@@ -249,6 +249,21 @@ def test_config_roundtrip():
         Config.from_text("orbit_bound = 5\n")
 
 
+def test_removed_ostrowski_int_depth_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ostrowski-int", "--alpha", "quad:-1,1,5,2", "--s", "11", "--depth", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --depth" in capsys.readouterr().err
+
+
+def test_ostrowski_int_certifies_only_the_digits_it_reads(capsys):
+    # the enclosure decides 23 digits, and s = 100 needs about a dozen: only
+    # those are certified
+    code, out = run_cli(capsys, ["ostrowski-int", "--alpha", "dec:0.6180339887±1e-10", "--s", "100"])
+    assert code == 0, out
+    assert json.loads(out)["M"] == 10
+
+
 def test_removed_orbit_bound_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--orbit-bound", "5", "cf", "--alpha", "rat:1/2"])
@@ -405,26 +420,41 @@ def test_schema_keeps_only_referenced_definitions(path):
     assert reached == set(definitions)
 
 
+INEXACT = "inexact JSON number {}; write integers, or rationals as strings"
+BOOLEAN = "JSON boolean {}; no input value is true or false"
+BOOLEAN_SET = ('{"alpha": {"kind": "rat", "value": "3/7"}, "N": true, "gamma": '
+               '[{"kind": "rat", "value": "1/7"}], "pairs": [["1", "2"], ["4", "9"], ["7", "16"]]}')
+
+
 @pytest.mark.parametrize(
-    "argv, text, number",
+    "argv, text, detail",
     [
-        ("growth --pairs {}", '{"pairs": [[1.5, 2], [3, 4.7], [5, 6]]}', "1.5"),
-        ("growth --pairs {}", '{"pairs": [[1, 2], [3, Infinity], [5, 6]]}', "Infinity"),
-        ("detect-quad --pairs {}", "[[1, 1], [2, 1], [3, 2], [5, 3], [8, 5e0]]", "5e0"),
-        ("build-psi --alpha quad:-1,1,5,2 --psi table:{} --count 2", "[[1, 0.1]]", "0.1"),
-        ("build-psi --alpha quad:-1,1,5,2 --psi table:{} --count 2", '[[1.9, "1/10"]]', "1.9"),
+        ("growth --pairs {}", '{"pairs": [[1.5, 2], [3, 4.7], [5, 6]]}', INEXACT.format("1.5")),
+        ("growth --pairs {}", '{"pairs": [[1, 2], [3, Infinity], [5, 6]]}',
+         INEXACT.format("Infinity")),
+        ("detect-quad --pairs {}", "[[1, 1], [2, 1], [3, 2], [5, 3], [8, 5e0]]",
+         INEXACT.format("5e0")),
+        ("build-psi --alpha quad:-1,1,5,2 --psi table:{} --count 2", "[[1, 0.1]]",
+         INEXACT.format("0.1")),
+        ("build-psi --alpha quad:-1,1,5,2 --psi table:{} --count 2", '[[1.9, "1/10"]]',
+         INEXACT.format("1.9")),
+        ("build-psi --alpha quad:-1,1,5,2 --psi table:{} --count 2", '[[1, true], [6, "1/100"]]',
+         BOOLEAN.format("true")),
+        ("approx-verify --set {}", BOOLEAN_SET, BOOLEAN.format("true")),
+        ("detect-quad --pairs {}", "[[1, 1], [2, 1], [3, 2], [5, 3], [8, false]]",
+         BOOLEAN.format("false")),
     ],
     ids=["growth-pairs", "growth-infinity", "detect-quad-exponent", "psi-table-value",
-         "psi-table-s"],
+         "psi-table-s", "psi-table-boolean", "set-order-boolean", "pairs-boolean"],
 )
-def test_input_files_refuse_inexact_numbers(tmp_path, capsys, argv, text, number):
+def test_input_files_refuse_inexact_numbers(tmp_path, capsys, argv, text, detail):
     # a JSON number with a fraction or an exponent is a float, which int()
-    # would truncate and Fraction() would take at its binary value
+    # would truncate and Fraction() would take at its binary value; a JSON
+    # boolean is a Python int, 1 or 0
     path = tmp_path / "input.json"
     path.write_text(text)
     code, out = run_cli(capsys, argv.format(path).split())
-    message = (f"malformed input file {path}: ValueError inexact JSON number {number}; "
-               "write integers, or rationals as strings")
+    message = f"malformed input file {path}: ValueError {detail}"
     assert (code, json.loads(out)) == (1, {"error": "ValueError", "message": message})
 
 
@@ -492,12 +522,12 @@ def test_build_psi_certified_alpha_beyond_sixteen_cf_digits(capsys):
 
 # what `import ratapprox` exports, its submodules aside
 PUBLIC_NAMES = [
-    "ApproxSet", "Automorph", "BigRat", "BlowUp", "CFContext", "CFExpansion", "Certified",
-    "ConicForm", "Convergent", "DecayReport", "DegenerateRational", "DeltaProfile", "GammaOnOrbit",
+    "ApproxSet", "Automorph", "BigRat", "BlowUp", "CFContext", "Certified",
+    "ConicForm", "DecayReport", "DegenerateRational", "DeltaProfile", "GammaOnOrbit",
     "InsufficientDepth", "InsufficientPairs", "IntDigits", "InvariantViolation", "MixedField",
     "NotPeriodic", "OrbitLeavesQuadrant", "OutOfRegime", "PrecisionExhausted", "PsiSpec", "QuadIrr",
     "RatApproxError", "RatInterval", "RationalTarget", "RealDigits", "RealTarget", "SingularSystem",
-    "cf_expand", "complete_quotient", "conic_orbit", "construct_psi", "convergents",
+    "conic_orbit", "construct_psi",
     "delta_profile", "detect_line", "dist_bound", "dist_direct", "dist_formula", "enclose",
     "find_seed", "fit_coefficients", "fundamental_automorph", "growth_profile",
     "laurent_expansion", "line_set", "minimal_polynomial", "nearest_numerators", "ostrowski_int",
@@ -558,6 +588,27 @@ def test_cli_reads_kinds_from_the_table():
                 names = arg.elts if isinstance(arg, ast.Tuple) else [arg]
                 if any(getattr(n, "id", None) in kinds for n in names):
                     found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_one_continued_fraction_object():
+    # a CFContext holds the whole expansion: no module reads a second object
+    # off it (ctx.cf), and only cf.py steps the convergent recurrence
+    private = {"_step", "_M_START"}
+    found = []
+    for path in sorted(Path(ratapprox.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = set()
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            if isinstance(node, ast.Attribute) and node.attr == "cf":
+                found.append(f"{path.name}:{node.lineno}:.cf")
+            if path.name != "cf.py" and names & private:
+                found.append(f"{path.name}:{node.lineno}:{'/'.join(sorted(names & private))}")
     assert found == []
 
 

@@ -59,6 +59,21 @@ def test_pell4_examples_and_oracle():
             assert (t, u) == oracle
 
 
+@pytest.mark.parametrize(
+    "delta, t, u",
+    [
+        (94, 4286590, 442128),
+        (181, 1703027, 126585),
+        (991, 759032801813623861276029792160, 24111471580662718894885077534),
+    ],
+)
+def test_pell4_beyond_brute_force(delta, t, u):
+    # least u past the oracle's u <= 20000 reach, as the direct search and
+    # norm scan of earlier releases printed them
+    assert brute_pell4(delta) is None
+    assert pell4(delta) == (t, u)
+
+
 def test_fundamental_automorph_golden():
     m = fundamental_automorph(GOLDEN_FORM)
     assert (m.t11, m.t12, m.t21, m.t22) == (2, 1, 1, 1)
@@ -245,6 +260,22 @@ def test_periodic_construction_pairs_without_dense_walk(P, D, Q):
     assert set(ctx._conv) == {-1} | {n - d for n in landings for d in (0, 1)}
 
 
+@pytest.mark.parametrize("P, D, Q", [(-1, 5, 2), (-7, 61, 1), (2, 3, 5), (3, 2, 7), (5, 11, 9)])
+def test_periodic_gamma2_matches_reversed_period_value(P, D, Q):
+    # gamma_2 = (-1)^{K+1} / (zeta_{K+1} + 1/Z), where Z = [overline(reversed
+    # period)] solves Z = (p Z + p')/(q Z + q') for the word's last two
+    # convergents, and zeta_{K+1} comes from alpha and its convergents
+    alpha = qi_normalize(P, 1, D, Q)
+    pc = periodic_construction(alpha, 2)
+    K, L = pc.preperiod, pc.period
+    digits = quad_cf_digits(P, D, Q, K + 1 + L)
+    (p0, q0), (p1, q1) = ([(1, 0)] + convergent_pairs(digits[K + 1:][::-1]))[-2:]
+    z = qi_normalize(p1 - q0, 1, (q0 - p1) ** 2 + 4 * q1 * p0, 2 * q1)
+    (pk0, qk0), (pk1, qk1) = ([(1, 0)] + convergent_pairs(digits[: K + 1]))[-2:]
+    zeta = (pk0 - qk0 * alpha) / (qk1 * alpha - pk1)
+    assert pc.gamma2 == (-1) ** (K + 1) / (zeta + 1 / z)
+
+
 def test_periodic_integrality():
     for alpha in (INV_PHI, SQRT2_M1, qi_normalize(-1, 1, 3, 2)):
         pc = periodic_construction(alpha, 4)
@@ -352,20 +383,17 @@ def test_library_invariants_survive_optimized_mode():
         "conic.pell4 = lambda delta: (8, 2)\n"
         "probe(conic.fundamental_automorph, form)\n"
         "conic.pell4 = real_pell4\n"
-        # the expansion of sqrt(2) in place of sqrt(94), whose least u is past
-        # the direct search, holds no convergent of norm +-1 or +-4 for 94
+        # the period of sqrt(2) in place of sqrt(94)'s gives a unit of the
+        # wrong field, which solves no t^2 - 94u^2 = 4
         "real_ctx = conic.CFContext\n"
         "conic.CFContext = lambda alpha, depth: real_ctx(exactnum.qi_normalize(0, 1, 2, 1), depth)\n"
         "probe(conic.pell4, 94)\n"
         "conic.CFContext = real_ctx\n"
         "conic.fundamental_automorph = lambda form: Automorph(2, 1, 1, 1)\n"
         "probe(conic.conic_orbit, form, (1, 1), 3)\n"
-        "probe(conic._purely_periodic_value, [1], 3)\n"
-        "conic.qi_normalize = lambda P, e, D, Q: exactnum.qi_normalize(-P, e, D, Q)\n"
-        "probe(conic._purely_periodic_value, [1], 5)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout.split()
-    assert out == ["False"] + ["InvariantViolation"] * 9
+    assert out == ["False"] + ["InvariantViolation"] * 7
