@@ -48,7 +48,6 @@ from .errors import (
     SingularSystem,
 )
 from .exactnum import (
-    BigRat,
     Certified,
     QuadIrr,
     RatInterval,

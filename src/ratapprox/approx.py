@@ -42,6 +42,7 @@ from .exactnum import (
 DEFAULT_WINDOW = 5
 DEFAULT_REL_TOLERANCE = Fraction(1, 1000)
 DEFAULT_DIGIT_BUDGET = 100_000
+DEFAULT_PREFIX_EXCEPTIONS = 2
 _TIGHT = Fraction(1, 10**40)
 
 
@@ -289,6 +290,8 @@ def fit_coefficients(
 ):
     """Fit gamma_1..gamma_N on the N largest denominators; report residual
     decay on the remaining pairs."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     pairs = sorted(pairs, key=lambda p: p[1])
     if len({s for _, s in pairs}) != len(pairs):
         raise SingularSystem("duplicate denominators")
@@ -357,7 +360,7 @@ def construct_psi(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    ctx = CFContext(alpha, depth=16)
+    ctx = CFContext(alpha)
     if ctx.finite:
         raise RationalTarget("the construction needs an irrational alpha")
     if ctx.a(0) != 0:
@@ -387,7 +390,6 @@ def construct_psi(
         return m
 
     indices = [4]
-    ctx.q(5)
     try:
         for _ in range(1, count):
             indices.append(find_next(indices[-1]))
@@ -408,7 +410,7 @@ def _package(
     ctx: CFContext,
     indices: list[int],
     n_next: int | None,
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
+    digit_budget: int,
 ) -> PsiConstruction:
     exact = kind_of(alpha).exact
     # s_k = sum_{m<=k} q_{n_m} and partials[k-1] = sum_{m<=k} D_{n_m}
@@ -530,7 +532,7 @@ def line_set(a: int, b: int, d: int, count: int) -> ApproxSet:
     )
 
 
-def detect_line(pairs, max_prefix_exceptions: int = 2) -> LineFit | None:
+def detect_line(pairs, max_prefix_exceptions: int = DEFAULT_PREFIX_EXCEPTIONS) -> LineFit | None:
     """Find integers (a, b, d), b > 0, gcd(a, b) = 1, with b*r = a*s + d on
     a trailing run of the pairs; violations are tolerated only among the
     first `max_prefix_exceptions` pairs."""

@@ -155,8 +155,9 @@ class CFContext:
     caller's perspective.
     """
 
-    def __init__(self, alpha: RealTarget, depth: int = 64):
-        """Expand alpha to at least `depth` digits up front."""
+    def __init__(self, alpha: RealTarget, depth: int = 1):
+        """Digits are read on demand; `depth` only expands a_0..a_{depth-1}
+        up front, so a certified target refuses those at construction."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
         expand = _EXPAND.get(kind_of(alpha).name)
@@ -191,6 +192,8 @@ class CFContext:
 
     def digits(self, depth: int) -> list[int]:
         """a_0..a_{depth-1}, or the whole expansion when it is finite."""
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
         if self.finite:
             return list(self._digits)
         return [self.a(n) for n in range(depth)]
@@ -297,8 +300,8 @@ class CFContext:
 
     def zeta(self, n: int):
         """zeta_n = [a_n; a_{n+1}, ...]: exact QuadIrr for quadratic targets,
-        a certified RatInterval for certified targets, an exact Fraction for
-        in-range tails of finite expansions (RationalTarget beyond them)."""
+        an exact Fraction for in-range tails of finite expansions
+        (RationalTarget beyond them); certified targets raise PrecisionExhausted."""
         if n < 0:
             raise IndexError("complete quotient index must be >= 0")
         digits = self._digits
@@ -315,15 +318,7 @@ class CFContext:
             for a in reversed(digits[n:-1]):
                 v = a + 1 / v
             return v
-        # certified: bracket the tail value by its last two partial convergents
-        tail = digits[n:]
-        if len(tail) < 3:
-            raise PrecisionExhausted("need at least three tail digits to bracket zeta_n")
-        M = _M_START
-        for a in tail:
-            M = _step(M, a)
-        last, second_last = Fraction(M[0], M[2]), Fraction(M[1], M[3])
-        return RatInterval(min(last, second_last), max(last, second_last))
+        raise PrecisionExhausted("complete quotients of a certified target are not computed")
 
     def xi(self, n: int) -> Fraction:
         if n < 1:

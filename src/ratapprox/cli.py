@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 
 from .approx import (
+    DEFAULT_DIGIT_BUDGET, DEFAULT_PREFIX_EXCEPTIONS, DEFAULT_REL_TOLERANCE, DEFAULT_WINDOW,
     ApproxSet,
     DecayReport,
     PsiSpec,
@@ -39,7 +40,8 @@ from .conic import (
 )
 from .errors import RatApproxError
 from .exactnum import KINDS, ByValue, RatInterval, as_interval, frac_str, int_str, kind_of
-from .ostrowski import delta_profile, dist_bound, dist_direct, dist_formula, ostrowski_int, ostrowski_real
+from .ostrowski import (DEFAULT_PRECISION_DIGITS, delta_profile, dist_bound, dist_direct,
+                        dist_formula, ostrowski_int, ostrowski_real)
 
 CONFIG_ENV_VAR = "RATAPPROX_CONFIG"
 
@@ -82,27 +84,20 @@ class Config(ByValue):
 
     def __init__(
         self,
-        precision_digits: int = 200,
-        decay_window: int = 5,
-        decay_tolerance: Fraction = Fraction(1, 1000),
-        digit_budget: int = 100_000,
+        precision_digits: int = DEFAULT_PRECISION_DIGITS,
+        decay_window: int = DEFAULT_WINDOW,
+        decay_tolerance: Fraction = DEFAULT_REL_TOLERANCE,
+        digit_budget: int = DEFAULT_DIGIT_BUDGET,
         seed_bound: int = 10_000,
-        prefix_exceptions: int = 2,
+        prefix_exceptions: int = DEFAULT_PREFIX_EXCEPTIONS,
     ):
-        self.precision_digits = precision_digits
-        self.decay_window = decay_window
-        self.decay_tolerance = decay_tolerance
-        self.digit_budget = digit_budget
-        self.seed_bound = seed_bound
-        self.prefix_exceptions = prefix_exceptions
+        super().__init__(precision_digits, decay_window, decay_tolerance, digit_budget,
+                         seed_bound, prefix_exceptions)
 
     def validate(self) -> None:
         for name, _ in CONFIG_FIELDS:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config {name} must be positive")
-
-    def to_text(self) -> str:
-        return "".join(f"{name} = {getattr(self, name)}\n" for name, _ in CONFIG_FIELDS)
 
     @staticmethod
     def from_text(text: str) -> "Config":
@@ -314,25 +309,26 @@ def load_approx_set(path: str) -> ApproxSet:
 
 
 def _cmd_cf(args, cfg: Config) -> dict:
-    ctx = CFContext(parse_target(args.alpha), args.depth)
+    ctx = CFContext(parse_target(args.alpha))
     k, ell = ctx.period or (None, None)
     return {"a": ctx.digits(args.depth), "K": k, "L": ell}
 
 
 def _cmd_convergents(args, cfg: Config) -> dict:
-    ctx = CFContext(parse_target(args.alpha), args.n + 1)
+    if args.n < 0:
+        raise ValueError("--n must be >= 0")
+    ctx = CFContext(parse_target(args.alpha))
     return {"convergents": [[int_str(ctx.p(n)), int_str(ctx.q(n))] for n in range(args.n + 1)]}
 
 
 def _cmd_ostrowski_int(args, cfg: Config) -> dict:
-    # digits are certified as ostrowski_int asks for them
-    ctx = CFContext(parse_target(args.alpha), depth=1)
+    ctx = CFContext(parse_target(args.alpha))
     d = ostrowski_int(args.s, ctx)
     return {"s": int_str(d.s), "M": d.M, "digits": list(d.c)}
 
 
 def _cmd_ostrowski_real(args, cfg: Config) -> dict:
-    ctx = CFContext(parse_target(args.alpha), depth=args.depth + 2)
+    ctx = CFContext(parse_target(args.alpha))
     d = ostrowski_real(
         parse_target(args.gamma),
         ctx,
@@ -350,7 +346,12 @@ def _cmd_ostrowski_real(args, cfg: Config) -> dict:
 def _cmd_dist(args, cfg: Config) -> dict:
     alpha = parse_target(args.alpha)
     gamma = parse_target(args.gamma)
-    ctx = CFContext(alpha, depth=args.depth + 2)
+    # the flags are refused before dist_direct, which can fail on its own
+    if args.depth < 1:
+        raise ValueError("depth must be >= 1")
+    if args.width_digits < 0:
+        raise ValueError("--width-digits must be >= 0")
+    ctx = CFContext(alpha)
     width = Fraction(1, 10**args.width_digits)
     direct = dist_direct(args.s, gamma, alpha, width)
     prof = delta_profile(args.s, gamma, ctx, args.depth, allow_orbit=args.allow_orbit,

@@ -9,7 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .approx import DEFAULT_REL_TOLERANCE, DEFAULT_WINDOW, ApproxSet, verify_order
+from .approx import (DEFAULT_PREFIX_EXCEPTIONS, DEFAULT_REL_TOLERANCE, DEFAULT_WINDOW,
+                     ApproxSet, verify_order)
 from .cf import CFContext
 from .errors import InsufficientPairs, InvariantViolation, NotPeriodic, OrbitLeavesQuadrant
 from .exactnum import ByValue, QuadIrr, Record, enclose, int_str, kind_of, qi_normalize, qi_pair
@@ -45,9 +46,6 @@ class ConicForm(ByValue):
     def root(self) -> QuadIrr:
         """alpha = (-b + sqrt(disc)) / (2a), the orbit's limit slope."""
         return qi_normalize(-self.b, 1, self.disc, 2 * self.a)
-
-    def at_level(self, d: int) -> "ConicForm":
-        return ConicForm(self.a, self.b, self.c, d)
 
     def to_json(self) -> dict:
         return {k: int_str(getattr(self, k)) for k in ("a", "b", "c", "d")}
@@ -105,7 +103,7 @@ def pell4(delta: int) -> tuple[int, int]:
         raise ValueError("delta must be positive and non-square")
     # d = f^2 * delta, and s = d mod 2
     f, s = (1, delta % 4) if delta % 4 < 2 else (2, 0)
-    ctx = CFContext(qi_normalize(s, f, delta, 2), depth=1)
+    ctx = CFContext(qi_normalize(s, f, delta, 2))
     ell = ctx.period[1]
     p, q = ctx.p(ell - 1), ctx.q(ell - 1)
     # p - q*conj(omega) = (2p - s*q + f*q*sqrt(delta))/2
@@ -243,7 +241,6 @@ class PeriodicConstruction(Record):
 def periodic_construction(
     alpha: QuadIrr,
     count: int,
-    ctx: CFContext | None = None,
     window: int = DEFAULT_WINDOW,
     rel_tolerance: Fraction = DEFAULT_REL_TOLERANCE,
 ) -> PeriodicConstruction:
@@ -257,7 +254,7 @@ def periodic_construction(
         raise ValueError("alpha must lie in (0, 1)")
     if count < 1:
         raise ValueError("count must be >= 1")
-    ctx = ctx or CFContext(alpha)
+    ctx = CFContext(alpha)
     k_word, ell = ctx.period
     k_pre = k_word - 1  # a_0 = 0 does not count toward the preperiod here
     # zeta_{K+1} is purely periodic, so by Galois' theorem [0; overline(
@@ -273,7 +270,8 @@ def periodic_construction(
     return PeriodicConstruction(aset, gamma2, k_pre, ell, report)
 
 
-def quad_detect(pairs, max_prefix_exceptions: int = 2) -> ConicForm | None:
+def quad_detect(pairs,
+                max_prefix_exceptions: int = DEFAULT_PREFIX_EXCEPTIONS) -> ConicForm | None:
     """Recover a primitive (a, b, c, d), a > 0, with a r^2 + b rs + c s^2 = d
     on a trailing run of the pairs; None when the exact rank-3 solve fails,
     the discriminant degenerates, or too many pairs disagree."""

@@ -15,10 +15,6 @@ from math import ceil, floor, gcd, isqrt
 
 from .errors import DegenerateRational, InvariantViolation, MixedField, PrecisionExhausted
 
-# BigRat is the package-wide arbitrary-precision rational: fractions.Fraction
-# already guarantees den > 0 and gcd(num, den) == 1.
-BigRat = Fraction
-
 SQUAREFREE_TRIAL_BOUND = 10**6
 
 # Certified bounds on ln(10), verified against exp_bounds in the test suite.

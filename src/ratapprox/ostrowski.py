@@ -55,6 +55,7 @@ from .exactnum import (
 )
 
 DEFAULT_WIDTH = Fraction(1, 10**30)
+DEFAULT_PRECISION_DIGITS = 200
 
 
 class IntDigits(Record):
@@ -62,9 +63,6 @@ class IntDigits(Record):
     one-based subscripting, and M is the largest n with q_n <= s."""
 
     __slots__ = ("s", "c", "M")
-
-    def support(self) -> list[int]:
-        return [n for n, d in enumerate(self.c) if d]
 
 
 class RealDigits(ByValue):
@@ -78,9 +76,6 @@ class RealDigits(ByValue):
 
     __slots__ = ("b", "depth", "tail_bound", "exact_remainder")
     __hash__ = None
-
-    def support(self) -> list[int]:
-        return [n for n, d in enumerate(self.b) if d]
 
 
 class DeltaProfile(Record):
@@ -168,7 +163,7 @@ def ostrowski_real(
     ctx: CFContext,
     depth: int,
     allow_orbit: bool = False,
-    precision_digits: int = 200,
+    precision_digits: int = DEFAULT_PRECISION_DIGITS,
 ) -> RealDigits:
     """Digits of gamma in [-alpha, 1-alpha) over the basis D_n.
 
@@ -288,15 +283,6 @@ def _extract_certified(gamma, ctx: CFContext, depth: int, precision_digits: int)
     return RealDigits(digits, depth, tail, None)
 
 
-def real_digits_partial(d: RealDigits, ctx: CFContext):
-    """Exact value of the truncated sum over the first `depth` digits."""
-    total = Fraction(0)
-    for n, b in enumerate(d.b):
-        if b:
-            total = b * ctx.D(n) + total
-    return total
-
-
 def delta_profile(
     s: int,
     gamma,
@@ -304,10 +290,12 @@ def delta_profile(
     depth: int,
     allow_orbit: bool = False,
     real_digits: RealDigits | None = None,
-    precision_digits: int = 200,
+    precision_digits: int = DEFAULT_PRECISION_DIGITS,
 ) -> DeltaProfile:
     """delta_{n+1} = c_{n+1} - b_{n+1} together with its leading index m;
     precision_digits is passed on to ostrowski_real."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     ints = ostrowski_int(s, ctx)
     depth = max(depth, ints.M + 1)
     reals = real_digits
@@ -358,25 +346,6 @@ def dist_formula(profile: DeltaProfile, ctx: CFContext):
         lo, hi = (lo + d * d_lo, hi + d * d_hi) if d > 0 else (lo + d * d_hi, hi + d * d_lo)
     total = RatInterval(Fraction(lo, memo.den), Fraction(hi, memo.den))
     return abs(total - profile.real_digits.tail_bound)
-
-
-def dist_formula_terms(profile: DeltaProfile, ctx: CFContext) -> list:
-    """Per-term values of the alternating form
-    (-1)^n delta_{n+1} / (q_n (zeta_{n+1} + xi_n)) for n in [m, depth).
-
-    Each term equals delta_{n+1} * D_n exactly; summing them and correcting
-    by the stored remainder reproduces dist_formula.  Exact targets only.
-    """
-    m = _require_regime(profile)
-    terms = []
-    for n in range(m, profile.depth):
-        d = profile.delta[n]
-        if not d:
-            terms.append(Fraction(0))
-            continue
-        denom = (ctx.zeta(n + 1) + ctx.xi(n)) * ctx.q(n)
-        terms.append(((-1) ** n * d) / denom)
-    return terms
 
 
 def dist_direct(s: int, gamma, alpha, width: Fraction = DEFAULT_WIDTH) -> RatInterval:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, isqrt
 
-from ratapprox.errors import GammaOnOrbit, PrecisionExhausted
+from ratapprox.errors import GammaOnOrbit, OutOfRegime, PrecisionExhausted
 from ratapprox.exactnum import (
     Certified,
     QuadIrr,
@@ -290,3 +290,34 @@ def reference_real_digits(gamma, ctx, depth: int, precision_digits: int = 200):
     if not exact:
         return digits, rem, None
     return digits, enclose(rem, Fraction(1, ctx.q(depth)) / 2**20), rem
+
+
+def real_digits_partial(d, ctx):
+    """Exact value of the truncated sum over the first `depth` digits."""
+    total = Fraction(0)
+    for n, b in enumerate(d.b):
+        if b:
+            total = b * ctx.D(n) + total
+    return total
+
+
+def dist_formula_terms(profile, ctx) -> list:
+    """Per-term values of the paper's alternating form
+    (-1)^n delta_{n+1} / (q_n (zeta_{n+1} + xi_n)) for n in [m, depth).
+
+    Each term equals delta_{n+1} * D_n exactly; summing them and correcting
+    by the stored remainder reproduces ostrowski.dist_formula.  Exact
+    targets only, in the regime m >= 4.
+    """
+    m = profile.m
+    if m is None or m < 4:
+        raise OutOfRegime(f"m = {m} is outside the series regime")
+    terms = []
+    for n in range(m, profile.depth):
+        d = profile.delta[n]
+        if not d:
+            terms.append(Fraction(0))
+            continue
+        denom = (ctx.zeta(n + 1) + ctx.xi(n)) * ctx.q(n)
+        terms.append(((-1) ** n * d) / denom)
+    return terms

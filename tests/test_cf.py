@@ -250,10 +250,12 @@ def test_certified_straddle_raises():
 
 
 def test_certified_complete_quotient_brackets():
+    # zeta_n of a certified target is refused, however many digits the
+    # context has extracted
     c = Certified.parse("0.61803398874989484820458683436563811772±1e-30")
-    z = CFContext(c, 20).zeta(1)
-    phi_iv = enclose(PHI, Fraction(1, 10**12))
-    assert z.overlaps(phi_iv)
+    for depth in (1, 20):
+        with pytest.raises(PrecisionExhausted, match="certified target"):
+            CFContext(c, depth).zeta(1)
 
 
 def test_certified_d_value_interval():

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -12,7 +13,11 @@ import pytest
 from jsonschema import Draft7Validator
 
 import ratapprox
-from ratapprox.approx import ApproxSet
+from ratapprox.approx import (ApproxSet, construct_psi, detect_line, fit_coefficients,
+                              verify_order)
+from ratapprox.cf import CFContext
+from ratapprox.conic import periodic_construction, quad_detect
+from ratapprox.ostrowski import delta_profile, ostrowski_real
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -239,7 +244,8 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
 
 def test_config_roundtrip():
     cfg = Config(precision_digits=77, decay_tolerance=Fraction(3, 1234))
-    again = Config.from_text(cfg.to_text())
+    text = "".join(f"{name} = {getattr(cfg, name)}\n" for name in Config.__slots__)
+    again = Config.from_text(text)
     assert again == cfg
     with pytest.raises(ValueError):
         Config.from_text("bogus_key = 3\n")
@@ -262,6 +268,130 @@ def test_ostrowski_int_certifies_only_the_digits_it_reads(capsys):
     code, out = run_cli(capsys, ["ostrowski-int", "--alpha", "dec:0.6180339887±1e-10", "--s", "100"])
     assert code == 0, out
     assert json.loads(out)["M"] == 10
+
+
+def test_ostrowski_real_certifies_only_the_digits_it_reads(capsys):
+    # the enclosure decides 23 digits; 22 Ostrowski digits read a_1..a_22
+    alpha = "dec:0.6180339887±1e-10"
+    code, out = run_cli(capsys, ["ostrowski-real", "--alpha", alpha, "--gamma", "rat:1/3",
+                                 "--depth", "22"])
+    assert code == 0, out
+    expected = ostrowski_real(Fraction(1, 3), CFContext(parse_target(alpha)), 22)
+    assert json.loads(out)["digits"] == expected.b
+
+
+REFUSALS = {
+    "cf-depth-0": (["cf", "--alpha", "quad:1,1,5,2", "--depth", "0"], "depth must be >= 1"),
+    "convergents-n-minus-1": (["convergents", "--alpha", "quad:0,1,2,1", "--n", "-1"],
+                              "--n must be >= 0"),
+    "dist-depth-0": (["dist", "--alpha", "quad:-1,1,5,2", "--gamma", "rat:1/3", "--s", "5",
+                      "--depth", "0"], "depth must be >= 1"),
+    "dist-depth-minus-4": (["dist", "--alpha", "quad:-1,1,5,2", "--gamma", "rat:1/3", "--s", "5",
+                            "--depth", "-4"], "depth must be >= 1"),
+    "dist-width-digits-minus-1": (["dist", "--alpha", "quad:-1,1,5,2", "--gamma", "rat:1/3",
+                                   "--s", "5", "--width-digits", "-1"],
+                                  "--width-digits must be >= 0"),
+    "approx-fit-order-minus-1": (["approx-fit", "--alpha", "quad:-1,1,5,2", "--order", "-1",
+                                  "--pairs", "{pairs}"], "order must be >= 0"),
+}
+
+# convergents p_n/q_n of 1/phi, n = 1..8
+PHI_PAIRS = [[1, 1], [1, 2], [2, 3], [3, 5], [5, 8], [8, 13], [13, 21], [21, 34]]
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_out_of_range_integer_flag_is_refused(tmp_path, capsys, case):
+    argv, message = REFUSALS[case]
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"pairs": PHI_PAIRS}))
+    code, out = run_cli(capsys, [a.replace("{pairs}", str(pairs)) for a in argv])
+    assert code == 1
+    assert out == json.dumps({"error": "ValueError", "message": message}, indent=2) + "\n"
+
+
+# every integer flag of every subcommand, as (argv, flag); `flag` takes each
+# small value in turn, in place of the value it has in argv or appended
+SWEEP = {
+    "cf": (["cf", "--alpha", "quad:1,1,5,2"], ["--depth"]),
+    "convergents": (["convergents", "--alpha", "quad:0,1,2,1"], ["--n"]),
+    "ostrowski-int": (["ostrowski-int", "--alpha", "quad:-1,1,5,2"], ["--s"]),
+    "ostrowski-real": (["ostrowski-real", "--alpha", "quad:-1,1,5,2", "--gamma", "rat:1/3"],
+                       ["--depth"]),
+    "dist": (["dist", "--alpha", "quad:-1,1,5,2", "--gamma", "rat:1/3", "--s", "5",
+              "--depth", "8", "--width-digits", "10"], ["--s", "--depth", "--width-digits"]),
+    "approx-fit": (["approx-fit", "--alpha", "quad:-1,1,5,2", "--pairs", "{pairs}"], ["--order"]),
+    "build-psi": (["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "power:2", "--count", "2"],
+                  ["--count", "power:"]),
+    "line": (["line", "--a", "3", "--b", "7", "--d", "1", "--count", "3"],
+             ["--a", "--b", "--d", "--count"]),
+    "conic-orbit": (["conic-orbit", "--form", "1,-1,-1", "--d", "1", "--count", "3"],
+                    ["--d", "--count"]),
+    "laurent": (["laurent", "--form", "1,-1,-1", "--d", "1", "--terms", "3"], ["--d", "--terms"]),
+    "build-periodic": (["build-periodic", "--alpha", "quad:-1,1,5,2", "--count", "3"],
+                       ["--count"]),
+    "config-periodic": (["build-periodic", "--alpha", "quad:-1,1,5,2", "--count", "3"],
+                        ["--decay-window"]),
+    "config-dist": (["dist", "--alpha", "quad:-1,1,5,2", "--gamma", "dec:0.09016994±1e-8",
+                     "--s", "5"],
+                    ["--precision-digits"]),
+}
+
+
+def _with_value(argv: list[str], flag: str, value: int) -> list[str]:
+    if flag == "power:":
+        return [f"power:{value}" if a.startswith("power:") else a for a in argv]
+    if flag in ("--decay-window", "--precision-digits"):
+        return [flag, str(value), *argv]
+    if flag in argv:
+        i = argv.index(flag)
+        return argv[:i + 1] + [str(value)] + argv[i + 2:]
+    return [*argv, flag, str(value)]
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c in SWEEP for f in SWEEP[c][1]])
+def test_small_integer_flags_answer_or_refuse(tmp_path, capsys, command, flag):
+    # each value exits 0, 1 or 2 without a traceback, and exits 0 and 1 print
+    # one JSON document
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"pairs": PHI_PAIRS}))
+    argv = [a.replace("{pairs}", str(pairs)) for a in SWEEP[command][0]]
+    bad = []
+    for value in range(-3, 4):
+        try:
+            code = main(_with_value(argv, flag, value))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 -- the finding itself
+            code = type(exc).__name__
+        out = capsys.readouterr().out
+        if code in (0, 1):
+            try:
+                json.loads(out)
+            except ValueError:
+                code = "not one JSON document"
+        if code not in (0, 1, 2):
+            bad.append((value, code))
+    assert bad == []
+
+
+CONFIG_FEEDS = {
+    "precision_digits": [(ostrowski_real, "precision_digits"), (delta_profile, "precision_digits")],
+    "decay_window": [(fit_coefficients, "window"), (verify_order, "window"),
+                     (periodic_construction, "window")],
+    "decay_tolerance": [(fit_coefficients, "rel_tolerance"), (verify_order, "rel_tolerance"),
+                        (periodic_construction, "rel_tolerance")],
+    "digit_budget": [(construct_psi, "digit_budget")],
+    "prefix_exceptions": [(detect_line, "max_prefix_exceptions"),
+                          (quad_detect, "max_prefix_exceptions")],
+}
+
+
+def test_config_defaults_are_the_library_defaults():
+    # seed_bound feeds find_seed, which has no default
+    assert sorted(CONFIG_FEEDS) == sorted(set(Config.__slots__) - {"seed_bound"})
+    for name, feeds in CONFIG_FEEDS.items():
+        for fn, param in feeds:
+            assert inspect.signature(fn).parameters[param].default == getattr(Config(), name)
 
 
 def test_removed_orbit_bound_flag_is_usage_error(capsys):
@@ -522,7 +652,7 @@ def test_build_psi_certified_alpha_beyond_sixteen_cf_digits(capsys):
 
 # what `import ratapprox` exports, its submodules aside
 PUBLIC_NAMES = [
-    "ApproxSet", "Automorph", "BigRat", "BlowUp", "CFContext", "Certified",
+    "ApproxSet", "Automorph", "BlowUp", "CFContext", "Certified",
     "ConicForm", "DecayReport", "DegenerateRational", "DeltaProfile", "GammaOnOrbit",
     "InsufficientDepth", "InsufficientPairs", "IntDigits", "InvariantViolation", "MixedField",
     "NotPeriodic", "OrbitLeavesQuadrant", "OutOfRegime", "PrecisionExhausted", "PsiSpec", "QuadIrr",
@@ -612,6 +742,21 @@ def test_one_continued_fraction_object():
     assert found == []
 
 
+def test_contexts_read_their_digits_on_demand():
+    # CFContext expands one digit up front by default, and no call in the
+    # library picks how many: every CFContext(...) passes only the target
+    found, defaults = [], None
+    for path in sorted(Path(ratapprox.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CFContext"
+                    and (len(node.args) != 1 or node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ClassDef) and node.name == "CFContext":
+                defaults = [ast.literal_eval(d) for f in node.body
+                            if getattr(f, "name", None) == "__init__" for d in f.args.defaults]
+    assert (found, defaults) == ([], [1])
+
+
 def test_only_byvalue_and_quadirr_define_value_dunders():
     # value types inherit ==, hash and repr from exactnum.ByValue; only
     # QuadIrr, whose == also answers rationals, writes its own.  A
@@ -639,7 +784,6 @@ def test_only_byvalue_and_quadirr_define_value_dunders():
 COPYING_INIT_ALLOWED = {
     "QuadIrr": "built by every field operation, where a generic constructor costs about 4x",
     "RatInterval": "built by every interval operation",
-    "Config": "its defaults are the knob table that CONFIG_FIELDS reads",
 }
 
 

@@ -131,10 +131,10 @@ def test_conic_orbit_rejects_bad_seed():
 
 def test_orbit_preserves_form_value():
     for d in (-4, -1, 1, 5, 11):
-        seed = find_seed(GOLDEN_FORM.at_level(d), 200)
+        seed = find_seed(ConicForm(1, -1, -1, d), 200)
         if seed is None:
             continue
-        aset = conic_orbit(GOLDEN_FORM.at_level(d), seed, 8)
+        aset = conic_orbit(ConicForm(1, -1, -1, d), seed, 8)
         assert all(GOLDEN_FORM.value(r, s) == d for r, s in aset.pairs)
 
 
@@ -178,14 +178,14 @@ def test_laurent_matches_series_square_oracle():
 def test_laurent_gamma2_level_identity():
     # gamma_2 = d/sqrt(5) for the golden form, and (2a*alpha + b)*gamma_2 = d
     for d in (1, 2, -3, 7):
-        lx = laurent_expansion(GOLDEN_FORM.at_level(d), 2)
+        lx = laurent_expansion(ConicForm(1, -1, -1, d), 2)
         assert lx.gamma[1] == qi_pair(Fraction(0), Fraction(d, 5), 5)
         prod = (2 * lx.form.a * lx.alpha + lx.form.b) * lx.gamma[1]
         assert prod == Fraction(d)
 
 
 def test_laurent_zero_level():
-    lx = laurent_expansion(GOLDEN_FORM.at_level(0), 6)
+    lx = laurent_expansion(ConicForm(1, -1, -1, 0), 6)
     assert all(g == 0 for g in lx.gamma)
 
 
@@ -247,10 +247,13 @@ def test_periodic_construction_growth_and_report():
 
 
 @pytest.mark.parametrize("P, D, Q", [(-1, 5, 2), (-7, 61, 1), (2, 3, 5), (3, 2, 7), (5, 11, 9)])
-def test_periodic_construction_pairs_without_dense_walk(P, D, Q):
+def test_periodic_construction_pairs_without_dense_walk(P, D, Q, monkeypatch):
     alpha = qi_normalize(P, 1, D, Q)
-    ctx = CFContext(alpha)
-    pc = periodic_construction(alpha, 12, ctx)
+    made = []
+    monkeypatch.setattr(ratapprox.conic, "CFContext",
+                        lambda a: made.append(CFContext(a)) or made[-1])
+    pc = periodic_construction(alpha, 12)
+    (ctx,) = made
     K, L = pc.preperiod, pc.period
     pairs = convergent_pairs(quad_cf_digits(P, D, Q, K + 24 * L + 1))
     assert pc.aset.pairs == [pairs[K + 2 * k * L] for k in range(1, 13)]
@@ -386,7 +389,7 @@ def test_library_invariants_survive_optimized_mode():
         # the period of sqrt(2) in place of sqrt(94)'s gives a unit of the
         # wrong field, which solves no t^2 - 94u^2 = 4
         "real_ctx = conic.CFContext\n"
-        "conic.CFContext = lambda alpha, depth: real_ctx(exactnum.qi_normalize(0, 1, 2, 1), depth)\n"
+        "conic.CFContext = lambda alpha, depth=1: real_ctx(exactnum.qi_normalize(0, 1, 2, 1), depth)\n"
         "probe(conic.pell4, 94)\n"
         "conic.CFContext = real_ctx\n"
         "conic.fundamental_automorph = lambda form: Automorph(2, 1, 1, 1)\n"
