@@ -319,9 +319,11 @@ class CertLine(Record):
     """The certificate of pair k with denominator s_k.  `route` is "numeric"
     (the rational `bound` on ||s_k alpha - gamma|| was compared with
     Psi(s_k)) or "monotone" (bound None: Psi is decreasing and s_k <=
-    q_{n_k+1}); `ok` is the verdict and `detail` the checks it rests on."""
+    q_{n_k+1}); `bound_head` is bound - tail when the bound is the sum of
+    the remaining digit bounds and the construction's tail, else None; `ok`
+    is the verdict and `detail` the checks it rests on."""
 
-    __slots__ = ("k", "s", "route", "bound", "ok", "detail")
+    __slots__ = ("k", "s", "route", "bound", "bound_head", "ok", "detail")
 
 
 class PsiConstruction(Record):
@@ -329,17 +331,24 @@ class PsiConstruction(Record):
     support over D_n; n_next, the next index or None past the digit
     budget; the denominators s_1..s_K; gamma_partial = sum_k D_{n_k}, an
     exact field element (a RatInterval for a certified alpha); the rational
-    bound `tail` on the rest of gamma; and one CertLine per pair."""
+    bound `tail` on the rest of gamma, and b when tail = 10**-b (else None);
+    and one CertLine per pair."""
 
-    __slots__ = ("alpha", "psi", "indices", "n_next", "s", "gamma_partial", "tail", "certificate")
+    __slots__ = ("alpha", "psi", "indices", "n_next", "s", "gamma_partial", "tail",
+                 "tail_exponent", "certificate")
 
     @property
     def certified(self) -> bool:
         return all(line.ok for line in self.certificate)
 
-    def gamma_interval(self) -> RatInterval:
+    def gamma_interval_ends(self) -> tuple[tuple[Fraction, int], tuple[Fraction, int]]:
+        """The ends of gamma_interval() as (head, sign) pairs, each end being
+        head + sign * tail: a tight enclosure of gamma_partial, widened."""
         base = as_interval(self.gamma_partial, _TIGHT)
-        return RatInterval(base.lo - self.tail, base.hi + self.tail)
+        return (base.lo, -1), (base.hi, 1)
+
+    def gamma_interval(self) -> RatInterval:
+        return RatInterval(*(head + sign * self.tail for head, sign in self.gamma_interval_ends()))
 
 
 def _digits10_lower(x: int) -> int:
@@ -425,6 +434,7 @@ def _package(
     gamma_partial = partials[-1]
 
     t_last = ctx.q(indices[-1] + 1)
+    b0 = None
     if n_next is not None:
         tail = 2 * ctx.d_abs_upper(n_next)
     else:
@@ -435,12 +445,12 @@ def _package(
             b0 = psi.tail_cap_exponent(t_last, digit_budget)
             tail = Fraction(1, 10**b0)
 
-    # remainders[k-1] bounds |sum_{m>k} D_{n_m}| with the tail beyond K; summed
-    # from the far end, so the tail meets the largest denominator only once
-    remainders = [tail]
+    # heads[k-1] bounds |sum_{k<m<=K} D_{n_m}|, so heads[k-1] + tail bounds
+    # the remainder of gamma past n_k
+    heads = [Fraction(0)]
     for n in reversed(indices[1:]):
-        remainders.append(remainders[-1] + ctx.d_abs_upper(n))
-    remainders.reverse()
+        heads.append(heads[-1] + ctx.d_abs_upper(n))
+    heads.reverse()
 
     certificate = []
     K = len(indices)
@@ -453,14 +463,15 @@ def _package(
             integral = drift == floor(drift)
             detail = "s_k*alpha - partial_k integral; " if integral else "DRIFT NOT INTEGRAL; "
         next_idx = indices[k] if k < K else n_next
-        if next_idx is not None:
-            bound = min(Fraction(3, ctx.q(next_idx + 1)), remainders[k - 1])
-            if psi.numeric_feasible(s_k):
-                ok = psi.le_psi(bound, s_k)
-                certificate.append(
-                    CertLine(k, s_k, "numeric", bound, ok, detail + "bound <= Psi(s_k)")
-                )
-                continue
+        if next_idx is not None and psi.numeric_feasible(s_k):
+            cap = Fraction(3, ctx.q(next_idx + 1))
+            head = heads[k - 1]
+            remainder = head + tail
+            bound, bound_head = (cap, None) if cap <= remainder else (remainder, head)
+            ok = psi.le_psi(bound, s_k)
+            certificate.append(CertLine(k, s_k, "numeric", bound, bound_head, ok,
+                                        detail + "bound <= Psi(s_k)"))
+            continue
         # monotone route: ||s_k alpha - gamma|| <= 3/q_{n_{k+1}} <= Psi(q_{n_k+1})
         # by the defining inequality of n_{k+1}; verified fact: s_k <= q_{n_k+1}
         t_k = ctx.q(indices[k - 1] + 1)
@@ -471,12 +482,13 @@ def _package(
                 s_k,
                 "monotone",
                 None,
+                None,
                 ok,
                 detail + "s_k <= q_{n_k+1} and Psi decreasing",
             )
         )
 
-    return PsiConstruction(alpha, psi, list(indices), n_next, s_list, gamma_partial, tail,
+    return PsiConstruction(alpha, psi, list(indices), n_next, s_list, gamma_partial, tail, b0,
                            certificate)
 
 

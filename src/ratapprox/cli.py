@@ -39,7 +39,8 @@ from .conic import (
     quad_detect,
 )
 from .errors import RatApproxError
-from .exactnum import KINDS, ByValue, RatInterval, as_interval, frac_str, int_str, kind_of
+from .exactnum import (KINDS, ByValue, RatInterval, as_interval, frac_str, int_str, kind_of,
+                       offset_str)
 from .ostrowski import (DEFAULT_PRECISION_DIGITS, delta_profile, dist_bound, dist_direct,
                         dist_formula, ostrowski_int, ostrowski_real)
 
@@ -308,8 +309,16 @@ def load_approx_set(path: str) -> ApproxSet:
 # subcommand handlers
 
 
+def _check_depth(depth: int) -> None:
+    # refused before a context is built, since building one can fail on its own
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+
+
 def _cmd_cf(args, cfg: Config) -> dict:
-    ctx = CFContext(parse_target(args.alpha))
+    alpha = parse_target(args.alpha)
+    _check_depth(args.depth)
+    ctx = CFContext(alpha)
     k, ell = ctx.period or (None, None)
     return {"a": ctx.digits(args.depth), "K": k, "L": ell}
 
@@ -328,7 +337,9 @@ def _cmd_ostrowski_int(args, cfg: Config) -> dict:
 
 
 def _cmd_ostrowski_real(args, cfg: Config) -> dict:
-    ctx = CFContext(parse_target(args.alpha))
+    alpha = parse_target(args.alpha)
+    _check_depth(args.depth)
+    ctx = CFContext(alpha)
     d = ostrowski_real(
         parse_target(args.gamma),
         ctx,
@@ -347,8 +358,7 @@ def _cmd_dist(args, cfg: Config) -> dict:
     alpha = parse_target(args.alpha)
     gamma = parse_target(args.gamma)
     # the flags are refused before dist_direct, which can fail on its own
-    if args.depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_depth(args.depth)
     if args.width_digits < 0:
         raise ValueError("--width-digits must be >= 0")
     ctx = CFContext(alpha)
@@ -398,12 +408,26 @@ def _cmd_approx_verify(args, cfg: Config):
     return {"set": approx_set_json(aset), "report": report_json(report)}
 
 
+def _tail_sum_str(cons, head: Fraction, sign: int) -> str:
+    """rat_str(head + sign * cons.tail); a tail of 10**-b is joined to the
+    head's digits (offset_str) rather than summed and printed at b digits."""
+    if cons.tail_exponent is None:
+        return rat_str(head + sign * cons.tail)
+    return offset_str(head, sign, cons.tail_exponent)
+
+
+def _bound_str(cons, line) -> str | None:
+    if line.bound_head is not None:
+        return _tail_sum_str(cons, line.bound_head, 1)
+    return None if line.bound is None else rat_str(line.bound)
+
+
 def _cmd_build_psi(args, cfg: Config) -> dict:
     alpha = parse_target(args.alpha)
     cons = construct_psi(
         alpha, parse_psi(args.psi), args.count, digit_budget=cfg.digit_budget
     )
-    iv = cons.gamma_interval()
+    lo, hi = (_tail_sum_str(cons, head, sign) for head, sign in cons.gamma_interval_ends())
     doc = {
         "psi": cons.psi.to_json(),
         "alpha": target_json(alpha),
@@ -412,8 +436,8 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
         "s": [int_str(v) for v in cons.s],
         "gamma": {
             "partial": target_json(cons.gamma_partial),
-            "tail_bound": rat_str(cons.tail),
-            "interval": iv.to_json(),
+            "tail_bound": _tail_sum_str(cons, Fraction(0), 1),
+            "interval": {"lo": lo, "hi": hi},
         },
         "digit_support": cons.indices,
         "certified": cons.certified,
@@ -422,7 +446,7 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
                 "k": line.k,
                 "s": int_str(line.s),
                 "route": line.route,
-                "bound": None if line.bound is None else rat_str(line.bound),
+                "bound": _bound_str(cons, line),
                 "ok": line.ok,
                 "detail": line.detail,
             }
@@ -430,6 +454,7 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
         ],
     }
     if args.pairs_out or args.with_pairs:
+        iv = cons.gamma_interval()
         gamma1 = RatInterval(-iv.hi, -iv.lo)
         aset = nearest_numerators(alpha, cons.s, gamma1=gamma1)
         doc["set"] = approx_set_json(aset)
@@ -648,15 +673,22 @@ def _reject_unknown_top_options(parser: argparse.ArgumentParser, argv: list[str]
         i += 1 if eq or action.nargs == 0 else 2
 
 
+# the parser main builds on its first call and reuses; argparse keeps no
+# state between parse_args calls
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
+    global _parser
     # denominators legitimately reach thousands of digits; decimal-string
     # output is part of the contract
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    _reject_unknown_top_options(parser, argv)
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    _reject_unknown_top_options(_parser, argv)
+    args = _parser.parse_args(argv)
     try:
         cfg = load_config(args)
         doc = args.handler(args, cfg)

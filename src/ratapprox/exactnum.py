@@ -102,6 +102,58 @@ def frac_str(x: Fraction) -> str:
     return num if x.denominator == 1 else f"{num}/{int_str(x.denominator)}"
 
 
+def _split_prime_power(d: int, p: int, guess: int) -> tuple[int, int]:
+    """(v, d // p**v) for d > 0 and v the exponent of the prime p in d.  Trial
+    exponents start at `guess` and double after a division, halve after a
+    miss, so a good guess takes one division by p**v."""
+    v, g = 0, max(guess, 1)
+    while g:
+        q, r = divmod(d, p**g)
+        if r:
+            g //= 2
+        else:
+            d, v, g = q, v + g, 2 * g
+    return v, d
+
+
+def offset_str(x: Fraction, sign: int, b: int) -> str:
+    """frac_str(x + sign * 10**-b) for sign = +-1 and b >= 0, without
+    converting a b-digit integer once b is past the size of x.
+
+    With x = a/d in lowest terms, i = v2(d), j = v5(d), m = max(i, j) and
+    d = 2**i * 5**j * d', every prime common to a*10**b + sign*d and d*10**b
+    divides 10, so for b > m the sum reduces to
+    (A*10**(b-m) + sign*d') / (d'*10**b) with A = a * 2**(m-i) * 5**(m-j).
+    Once d' < 10**(b-m), the numerator's digits are those of A (or A - 1)
+    joined to the b-m digits of d' (or of 10**(b-m) - d', mostly 9s), and
+    the denominator's are those of d' followed by b zeros.  Smaller b falls
+    back to the exact sum.
+    """
+    a, d = x.numerator, x.denominator
+    i = (d & -d).bit_length() - 1
+    j, rest = _split_prime_power(d >> i, 5, i)
+    m = max(i, j)
+    low = b - m  # digits the low block fills
+    rest_str = int_str(rest)
+    if len(rest_str) > low:  # also b <= m, where the reduction above fails
+        return frac_str(x + Fraction(sign, 10**b))
+    A = a * 2 ** (m - i) * 5 ** (m - j)
+    den = rest_str + "0" * b
+    if A == 0:
+        return f"{'-' if sign < 0 else ''}{rest_str}/{den}"
+    # |num| = |A|*10**low + sign*sign(A)*rest, and 0 < rest < 10**low
+    minus = "-" if A < 0 else ""
+    high = abs(A)
+    if (sign > 0) == (A > 0):
+        return f"{minus}{int_str(high)}{rest_str.zfill(low)}/{den}"
+    # (high - 1)*10**low + (10**low - rest); 10**low - rest is low - len(rest)
+    # nines followed by the len(rest) digits of 10**len(rest) - rest
+    width = len(rest_str)
+    block = "9" * (low - width) + int_str(10**width - rest).zfill(width)
+    head = int_str(high - 1) if high > 1 else ""
+    return f"{minus}{head}{block if head else block.lstrip('0')}/{den}"
+
+
 def _norm_sign(x: int) -> int:
     return 1 if x > 0 else (-1 if x < 0 else 0)
 
@@ -649,10 +701,15 @@ def enclose(x: RealTarget, width: Fraction) -> RatInterval:
     if kind.name == "rat":
         return RatInterval.point(x)
     # quadratic: (P + e sqrt(D))/Q with exact outward rounding of sqrt(D)
-    k = 1
+    # k is the least k = 1 (mod 8) with 10**k >= need (>= ceil(need), as
+    # 10**k is an integer), from a guess at or below it by the bit length
     need = Fraction(abs(x.e), x.Q) / width
-    while 10**k < need:
+    c = -(-need.numerator // need.denominator)
+    k = 1 + 8 * max(0, ((c.bit_length() - 1) * 30103 // 100000 - 1) // 8)
+    while 10**k < c:
         k += 8
+    while k > 1 and 10 ** (k - 8) >= c:
+        k -= 8
     # sqrt_bounds has width <= 10**-k, so the result's is <= |e|/(Q*10**k) <= width
     scaled = sqrt_bounds(x.D, k) * Fraction(x.e)
     return RatInterval((x.P + scaled.lo) / x.Q, (x.P + scaled.hi) / x.Q)

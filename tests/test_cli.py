@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import json
 import os
@@ -177,6 +178,81 @@ def test_blowup_is_reported(capsys):
     assert json.loads(out)["error"] == "BlowUp"
 
 
+# build-psi calls whose 10**-b tail puts b-digit numbers in the output (the
+# first is acceptance 6), as (argv, stdout bytes, stdout sha256)
+TAIL_PINS = {
+    "acceptance-6": (["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "exp:1", "--count", "3"],
+                     955_020, "d3d947b19cc6cda9e114d3bb2826a1c7ab90f2ea8d7641cc13b01a908202f8d8"),
+    "acceptance-6-pairs": (["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "exp:1",
+                            "--count", "3", "--with-pairs"],
+                           1_370_864,
+                           "e3e0db861e47de0835548127cd3997c45fb0ecfd550ac9bf31a7f747dfc56ed8"),
+    "exp-half": (["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "exp:1/2", "--count", "3"],
+                 901_751, "853b231453ba68f2401f78a5c76426911e015b1c361efbbd45f35296f25eef56"),
+    "budget-14850": (["--digit-budget", "14850", "build-psi", "--alpha", "quad:-8,1,67,1",
+                      "--psi", "exp:1/2", "--count", "2"],
+                     105_143, "c738e1bb6697728fc4f41795b07b4470bc173aa200cde57029a0f3be27ddb544"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAIL_PINS))
+def test_build_psi_tail_output_is_pinned(capsys, case):
+    argv, size, digest = TAIL_PINS[case]
+    code, out = run_cli(capsys, argv)
+    data = out.encode()
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (0, size, digest)
+
+
+def _fresh_cli(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ratapprox.__file__)))
+    child = subprocess.run([sys.executable, "-m", "ratapprox.cli", *argv], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    return child.returncode, child.stdout
+
+
+def test_main_reuses_its_parser_without_carrying_state(capsys):
+    # main builds its parser once per process: no call may see what an
+    # earlier one parsed, failed on or set
+    sequence = [
+        ["cf", "--alpha"],  # usage error, exit 2
+        GOLDEN["cf-phi"],
+        ["--digit-budget", "20", "build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "exp:1/2",
+         "--count", "2"],
+        GOLDEN["build-psi-exp"],
+        ["cf", "--alpha", "rat:1/0"],  # exit 1
+        GOLDEN["build-psi"],
+    ]
+    codes = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        assert (code, out) == _fresh_cli(argv), argv
+        codes.append(code)
+    assert codes == [2, 0, 0, 0, 1, 0]
+
+
+def test_importing_cli_builds_no_parser():
+    # the parser is built on main's first call, not at import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ratapprox.__file__)))
+    code = (
+        "import sys\n"
+        "calls = []\n"
+        "def seen(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == 'build_parser':\n"
+        "        calls.append(frame)\n"
+        "sys.setprofile(seen)\n"
+        "import ratapprox.cli\n"
+        "sys.setprofile(None)\n"
+        "print(len(calls), ratapprox.cli._parser)\n"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out == "0 None\n"
+
+
 def test_pairs_file_roundtrip(tmp_path, capsys):
     code, out = run_cli(capsys, ["line", "--a", "3", "--b", "7", "--d", "1",
                                   "--count", "8"])
@@ -293,6 +369,11 @@ REFUSALS = {
                                   "--width-digits must be >= 0"),
     "approx-fit-order-minus-1": (["approx-fit", "--alpha", "quad:-1,1,5,2", "--order", "-1",
                                   "--pairs", "{pairs}"], "order must be >= 0"),
+    # a dec: alpha whose a_0 straddles an integer: the flag is refused before
+    # the context, whose construction would fail on its own
+    "cf-dec-depth-0": (["cf", "--alpha", "dec:0.5±0.6", "--depth", "0"], "depth must be >= 1"),
+    "ostrowski-real-dec-depth-0": (["ostrowski-real", "--alpha", "dec:0.5±0.6", "--gamma",
+                                    "rat:0", "--depth", "0"], "depth must be >= 1"),
 }
 
 # convergents p_n/q_n of 1/phi, n = 1..8

@@ -27,9 +27,12 @@ from ratapprox.exactnum import (
     INT_STR_CUTOVER_BITS,
     exp_bounds,
     exp_le,
+    frac_str,
     int_str,
+    offset_str,
     qi_normalize,
     qi_pair,
+    sqrt_bounds,
     squarefree_decompose,
     surd_floor,
 )
@@ -205,6 +208,84 @@ def test_enclose_quadratic_matches_bisection_oracle():
         triple = minpoly_triple(x)
         if poly_sign(triple, iv.lo) and poly_sign(triple, iv.hi):
             assert poly_sign(triple, iv.lo) != poly_sign(triple, iv.hi)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    P=st.integers(-(10**60), 10**60),
+    e_digits=st.integers(0, 2500),
+    D=st.sampled_from([2, 3, 5, 7, 13, 991]),
+    Q=st.integers(1, 10**40),
+    w_num=st.integers(1, 10**6),
+    w_digits=st.integers(0, 3000),
+    seed=st.integers(0, 2**32),
+)
+@example(P=0, e_digits=0, D=5, Q=1, w_num=1, w_digits=0, seed=0)
+@example(P=0, e_digits=0, D=5, Q=1, w_num=10**6, w_digits=0, seed=0)
+def test_enclose_precision_is_the_stepping_loops(P, e_digits, D, Q, w_num, w_digits, seed):
+    # enclose finds its precision k from the size of |e|/(Q*width); it must be
+    # the k of the loop "k = 1; while 10**k < need: k += 8", so that every
+    # enclosure, and every output printed from one, stays the same
+    rnd = random.Random(seed)
+    e = rnd.randrange(1, 10 ** (e_digits + 1)) * rnd.choice((-1, 1))
+    x = qi_normalize(P, e, D, Q)
+    w = Fraction(w_num, 10**w_digits)
+    k, need = 1, Fraction(abs(x.e), x.Q) / w
+    while 10**k < need:
+        k += 8
+    scaled = sqrt_bounds(x.D, k) * Fraction(x.e)
+    assert enclose(x, w) == RatInterval((x.P + scaled.lo) / x.Q, (x.P + scaled.hi) / x.Q)
+
+
+def _prime_split(n: int, p: int) -> tuple[int, int]:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+@st.composite
+def _tail_sums(draw):
+    """(x, sign, b) for offset_str: heads of any sign whose denominators
+    carry 2- and 5-powers, some of them Q*10**k with 2,000+ digits (the
+    shape of enclose's ends), and b on both sides of the size of x past
+    which the digits are joined rather than summed."""
+    rnd = draw(st.randoms(use_true_random=False))
+    q = draw(st.integers(1, 10**30))
+    if draw(st.booleans()):
+        k = draw(st.integers(2000, 2400))
+        i, j = k + draw(st.integers(-3, 3)), k + draw(st.integers(-3, 3))
+    else:
+        i, j = draw(st.integers(0, 80)), draw(st.integers(0, 80))
+    d = q * 2**i * 5**j
+    a = rnd.getrandbits(draw(st.integers(0, d.bit_length() + 200)))
+    x = Fraction(draw(st.sampled_from((-1, 0, 1))) * a, d)
+    v2, rest = _prime_split(x.denominator, 2)
+    v5, rest = _prime_split(rest, 5)
+    b = max(0, max(v2, v5) + len(str(rest)) + draw(st.integers(-40, 40)))
+    return x, draw(st.sampled_from((-1, 1))), b
+
+
+@settings(deadline=None, max_examples=80)
+@given(case=_tail_sums())
+@example(case=(Fraction(0), 1, 0))
+@example(case=(Fraction(0), -1, 1))
+@example(case=(Fraction(1), -1, 1))
+@example(case=(Fraction(-1, 2), 1, 1))
+@example(case=(Fraction(7, 40), -1, 4))
+@example(case=(Fraction(7, 40), -1, 5))
+@example(case=(Fraction(1, 3), -1, 1))
+@example(case=(Fraction(-5, 3), 1, 1))
+def test_offset_str_is_the_printed_sum(case):
+    x, sign, b = case
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # offset_str needs no lifted limit, like int_str
+    try:
+        got = offset_str(x, sign, b)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert got == frac_str(x + Fraction(sign, 10**b))
 
 
 def test_enclose_phi_ten_thousandth():
@@ -492,11 +573,11 @@ RECORD_FIELDS = {cls: fields for cls, fields, _ in VALUE_TYPES} | {
     approx.ReportRow: {"r": 1, "s": 2, "residual": Fraction(1, 2), "scaled": Fraction(3, 2)},
     approx.DecayReport: {"order": 0, "rows": [], "window": 5, "rel_tolerance": Fraction(1, 1000),
                          "verdict": False, "note": "no verification pairs"},
-    approx.CertLine: {"k": 1, "s": 5, "route": "monotone", "bound": None, "ok": True,
-                      "detail": "s_k <= q_{n_k+1} and Psi decreasing"},
+    approx.CertLine: {"k": 1, "s": 5, "route": "monotone", "bound": None, "bound_head": None,
+                      "ok": True, "detail": "s_k <= q_{n_k+1} and Psi decreasing"},
     approx.PsiConstruction: {"alpha": INV_PHI, "psi": PsiSpec.power(2), "indices": [4],
                              "n_next": 8, "s": [5], "gamma_partial": Fraction(1, 3),
-                             "tail": Fraction(1, 10), "certificate": []},
+                             "tail": Fraction(1, 10), "tail_exponent": 1, "certificate": []},
     approx.LineFit: {"a": 1, "b": 2, "d": 3, "exceptions": 0},
     approx.GrowthProfile: {"classification": "linear", "ratios": [Fraction(2)],
                            "differences": [1]},
