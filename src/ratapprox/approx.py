@@ -260,16 +260,11 @@ def _solve_vandermonde(fit_pairs, alpha, order: int):
     ]
     rhs = [r - a_val * s for r, s in fit_pairs]
     n = order
+    # row i is [1, x_i, ..., x_i**(n-1)] with distinct x_i = 1/s_i, so every
+    # pivot and every multiplier f is a ratio of nonzero Vandermonde minors
     for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            raise SingularSystem("fit system is singular")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
         for i in range(col + 1, n):
             f = mat[i][col] / mat[col][col]
-            if f == 0:
-                continue
             mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
             rhs[i] = rhs[i] - rhs[col] * f
     gamma = [None] * n
@@ -293,6 +288,8 @@ def fit_coefficients(
     if order < 0:
         raise ValueError("order must be >= 0")
     pairs = sorted(pairs, key=lambda p: p[1])
+    if pairs and pairs[0][1] <= 0:
+        raise ValueError("denominators must be strictly increasing and positive")
     if len({s for _, s in pairs}) != len(pairs):
         raise SingularSystem("duplicate denominators")
     if len(pairs) < order + 2:
@@ -351,10 +348,6 @@ class PsiConstruction(Record):
         return RatInterval(*(head + sign * self.tail for head, sign in self.gamma_interval_ends()))
 
 
-def _digits10_lower(x: int) -> int:
-    return (x.bit_length() * 30103) // 100000
-
-
 def construct_psi(
     alpha: RealTarget,
     psi: PsiSpec,
@@ -375,7 +368,8 @@ def construct_psi(
     if ctx.a(0) != 0:
         raise ValueError("alpha must lie in (0, 1)")
 
-    # q >= q_blowup exactly when _digits10_lower(q) > digit_budget
+    # q is past the budget when its bit length times 0.30103, floored, exceeds
+    # digit_budget; q_blowup is the least such q, a power of two
     q_blowup = 1 << max(0, -(-(digit_budget + 1) * 100000 // 30103) - 1)
 
     def find_next(prev_n: int) -> int:
@@ -388,13 +382,13 @@ def construct_psi(
 
         def stop(m: int, qm: int) -> bool:
             return (
-                _digits10_lower(qm) > digit_budget
+                qm >= q_blowup
                 or qm >= hi_i
                 or (qm >= lo_i and psi.le_psi(Fraction(3, qm), t))
             )
 
         m = ctx.first_index(prev_n + 2, stop, min(lo_i, q_blowup))
-        if _digits10_lower(ctx.q(m)) > digit_budget:
+        if ctx.q(m) >= q_blowup:
             raise BlowUp(f"q_{m} exceeds the digit budget")
         return m
 

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import floor
 
 from .approx import (
     DEFAULT_DIGIT_BUDGET, DEFAULT_PREFIX_EXCEPTIONS, DEFAULT_REL_TOLERANCE, DEFAULT_WINDOW,
@@ -39,8 +40,8 @@ from .conic import (
     quad_detect,
 )
 from .errors import RatApproxError
-from .exactnum import (KINDS, ByValue, RatInterval, as_interval, frac_str, int_str, kind_of,
-                       offset_str)
+from .exactnum import (KINDS, ByValue, as_interval, frac_str, int_str, kind_of, offset_str,
+                       operand)
 from .ostrowski import (DEFAULT_PRECISION_DIGITS, delta_profile, dist_bound, dist_direct,
                         dist_formula, ostrowski_int, ostrowski_real)
 
@@ -161,23 +162,26 @@ def rat_str(x: Fraction) -> str:
     return frac_str(Fraction(x))
 
 
-def sci_str(x: Fraction, sig: int = 17) -> str:
-    """Deterministic scientific-notation rendering of an exact rational."""
-    x = Fraction(x)
+def sci_str(x, sig: int = 17) -> str:
+    """Deterministic scientific-notation rendering of an exact value (a
+    rational or a QuadIrr): its exponent is decided by exact comparisons with
+    powers of ten and its `sig` digits by an exact floor, rounding half up."""
     if x == 0:
         return "0"
     sign = "-" if x < 0 else ""
     ax = abs(x)
-    # log10(ax) from the bit lengths, within 2 of the exponent; the loops
-    # below make it exact
-    exp = (ax.numerator.bit_length() - ax.denominator.bit_length()) * 30103 // 100000
+    # log10 from the bit length of floor(ax) or of floor(1/ax), within 2 of
+    # the exponent; the loops below make it exact
+    if ax >= 1:
+        exp = floor(ax).bit_length() * 30103 // 100000
+    else:
+        exp = -(floor(1 / ax).bit_length() * 30103 // 100000) - 1
     ten = Fraction(10)
-    while ten**exp > ax:
+    while ax < ten**exp:
         exp -= 1
-    while ten ** (exp + 1) <= ax:
+    while ax >= ten ** (exp + 1):
         exp += 1
-    mant = ax * Fraction(10) ** (sig - 1 - exp)
-    digits = str((mant.numerator + mant.denominator // 2) // mant.denominator)
+    digits = str(floor(ax * ten ** (sig - 1 - exp) + Fraction(1, 2)))
     if len(digits) > sig:  # rounding overflow, e.g. 9.99 -> 10.0
         digits = digits[:sig]
         exp += 1
@@ -219,7 +223,8 @@ def report_json(rep: DecayReport) -> dict:
 
 
 def _approx_str(v) -> str:
-    return sci_str(as_interval(v, Fraction(1, 10**40)).mid)
+    # an exact value prints its own digits, an interval its midpoint
+    return sci_str(v if kind_of(v).exact else operand(v).mid)
 
 
 def report_csv(rep: DecayReport) -> str:
@@ -427,7 +432,8 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
     cons = construct_psi(
         alpha, parse_psi(args.psi), args.count, digit_budget=cfg.digit_budget
     )
-    lo, hi = (_tail_sum_str(cons, head, sign) for head, sign in cons.gamma_interval_ends())
+    ends = cons.gamma_interval_ends()
+    lo, hi = (_tail_sum_str(cons, head, sign) for head, sign in ends)
     doc = {
         "psi": cons.psi.to_json(),
         "alpha": target_json(alpha),
@@ -454,10 +460,10 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
         ],
     }
     if args.pairs_out or args.with_pairs:
-        iv = cons.gamma_interval()
-        gamma1 = RatInterval(-iv.hi, -iv.lo)
-        aset = nearest_numerators(alpha, cons.s, gamma1=gamma1)
-        doc["set"] = approx_set_json(aset)
+        # gamma_1 = -gamma: its ends are gamma's, negated and swapped
+        lo1, hi1 = (_tail_sum_str(cons, -head, -sign) for head, sign in reversed(ends))
+        doc["set"] = {**approx_set_json(nearest_numerators(alpha, cons.s)), "N": 1,
+                      "gamma": [{"kind": "interval", "value": {"lo": lo1, "hi": hi1}}]}
         if args.pairs_out:
             with open(args.pairs_out, "w", encoding="utf-8") as fh:
                 json.dump(doc["set"], fh, indent=2)

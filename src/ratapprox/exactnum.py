@@ -53,47 +53,14 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return f, core
 
 
-# int_str: str(n) is quadratic in the digit count; past this many bits the
-# binary halves are joined in exact decimal arithmetic instead, whose large
-# multiplications are subquadratic (the method of CPython 3.12's _pylong)
-INT_STR_CUTOVER_BITS = 1 << 15
-_INT_STR_LEAF_BITS = 2048
-# int_str's w -> Decimal(2**w) for the power-of-two widths w it splits at,
-# kept across calls; the values are exact, so no context changes them
-_DEC_POW2: dict[int, decimal.Decimal] = {}
-
-
 def int_str(n: int) -> str:
-    """str(n), in subquadratic time for large n and past the interpreter's
-    integer-to-string digit limit."""
-    if n.bit_length() <= INT_STR_CUTOVER_BITS:
-        try:
-            return str(n)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            pass
-    D = decimal.Decimal
-    powers = _DEC_POW2
-
-    def pow2(w: int) -> decimal.Decimal:
-        # w is a power of two
-        if w not in powers:
-            powers[w] = D(1 << w) if w <= _INT_STR_LEAF_BITS else pow2(w >> 1) * pow2(w >> 1)
-        return powers[w]
-
-    def to_decimal(m: int, w: int) -> decimal.Decimal:
-        # m < 2**w; the low part is the largest power-of-two width below w
-        if w <= _INT_STR_LEAF_BITS:
-            return D(m)
-        low = 1 << ((w - 1).bit_length() - 1)
-        hi = m >> low
-        return to_decimal(hi, w - low) * pow2(low) + to_decimal(m - (hi << low), low)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        digits = str(to_decimal(abs(n), n.bit_length()))
-    return "-" + digits if n < 0 else digits
+    """str(n), also past the interpreter's integer-to-string digit limit."""
+    try:
+        return str(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        # Decimal's constructor ignores that limit and converts an int
+        # exactly, whatever the context's precision
+        return str(decimal.Decimal(n))
 
 
 def frac_str(x: Fraction) -> str:

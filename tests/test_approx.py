@@ -73,6 +73,11 @@ def test_fit_preconditions():
         fit_coefficients([(1, 1), (2, 2), (3, 3)], Fraction(1), 2)
     with pytest.raises(SingularSystem):
         fit_coefficients([(1, 2), (2, 2), (3, 5), (4, 7)], Fraction(1, 2), 1)
+    # a denominator below 1 is refused before any fitting
+    message = r"^denominators must be strictly increasing and positive$"
+    for pairs in ([(0, 0), (1, 1), (2, 2), (3, 3)], [(1, -3), (1, 1), (2, 2), (3, 3)]):
+        with pytest.raises(ValueError, match=message):
+            fit_coefficients(pairs, PHI, 2)
 
 
 def test_verify_order_golden_pass_and_fail():

@@ -14,16 +14,16 @@ import pytest
 from jsonschema import Draft7Validator
 
 import ratapprox
-from ratapprox.approx import (ApproxSet, construct_psi, detect_line, fit_coefficients,
-                              verify_order)
+from ratapprox.approx import (ApproxSet, PsiConstruction, construct_psi, detect_line,
+                              fit_coefficients, nearest_numerators, verify_order)
 from ratapprox.cf import CFContext
 from ratapprox.conic import periodic_construction, quad_detect
 from ratapprox.ostrowski import delta_profile, ostrowski_real
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratapprox.cli import (Config, approx_set_json, load_approx_set, main, parse_target,
-                           schema_path, sci_str, target_json, value_from_json)
+from ratapprox.cli import (Config, approx_set_json, load_approx_set, main, parse_psi,
+                           parse_target, schema_path, sci_str, target_json, value_from_json)
 from ratapprox.exactnum import KINDS, Certified, RatInterval, qi_normalize
 
 GOLDEN = {
@@ -201,6 +201,51 @@ def test_build_psi_tail_output_is_pinned(capsys, case):
     code, out = run_cli(capsys, argv)
     data = out.encode()
     assert (code, len(data), hashlib.sha256(data).hexdigest()) == (0, size, digest)
+
+
+# build-psi calls with --pairs-out, as (argv, stdout bytes and sha256, file
+# bytes and sha256); exp:1 writes gamma_1 with 100,000-digit ends
+PAIRS_OUT_PINS = {
+    "exp": (["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "exp:1", "--count", "3"],
+            1_370_864, "e3e0db861e47de0835548127cd3997c45fb0ecfd550ac9bf31a7f747dfc56ed8",
+            415_766, "35d2fabf30f7659ea0d820be0197ec7c7792d55f7e1f9469e5be58436df8277e"),
+    "power": (["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "power:3", "--count", "3"],
+              2_553, "170ba65469ab04a25742608156c4245b86ea492f22aa6f7da705479b0b1d36ad",
+              752, "1f03106ac5aa5157b16b035de1563d2b938809ce8402b5bbcfcffbd97ffd6698"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIRS_OUT_PINS))
+def test_build_psi_pairs_out_is_pinned(tmp_path, capsys, case):
+    argv, out_size, out_digest, file_size, file_digest = PAIRS_OUT_PINS[case]
+    path = tmp_path / "pairs.json"
+    code, out = run_cli(capsys, [*argv, "--pairs-out", str(path)])
+    data, written = out.encode(), path.read_bytes()
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (0, out_size, out_digest)
+    assert (len(written), hashlib.sha256(written).hexdigest()) == (file_size, file_digest)
+
+
+@pytest.mark.parametrize("budget, alpha, psi, count", [
+    (3000, "quad:-1,1,5,2", "exp:1", 2),
+    (100_000, "quad:-1,1,5,2", "power:3", 3),
+    (100_000, "dec:0.6180339887498948482045868343656381177203±1e-40", "power:2", 2),
+], ids=["exp", "power", "dec"])
+def test_build_psi_pairs_print_gamma1_without_the_exact_interval(capsys, monkeypatch, budget,
+                                                                 alpha, psi, count):
+    # the set's gamma_1 is -gamma_interval(), printed without forming it
+    cons = construct_psi(parse_target(alpha), parse_psi(psi), count, digit_budget=budget)
+    iv = cons.gamma_interval()
+    expected = approx_set_json(nearest_numerators(cons.alpha, cons.s,
+                                                  gamma1=RatInterval(-iv.hi, -iv.lo)))
+
+    def refuse(self):
+        raise AssertionError("gamma_interval called")
+
+    monkeypatch.setattr(PsiConstruction, "gamma_interval", refuse)
+    code, out = run_cli(capsys, ["--digit-budget", str(budget), "build-psi", "--alpha", alpha,
+                                 "--psi", psi, "--count", str(count), "--with-pairs"])
+    assert code == 0, out
+    assert json.loads(out)["set"] == expected
 
 
 def _fresh_cli(argv):
@@ -498,6 +543,57 @@ def test_sci_str_huge_operands():
     assert sci_str(Fraction(-den, num), sig=3) == "-4.29e-11"
     assert sci_str(Fraction(10**100_000 - 1, 10**100_000), sig=4) == "1.000e+00"
     assert sci_str(Fraction(1, 10**100_000 + 1), sig=2) == "1.0e-100000"
+
+
+def _sci17(v) -> str:
+    # v to 17 significant digits, rounded half up, from mpmath at high precision
+    exp = int(mpmath.floor(mpmath.log10(abs(v))))
+    digits = str(int(mpmath.floor(abs(v) * mpmath.mpf(10) ** (16 - exp) + mpmath.mpf(1) / 2)))
+    if len(digits) > 17:
+        digits, exp = digits[:17], exp + 1
+    return f"{'-' if v < 0 else ''}{digits[0]}.{digits[1:]}e{exp:+03d}"
+
+
+def test_report_residuals_print_their_own_digits(tmp_path, capsys):
+    # residuals down to 1e-97: a point of a 1e-40 enclosure would print
+    # digits that are not the residual's
+    code, out = run_cli(capsys, ["conic-orbit", "--form", "1,-1,-1", "--d", "1", "--count", "60"])
+    pairs_file = tmp_path / "orbit.json"
+    pairs_file.write_text(out)
+    code, out = run_cli(capsys, ["approx-fit", "--alpha", "quad:1,1,5,2", "--order", "2",
+                                 "--pairs", str(pairs_file)])
+    assert code == 0
+    doc = json.loads(out)
+    with mpmath.workdps(400):
+        def real(g):
+            v = g["value"]
+            return (int(v["P"]) + int(v["e"]) * mpmath.sqrt(int(v["D"]))) / int(v["Q"])
+
+        alpha = (1 + mpmath.sqrt(5)) / 2
+        g1, g2 = (real(g) for g in doc["set"]["gamma"])
+        rows = doc["report"]["rows"]
+        assert len(rows) == 58
+        for row in rows:
+            r, s = int(row["r"]), int(row["s"])
+            rho = mpmath.mpf(r) / s - alpha - g1 / s - g2 / mpmath.mpf(s) ** 2
+            assert row["residual"] == _sci17(rho), row
+            assert row["scaled_residual"] == _sci17(abs(rho) * (abs(r) + abs(s)) ** 2), row
+    assert rows[-1]["residual"] == "-1.9311976239713168e-97"
+    assert rows[-1]["scaled_residual"] == "8.0898377798957504e-49"
+
+
+@pytest.mark.parametrize("pairs, order", [
+    ([[0, 0], [1, 1], [2, 2], [3, 3], [5, 8]], 1),
+    ([[0, 0], [1, 1], [2, 2], [3, 3], [5, 8]], 2),
+    ([[-1, -3], [1, 1], [2, 2], [3, 3], [5, 8]], 1),
+], ids=["zero-order1", "zero-order2", "negative"])
+def test_approx_fit_refuses_denominators_below_one(tmp_path, capsys, pairs, order):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(pairs))
+    code, out = run_cli(capsys, ["approx-fit", "--alpha", "quad:1,1,5,2", "--order", str(order),
+                                 "--pairs", str(path)])
+    assert (code, json.loads(out)) == (1, {
+        "error": "ValueError", "message": "denominators must be strictly increasing and positive"})
 
 
 def test_build_psi_pairs_out_verifies(tmp_path, capsys):

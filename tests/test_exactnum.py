@@ -24,7 +24,6 @@ from ratapprox.exactnum import (
     LN10_LO,
     RatInterval,
     enclose,
-    INT_STR_CUTOVER_BITS,
     exp_bounds,
     exp_le,
     frac_str,
@@ -412,9 +411,13 @@ def test_exp_bounds_endpoints_stay_short(x, digits):
         assert end.denominator.bit_length() <= limit
 
 
+# 2**15 bits (about 9,900 digits): the draws and examples probe each side
+_MID_BITS = 1 << 15
+
+
 @st.composite
 def _big_ints(draw):
-    cut = INT_STR_CUTOVER_BITS
+    cut = _MID_BITS
     bits = draw(st.one_of(st.integers(cut - 70, cut + 70), st.integers(0, 400_000)))
     n = draw(st.randoms(use_true_random=False)).getrandbits(bits) | (1 << bits >> 1)
     return -n if draw(st.booleans()) else n
@@ -424,9 +427,9 @@ def _big_ints(draw):
 @given(n=_big_ints())
 @example(n=0)
 @example(n=-1)
-@example(n=(1 << INT_STR_CUTOVER_BITS) - 1)
-@example(n=1 << INT_STR_CUTOVER_BITS)
-@example(n=-(1 << INT_STR_CUTOVER_BITS))
+@example(n=(1 << _MID_BITS) - 1)
+@example(n=1 << _MID_BITS)
+@example(n=-(1 << _MID_BITS))
 @example(n=(1 << 400_000) - 1)
 @example(n=-(10**120_000))
 def test_int_str_equals_str(n):
@@ -438,10 +441,8 @@ def test_int_str_equals_str(n):
         sys.set_int_max_str_digits(saved)
 
 
-# int_str splits at power-of-two widths: probe each side of those splits, of
-# the leaf width and of the cutover
-_GRID_BITS = sorted({w + d for w in [1 << k for k in range(10, 19)] + [INT_STR_CUTOVER_BITS]
-                     for d in (-1, 0, 1)})
+# each side of the powers of two from 2**10 to 2**18 bits
+_GRID_BITS = sorted({w + d for w in [1 << k for k in range(10, 19)] for d in (-1, 0, 1)})
 
 
 @settings(deadline=None, max_examples=25)
@@ -452,8 +453,8 @@ _GRID_BITS = sorted({w + d for w in [1 << k for k in range(10, 19)] + [INT_STR_C
     limit=st.sampled_from([0, 640, 4300]),
 )
 def test_int_str_across_calls_and_digit_limits(widths, seed, limit):
-    # the powers of two that int_str keeps between calls are reused by
-    # numbers of other sizes and under another digit limit
+    # numbers of several sizes in a row, under a digit limit that str(n)
+    # may exceed
     rnd = random.Random(seed)
     saved = sys.get_int_max_str_digits()
     try:
@@ -466,7 +467,6 @@ def test_int_str_across_calls_and_digit_limits(widths, seed, limit):
             assert int_str(n) == expected
     finally:
         sys.set_int_max_str_digits(saved)
-    assert all(w & (w - 1) == 0 for w in exactnum._DEC_POW2)
 
 
 def _digit_string_int(digits: str) -> int:
@@ -483,8 +483,7 @@ def _digit_string_int(digits: str) -> int:
 @pytest.mark.parametrize("ndigits", [5_000, 12_000])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_int_str_under_default_digit_limit(ndigits, sign):
-    # 5,000 digits is below INT_STR_CUTOVER_BITS, where str would refuse
-    # it; 12,000 digits is above, on the decimal path
+    # str refuses both sizes under the default limit
     digits = ("7" + "1234567890" * ndigits)[:ndigits]
     n = sign * _digit_string_int(digits)
     expected = digits if sign > 0 else "-" + digits
