@@ -31,10 +31,12 @@ from .exactnum import (
     exp_bounds,
     exp_exceeds_pow10,
     exp_le,
+    exp_le_inverse_sum,
     frac_str,
     int_str,
     kind_of,
     operand,
+    pow10_cmp,
     pow10_exponent_below_exp,
     rational,
 )
@@ -133,12 +135,16 @@ class PsiSpec(ByValue):
             return self._table_value(t)
         return None
 
-    def le_psi(self, v: Fraction, t: int) -> bool:
-        """Decide v <= Psi(t) exactly."""
+    def le_psi(self, v: Fraction, t: int, tail_exponent: int | None = None) -> bool:
+        """Decide v <= Psi(t) exactly; with tail_exponent b, decide
+        v + 10**-b <= Psi(t) without forming 10**-b."""
+        b = tail_exponent
         exact = self.exact_value(t)
         if exact is not None:
-            return v <= exact
-        return exp_le(self.c * t, 1 / Fraction(v))
+            return v <= exact if b is None else pow10_cmp(exact - v, b) >= 0
+        if b is None:
+            return exp_le(self.c * t, 1 / Fraction(v))
+        return exp_le_inverse_sum(self.c * t, v, b)
 
     def numeric_feasible(self, t: int) -> bool:
         """Whether le_psi at argument t is computationally reasonable."""
@@ -197,7 +203,8 @@ class DecayReport(Record):
     PASS means the trailing `window` scaled values are non-increasing and
     the final one falls below the tolerance, which is `rel_tolerance` times
     the first scaled residual of the report; an all-zero trailing window
-    passes outright.  `note` says which rule decided the verdict.
+    passes outright.  Exact values are compared exactly, intervals by their
+    upper ends.  `note` says which rule decided the verdict.
     """
 
     __slots__ = ("order", "rows", "window", "rel_tolerance", "verdict", "note")
@@ -207,11 +214,17 @@ class DecayReport(Record):
         return self.verdict
 
 
+def _upper(v):
+    """A scaled residual as the verdict compares it: an exact value itself,
+    an interval by its upper end."""
+    return v if kind_of(v).exact else v.hi
+
+
 def _window_verdict(values: list, window: int, rel_tol: Fraction) -> tuple[bool, str]:
     if not values:
         return False, "no verification pairs"
     w = values[-min(window, len(values)):]
-    uppers = [as_interval(v, _TIGHT).hi for v in w]
+    uppers = [_upper(v) for v in w]
     if all(u == 0 for u in uppers):
         return True, "scaled residuals identically zero on the window"
     for a, b in zip(uppers, uppers[1:]):
@@ -220,7 +233,7 @@ def _window_verdict(values: list, window: int, rel_tol: Fraction) -> tuple[bool,
     if uppers[-1] == 0:
         return True, "scaled residuals reach exact zero"
     # the threshold is relative to the first scaled residual of the report
-    tol = rel_tol * as_interval(values[0], _TIGHT).hi
+    tol = rel_tol * _upper(values[0])
     if uppers[-1] < tol:
         return True, f"final scaled residual below {rel_tol} of the first"
     return False, "final scaled residual above tolerance"
@@ -318,9 +331,19 @@ class CertLine(Record):
     Psi(s_k)) or "monotone" (bound None: Psi is decreasing and s_k <=
     q_{n_k+1}); `bound_head` is bound - tail when the bound is the sum of
     the remaining digit bounds and the construction's tail, else None; `ok`
-    is the verdict and `detail` the checks it rests on."""
+    is the verdict and `detail` the checks it rests on.
 
-    __slots__ = ("k", "s", "route", "bound", "bound_head", "ok", "detail")
+    When that tail is 10**-b, `tail_exponent` is b, `_bound` is None and
+    `bound` forms bound_head + 10**-b when read; else `tail_exponent` is
+    None and `bound` is `_bound`."""
+
+    __slots__ = ("k", "s", "route", "_bound", "bound_head", "tail_exponent", "ok", "detail")
+
+    @property
+    def bound(self) -> Fraction | None:
+        if self.tail_exponent is None:
+            return self._bound
+        return self.bound_head + Fraction(1, 10**self.tail_exponent)
 
 
 class PsiConstruction(Record):
@@ -328,11 +351,20 @@ class PsiConstruction(Record):
     support over D_n; n_next, the next index or None past the digit
     budget; the denominators s_1..s_K; gamma_partial = sum_k D_{n_k}, an
     exact field element (a RatInterval for a certified alpha); the rational
-    bound `tail` on the rest of gamma, and b when tail = 10**-b (else None);
-    and one CertLine per pair."""
+    bound `tail` on the rest of gamma; and one CertLine per pair.
 
-    __slots__ = ("alpha", "psi", "indices", "n_next", "s", "gamma_partial", "tail",
+    When the tail is 10**-b, `tail_exponent` is b, `_tail` is None and `tail`
+    forms 10**-b when read; else `tail_exponent` is None and `tail` is
+    `_tail`."""
+
+    __slots__ = ("alpha", "psi", "indices", "n_next", "s", "gamma_partial", "_tail",
                  "tail_exponent", "certificate")
+
+    @property
+    def tail(self) -> Fraction:
+        if self.tail_exponent is None:
+            return self._tail
+        return Fraction(1, 10**self.tail_exponent)
 
     @property
     def certified(self) -> bool:
@@ -427,8 +459,9 @@ def _package(
         partials.append(partial)
     gamma_partial = partials[-1]
 
+    # the tail is the rational `tail`, or 10**-b0 kept as its exponent b0
     t_last = ctx.q(indices[-1] + 1)
-    b0 = None
+    tail = b0 = None
     if n_next is not None:
         tail = 2 * ctx.d_abs_upper(n_next)
     else:
@@ -437,7 +470,6 @@ def _package(
             tail = Fraction(2, 3) * exact_psi
         else:
             b0 = psi.tail_cap_exponent(t_last, digit_budget)
-            tail = Fraction(1, 10**b0)
 
     # heads[k-1] bounds |sum_{k<m<=K} D_{n_m}|, so heads[k-1] + tail bounds
     # the remainder of gamma past n_k
@@ -458,12 +490,21 @@ def _package(
             detail = "s_k*alpha - partial_k integral; " if integral else "DRIFT NOT INTEGRAL; "
         next_idx = indices[k] if k < K else n_next
         if next_idx is not None and psi.numeric_feasible(s_k):
+            # the bound is min(cap, head + tail)
             cap = Fraction(3, ctx.q(next_idx + 1))
             head = heads[k - 1]
-            remainder = head + tail
-            bound, bound_head = (cap, None) if cap <= remainder else (remainder, head)
-            ok = psi.le_psi(bound, s_k)
-            certificate.append(CertLine(k, s_k, "numeric", bound, bound_head, ok,
+            line_b = None
+            if b0 is None:
+                remainder = head + tail
+                bound, bound_head = (cap, None) if cap <= remainder else (remainder, head)
+                ok = psi.le_psi(bound, s_k)
+            elif pow10_cmp(cap - head, b0) <= 0:  # cap <= head + 10**-b0
+                bound, bound_head = cap, None
+                ok = psi.le_psi(cap, s_k)
+            else:
+                bound, bound_head, line_b = None, head, b0
+                ok = psi.le_psi(head, s_k, b0)
+            certificate.append(CertLine(k, s_k, "numeric", bound, bound_head, line_b, ok,
                                         detail + "bound <= Psi(s_k)"))
             continue
         # monotone route: ||s_k alpha - gamma|| <= 3/q_{n_{k+1}} <= Psi(q_{n_k+1})
@@ -475,6 +516,7 @@ def _package(
                 k,
                 s_k,
                 "monotone",
+                None,
                 None,
                 None,
                 ok,

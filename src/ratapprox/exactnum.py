@@ -757,19 +757,56 @@ def exp_bounds(x: Fraction, digits: int) -> RatInterval:
     return RatInterval(_exp_fixed(n, f, prec, False), _exp_fixed(n, f, prec, True))
 
 
+def _exp_le_by(x: Fraction, le) -> bool:
+    """Decide exp(x) <= B exactly, where le(y) decides y <= B for rationals
+    y > 0 (terminates for x != 0: exp(x) is then irrational)."""
+    digits = 30
+    while True:
+        iv = exp_bounds(x, digits)
+        if le(iv.hi):
+            return True
+        if not le(iv.lo):
+            return False
+        digits *= 2
+
+
 def exp_le(x: Fraction, bound: Fraction) -> bool:
     """Decide exp(x) <= bound exactly (terminates: exp(x) is irrational)."""
     x, bound = rational(x), rational(bound)
     if bound <= 0:
         return False
-    digits = 30
-    while True:
-        iv = exp_bounds(x, digits)
-        if iv.hi <= bound:
-            return True
-        if iv.lo > bound:
-            return False
-        digits *= 2
+    return _exp_le_by(x, lambda y: y <= bound)
+
+
+def exp_le_inverse_sum(x: Fraction, head: Fraction, b: int) -> bool:
+    """Decide exp(x) <= 1/(head + 10**-b) exactly, for head >= 0 and b >= 0,
+    without forming 10**-b: y <= 1/(head + 10**-b) is 10**-b <= 1/y - head."""
+    return _exp_le_by(rational(x), lambda y: pow10_cmp(1 / y - head, b) >= 0)
+
+
+def _pow10_screen(bits: int, b: int) -> int:
+    """sign(u - 10**-b) for a rational u = n/d > 0 with bits = the bit length
+    of n minus that of d, when the bit lengths settle it; else 0.
+
+    log2(u) lies strictly between bits - 1 and bits + 1, and
+    3.321928 < log2(10) < 3.321929, so log2(u * 10**b) lies strictly between
+    bits - 1 + floor(3.321928 b) and bits + 1 + ceil(3.321929 b).
+    """
+    if bits - 1 + 3321928 * b // 1000000 >= 0:
+        return 1
+    if bits + 1 - (-3321929 * b // 1000000) <= 0:
+        return -1
+    return 0
+
+
+def pow10_cmp(u: Fraction, b: int) -> int:
+    """sign(u - 10**-b) for b >= 0, exactly.  Bit lengths decide it unless u
+    lies within a factor of 4 * 2**(b/10**6) of 10**-b; only then is
+    10**b formed, to compare u's numerator times it with its denominator."""
+    n, d = u.numerator, u.denominator
+    if n <= 0:
+        return -1
+    return _pow10_screen(n.bit_length() - d.bit_length(), b) or _norm_sign(n * 10**b - d)
 
 
 def exp_exceeds_pow10(x: Fraction, b: int) -> bool:

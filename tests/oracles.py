@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, isqrt
 
+from ratapprox.cf import CFContext
 from ratapprox.errors import GammaOnOrbit, OutOfRegime, PrecisionExhausted
 from ratapprox.exactnum import (
     Certified,
@@ -321,3 +322,31 @@ def dist_formula_terms(profile, ctx) -> list:
         denom = (ctx.zeta(n + 1) + ctx.xi(n)) * ctx.q(n)
         terms.append(((-1) ** n * d) / denom)
     return terms
+
+
+def psi_certificate_reference(cons, digit_budget: int):
+    """The tail and each certificate line's (route, ok, bound, bound_head) of
+    the Psi construction `cons`, recomputed by exact Fraction sums with the
+    tail 10**-b formed: the route approx._package took before it kept b apart.
+    Psi comparisons go through PsiSpec.le_psi on the formed sum."""
+    ctx, psi, indices = CFContext(cons.alpha), cons.psi, cons.indices
+    s_list = [sum(ctx.q(n) for n in indices[:k]) for k in range(1, len(indices) + 1)]
+    t_last = ctx.q(indices[-1] + 1)
+    if cons.n_next is not None:
+        tail = 2 * ctx.d_abs_upper(cons.n_next)
+    elif psi.exact_value(t_last) is not None:
+        tail = Fraction(2, 3) * psi.exact_value(t_last)
+    else:
+        tail = Fraction(1, 10**psi.tail_cap_exponent(t_last, digit_budget))
+    lines = []
+    for k, s_k in enumerate(s_list, start=1):
+        next_idx = indices[k] if k < len(indices) else cons.n_next
+        if next_idx is None or not psi.numeric_feasible(s_k):
+            lines.append(("monotone", s_k <= ctx.q(indices[k - 1] + 1), None, None))
+            continue
+        cap = Fraction(3, ctx.q(next_idx + 1))
+        head = sum((ctx.d_abs_upper(n) for n in indices[k:]), Fraction(0))
+        remainder = head + tail
+        bound, bound_head = (cap, None) if cap <= remainder else (remainder, head)
+        lines.append(("numeric", psi.le_psi(bound, s_k), bound, bound_head))
+    return tail, lines

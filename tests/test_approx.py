@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
@@ -18,9 +19,10 @@ from ratapprox.approx import (
 )
 from ratapprox.cf import CFContext
 from ratapprox.errors import BlowUp, InsufficientPairs, PrecisionExhausted, SingularSystem
-from ratapprox.exactnum import Certified, QuadIrr, RatInterval, enclose, qi_normalize
+from ratapprox.exactnum import (Certified, QuadIrr, RatInterval, enclose, exp_bounds,
+                                qi_normalize)
 
-from oracles import convergent_pairs, quad_cf_digits
+from oracles import convergent_pairs, psi_certificate_reference, quad_cf_digits
 
 PHI = qi_normalize(1, 1, 5, 2)
 INV_PHI = qi_normalize(-1, 1, 5, 2)
@@ -130,6 +132,63 @@ def test_construct_psi_gamma_interval():
     iv = cons.gamma_interval()
     assert iv.overlaps(enclose(partial, Fraction(1, 10**30)))
     assert iv.width < Fraction(1, 10**4)
+
+
+def _unit_quadratic(rng) -> QuadIrr:
+    """frac(sqrt(D)/Q) for a random non-square D and Q in 1..3."""
+    D = rng.choice([d for d in range(2, 300) if isqrt(d) ** 2 != d])
+    Q = rng.randint(1, 3)
+    return qi_normalize(-Q * (isqrt(D) // Q), 1, D, Q)
+
+
+def _certificate_routes(alpha, psi, count: int, budget: int) -> set:
+    """Check one construction, or the partial one of its BlowUp, against the
+    exact Fraction route; return its lines' (tail is 10**-b, route, bound is
+    the cap) triples."""
+    try:
+        cons = construct_psi(alpha, psi, count, digit_budget=budget)
+    except BlowUp as exc:
+        cons = exc.partial
+    tail, lines = psi_certificate_reference(cons, budget)
+    assert cons.tail == tail
+    assert [(line.route, line.ok, line.bound, line.bound_head)
+            for line in cons.certificate] == lines
+    return {(cons.tail_exponent is not None, line.route, line.bound_head is None)
+            for line in cons.certificate}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_construct_psi_certificate_matches_the_exact_fraction_route(seed):
+    # the tail 10**-b is kept as b through the certificate; every line and
+    # the tail equal those of the exact Fraction sums with 10**-b formed
+    rng = random.Random(seed)
+    routes = set()
+    for budget in (50, 300, 3000, 30_000):
+        alpha = _unit_quadratic(rng)
+        psi = PsiSpec.exp_decay(Fraction(rng.randint(1, 40), rng.randint(1, 12)))
+        for count in (1, 2, 3):
+            routes |= _certificate_routes(alpha, psi, count, budget)
+    # every seed reaches a bound of the form head + 10**-b
+    assert (True, "numeric", False) in routes
+
+
+@pytest.mark.parametrize("psi", [PsiSpec.exp_decay(Fraction(7, 3)), PsiSpec.power(3)],
+                         ids=["exp", "power"])
+@pytest.mark.parametrize("b", [1, 12, 45])
+def test_le_psi_with_tail_exponent_is_the_formed_sum(psi, b):
+    # heads on both sides of Psi(t) - 10**-b, where v and v + 10**-b part
+    t, ten = 11, Fraction(1, 10**b)
+    value = psi.exact_value(t) or exp_bounds(-psi.c * t, b + 20).mid
+    for v in (Fraction(0), value - ten - ten / 2, value - ten / 2, value - 2 * ten, value):
+        if v >= 0:
+            assert psi.le_psi(v, t, b) == psi.le_psi(v + ten, t), v
+
+
+def test_construct_psi_certificate_takes_the_cap_below_head_plus_ten_power():
+    # frac(8 sqrt 2) with exp:34/171: 3/q_{n_2+1} <= head + 10**-300 on line 1
+    routes = _certificate_routes(qi_normalize(-11, 8, 2, 1), PsiSpec.exp_decay(Fraction(34, 171)),
+                                 2, 300)
+    assert (True, "numeric", True) in routes
 
 
 def test_construct_psi_blowup_carries_partial():

@@ -1,7 +1,10 @@
 import ast
+import contextlib
 import hashlib
 import inspect
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,10 +17,11 @@ import pytest
 from jsonschema import Draft7Validator
 
 import ratapprox
-from ratapprox.approx import (ApproxSet, PsiConstruction, construct_psi, detect_line,
+from ratapprox.approx import (ApproxSet, CertLine, PsiConstruction, construct_psi, detect_line,
                               fit_coefficients, nearest_numerators, verify_order)
 from ratapprox.cf import CFContext
 from ratapprox.conic import periodic_construction, quad_detect
+from ratapprox.errors import BlowUp
 from ratapprox.ostrowski import delta_profile, ostrowski_real
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,6 +250,92 @@ def test_build_psi_pairs_print_gamma1_without_the_exact_interval(capsys, monkeyp
                                  "--psi", psi, "--count", str(count), "--with-pairs"])
     assert code == 0, out
     assert json.loads(out)["set"] == expected
+
+
+def _refuse_ten_power(monkeypatch, cls, name):
+    """Make cls.name raise where it would form 10**-b from tail_exponent."""
+    read = getattr(cls, name).fget
+
+    def refuse(self):
+        if self.tail_exponent is not None:
+            raise AssertionError(f"{cls.__name__}.{name} formed 10**-{self.tail_exponent}")
+        return read(self)
+
+    monkeypatch.setattr(cls, name, property(refuse))
+
+
+@pytest.fixture
+def refuse_ten_power(monkeypatch):
+    _refuse_ten_power(monkeypatch, PsiConstruction, "tail")
+    _refuse_ten_power(monkeypatch, CertLine, "bound")
+
+
+@pytest.mark.parametrize("case", ["acceptance-6", "acceptance-6-pairs", "budget-14850"])
+def test_build_psi_never_forms_the_ten_power_tail(capsys, refuse_ten_power, case):
+    # the CLI prints head +- 10**-b by digit assembly, so neither the lazy
+    # tail nor a lazy certificate bound is read on the exp tail route
+    argv, size, digest = TAIL_PINS[case]
+    code, out = run_cli(capsys, argv)
+    data = out.encode()
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (0, size, digest)
+    doc = json.loads(out)
+    assert any(line["route"] == "numeric" for line in doc["certificate"])
+
+
+def test_build_psi_blowup_never_forms_the_ten_power_tail(capsys, refuse_ten_power):
+    # the BlowUp's partial construction caps its tail at 10**-100000 too,
+    # and keeps only the exponent
+    code, out = run_cli(capsys, ["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "exp:1000000",
+                                 "--count", "2"])
+    assert (code, json.loads(out)["error"]) == (1, "BlowUp")
+    with pytest.raises(BlowUp) as exc:
+        construct_psi(parse_target("quad:-1,1,5,2"), parse_psi("exp:1000000"), 2)
+    assert (exc.value.partial.tail_exponent, exc.value.partial._tail) == (100_000, None)
+
+
+def _unit_quad(D: int, Q: int) -> str:
+    """frac(sqrt(D)/Q) as a quad: target (rational when D is a square)."""
+    return f"quad:{-Q * (math.isqrt(D) // Q)},1,{D},{Q}"
+
+
+# valid flags, of which one in about half the draws is replaced by a value
+# that the library or the parser refuses
+_FUZZ_VALID = st.fixed_dictionaries({
+    "--alpha": st.builds(_unit_quad, st.integers(2, 400), st.integers(1, 4)),
+    "--psi": st.one_of(st.builds("exp:{}/{}".format, st.integers(1, 3000), st.integers(1, 1000)),
+                       st.builds("power:{}".format, st.integers(1, 5))),
+    "--count": st.integers(1, 3),
+    "--digit-budget": st.integers(1, 3000),
+})
+_FUZZ_BAD = st.one_of(
+    st.integers(-2, 0), st.just("two"),
+    st.builds("quad:{},{},{},{}".format, st.integers(-9, 9), st.integers(-3, 3),
+              st.integers(-2, 40), st.integers(-3, 4)),
+    st.sampled_from(["exp:0", "exp:-1/2", "exp:1/0", "power:0", "power:x", "rat:1/2"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flags=_FUZZ_VALID, pairs=st.booleans(), bad=st.none() | st.tuples(
+    st.sampled_from(["--alpha", "--psi", "--count", "--digit-budget"]), _FUZZ_BAD))
+def test_build_psi_fuzz_answers_with_one_json_document(flags, pairs, bad):
+    if bad is not None:
+        flags = {**flags, bad[0]: bad[1]}
+    argv = ["--digit-budget", str(flags["--digit-budget"]), "build-psi",
+            *(f"{flag}={flags[flag]}" for flag in ("--alpha", "--psi", "--count")),
+            *(["--with-pairs"] if pairs else [])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "" and "usage:" in err.getvalue()
+    else:
+        doc = json.loads(out.getvalue())  # exactly one document
+        assert ("error" in doc) == (code == 1), argv
 
 
 def _fresh_cli(argv):
@@ -580,6 +670,25 @@ def test_report_residuals_print_their_own_digits(tmp_path, capsys):
             assert row["scaled_residual"] == _sci17(abs(rho) * (abs(r) + abs(s)) ** 2), row
     assert rows[-1]["residual"] == "-1.9311976239713168e-97"
     assert rows[-1]["scaled_residual"] == "8.0898377798957504e-49"
+
+
+def test_order_verdict_compares_exact_scaled_residuals_exactly(tmp_path, capsys):
+    # the last five exact scaled residuals fall strictly, from about 5.8e-45
+    # to 2.1e-48, below the 1e-40 enclosures the verdict once compared
+    code, out = run_cli(capsys, ["conic-orbit", "--form", "1,-1,-1", "--d", "-1",
+                                 "--count", "60"])
+    pairs_file = tmp_path / "orbit.json"
+    pairs_file.write_text(out)
+    code, out = run_cli(capsys, ["approx-fit", "--alpha", "quad:1,1,5,2", "--order", "2",
+                                 "--pairs", str(pairs_file)])
+    report = json.loads(out)["report"]
+    assert (code, report["verdict"], report["note"]) == (
+        0, "PASS", "final scaled residual below 1/1000 of the first")
+    pairs = [(int(r), int(s)) for r, s in json.loads(pairs_file.read_text())["pairs"]]
+    _, exact = fit_coefficients(pairs, parse_target("quad:1,1,5,2"), 2)
+    last = [row.scaled for row in exact.rows[-5:]]
+    assert all(b < a for a, b in zip(last, last[1:]))
+    assert Fraction(1, 10**49) < last[-1] < last[0] < Fraction(1, 10**44)
 
 
 @pytest.mark.parametrize("pairs, order", [

@@ -26,9 +26,11 @@ from ratapprox.exactnum import (
     enclose,
     exp_bounds,
     exp_le,
+    exp_le_inverse_sum,
     frac_str,
     int_str,
     offset_str,
+    pow10_cmp,
     qi_normalize,
     qi_pair,
     sqrt_bounds,
@@ -364,6 +366,68 @@ def test_exp_le_decisions():
     assert not exp_le(Fraction(-8), Fraction(1, 2982))
 
 
+def _pow10_cmp_screened(u: Fraction, b: int) -> tuple[int, bool]:
+    """pow10_cmp(u, b), and whether its bit-length screen decided it (False:
+    the exact comparison with 10**b did)."""
+    seen = []
+    screen = exactnum._pow10_screen
+
+    def recording(bits, b):
+        seen.append(screen(bits, b))
+        return seen[-1]
+
+    exactnum._pow10_screen = recording
+    try:
+        sign = pow10_cmp(u, b)
+    finally:
+        exactnum._pow10_screen = screen
+    return sign, bool(seen) and seen[0] != 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=st.integers(0, 3000), where=st.sampled_from(["at", "near", "far", "any"]),
+       q=st.integers(1, 10**12), t=st.integers(-10**12, 10**12), k=st.integers(4, 60),
+       up=st.booleans())
+@example(b=0, where="at", q=1, t=0, k=4, up=True)
+@example(b=1, where="far", q=1, t=0, k=4, up=False)
+def test_pow10_cmp_matches_fraction_comparison(b, where, q, t, k, up):
+    # u is 10**-b exactly, within a factor of 2 of it, at least 2**(k-1)
+    # away from it, or any rational
+    f = Fraction((q + 1) // 2 + t % (2 * q - (q + 1) // 2 + 1), q)  # in [1/2, 2]
+    u = {"at": Fraction(1), "near": f, "far": f * Fraction(2) ** (k if up else -k),
+         "any": Fraction(t, q)}[where] / 10**b
+    sign, screened = _pow10_cmp_screened(u, b)
+    ten = Fraction(1, 10**b)
+    assert sign == (u > ten) - (u < ten)
+    if where == "at":
+        assert sign == 0 and not screened
+    if where == "far":
+        assert screened
+
+
+def test_pow10_cmp_decides_by_bit_lengths_or_exactly():
+    b = 100_000
+    ten = Fraction(1, 10**b)
+    for u in (ten, ten * Fraction(10**30 + 1, 10**30), ten * Fraction(10**30 - 1, 10**30)):
+        assert _pow10_cmp_screened(u, b) == ((u > ten) - (u < ten), False)
+    for u in (ten * 9, ten / 9, Fraction(1, 3), Fraction(-1, 7), Fraction(0)):
+        assert _pow10_cmp_screened(u, b)[0] == (u > ten) - (u < ten)
+    assert _pow10_cmp_screened(ten * 9, b)[1] and _pow10_cmp_screened(Fraction(1, 3), b)[1]
+
+
+@pytest.mark.parametrize("x", [Fraction(1), Fraction(7, 3), Fraction(40)])
+@pytest.mark.parametrize("b", [0, 1, 5, 18, 60])
+def test_exp_le_inverse_sum_matches_exp_le(x, b):
+    # exp(x) <= 1/(head + 10**-b), decided with 10**-b kept apart and summed;
+    # the last head puts head + 10**-b within 10**-40 or so of exp(-x)
+    inv = 1 / exp_bounds(x, 40).mid
+    for head in (Fraction(0), Fraction(1, 2), inv, inv - Fraction(1, 10**b)):
+        for nudge in (Fraction(0), Fraction(1, 10**(b + 3)), -Fraction(1, 10**(b + 3))):
+            h = head + nudge
+            if h >= 0:
+                assert exp_le_inverse_sum(x, h, b) == exp_le(x, 1 / (h + Fraction(1, 10**b)))
+
+
 def test_ln10_constants_bracket():
     assert exp_bounds(LN10_LO, 25).hi < 10 < exp_bounds(LN10_HI, 25).lo
 
@@ -572,11 +636,12 @@ RECORD_FIELDS = {cls: fields for cls, fields, _ in VALUE_TYPES} | {
     approx.ReportRow: {"r": 1, "s": 2, "residual": Fraction(1, 2), "scaled": Fraction(3, 2)},
     approx.DecayReport: {"order": 0, "rows": [], "window": 5, "rel_tolerance": Fraction(1, 1000),
                          "verdict": False, "note": "no verification pairs"},
-    approx.CertLine: {"k": 1, "s": 5, "route": "monotone", "bound": None, "bound_head": None,
-                      "ok": True, "detail": "s_k <= q_{n_k+1} and Psi decreasing"},
+    approx.CertLine: {"k": 1, "s": 5, "route": "monotone", "_bound": None, "bound_head": None,
+                      "tail_exponent": None, "ok": True,
+                      "detail": "s_k <= q_{n_k+1} and Psi decreasing"},
     approx.PsiConstruction: {"alpha": INV_PHI, "psi": PsiSpec.power(2), "indices": [4],
                              "n_next": 8, "s": [5], "gamma_partial": Fraction(1, 3),
-                             "tail": Fraction(1, 10), "tail_exponent": 1, "certificate": []},
+                             "_tail": None, "tail_exponent": 1, "certificate": []},
     approx.LineFit: {"a": 1, "b": 2, "d": 3, "exceptions": 0},
     approx.GrowthProfile: {"classification": "linear", "ratios": [Fraction(2)],
                            "differences": [1]},
