@@ -306,11 +306,8 @@ class CFContext:
             raise IndexError("complete quotient index must be >= 0")
         digits = self._digits
         if self.period is not None:
-            if n >= len(self._states):
-                k, ell = self.period
-                n = k + (n - k) % ell
-            P, Q = self._states[n]
-            return qi_normalize(P, 1, self._surd, Q)
+            P, Q, E = self.zeta_state(n)
+            return qi_normalize(P, 1, E, Q)
         if self.finite:
             if n >= len(digits):
                 raise RationalTarget(f"finite expansion has no zeta_{n}")
@@ -319,6 +316,21 @@ class CFContext:
                 v = a + 1 / v
             return v
         raise PrecisionExhausted("complete quotients of a certified target are not computed")
+
+    def zeta_state(self, n: int) -> tuple[int, int, int]:
+        """(P_n, Q_n, E) with zeta_n = (P_n + sqrt(E))/Q_n, the integer state
+        of a quadratic target's complete-quotient recurrence; Q_n divides
+        E - P_n^2, and E is the same for every n.  TypeError for a target
+        that is not quadratic."""
+        if self.period is None:
+            raise TypeError("integer complete-quotient states exist for quadratic targets only")
+        if n < 0:
+            raise IndexError("complete quotient index must be >= 0")
+        if n >= len(self._states):
+            k, ell = self.period
+            n = k + (n - k) % ell
+        P, Q = self._states[n]
+        return P, Q, self._surd
 
     def xi(self, n: int) -> Fraction:
         if n < 1:

@@ -126,8 +126,8 @@ def _norm_sign(x: int) -> int:
 
 
 def surd_sign(x: int, y: int, D: int) -> int:
-    """Exact sign of x + y*sqrt(D) for D > 1 squarefree, by comparing squares."""
-    sx, sy = _norm_sign(x), _norm_sign(y)
+    """Exact sign of x + y*sqrt(D) for D > 0 not a square, by comparing squares."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
     if sx == sy or not sy:
         return sx
     if not sx:
@@ -144,6 +144,15 @@ def surd_floor(x: int, y: int, D: int, Q: int) -> int:
         t = -t - 1  # y*sqrt(D) is irrational, so its floor is -t - 1
     # floor((x + z)/Q) = floor((x + floor(z))/Q) for integers x and Q > 0
     return (x + t) // Q
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational literal `text` ("p/q", "p" or a decimal) as a Fraction;
+    a zero denominator raises ValueError naming the literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {text!r}") from None
 
 
 # the exact rational types; a float, Decimal or complex is none of them
@@ -618,7 +627,7 @@ class Kind(Record):
 KINDS = {
     k.name: k
     for k in (
-        Kind("rat", (int, Fraction), Fraction, Fraction, frac_str, True),
+        Kind("rat", (int, Fraction), parse_rational, Fraction, frac_str, True),
         Kind("quad", (QuadIrr,), QuadIrr.parse, QuadIrr.from_json, QuadIrr.to_json, True),
         Kind("dec", (Certified,), Certified.parse, Certified.from_json, Certified.to_json, False),
         Kind("interval", (RatInterval,), None, RatInterval.from_json, RatInterval.to_json, False),

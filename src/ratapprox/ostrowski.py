@@ -5,32 +5,65 @@ machinery for distances ||s*alpha - gamma|| to the nearest integer.
 Digit admissibility (shared by both expansions): 0 <= c_1 < a_1,
 0 <= c_{n+1} <= a_{n+1}, and c_{n+1} = a_{n+1} forces c_n = 0.
 
-Real-digit extraction works on the remainder rem = gamma - sum b_k D_k.
+Real-digit extraction works on the remainder rem_n = gamma - sum_{k<n} b_k D_k.
 Writing T(N) for the value range of admissible tails starting at position N
 (with the previous digit's constraint folded in), the feasible digit at
 each step is pinned by
 
-    b = ceil((rem + D_{N+1}) / D_N),
+    b_n = ceil((rem_n + D_{n+1}) / D_n),
 
 clamped at 0; a remainder landing exactly on a cell boundary means gamma has
 two admissible expansions, which happens precisely on the forbidden orbit
 gamma = s*alpha (mod 1), and raises GammaOnOrbit.
 
-Both extractors run on integers.  For quadratic alpha = (P + e*sqrt(D))/Q
-and exact gamma, every quantity is (x + y*sqrt(D))/L over the one
-denominator L = lcm(Q, den gamma): D_n has numerators
-((q_n*P - p_n*Q)*L/Q, q_n*e*L/Q), the digit is one exact surd_floor, and
-each sign is a comparison of squares.  For certified targets the remainder
-and the memoized D_n enclosures (CFContext.d_enclosures) are integer
-numerators over a common denominator, and the digit is the ceiling of four
-endpoint quotients.  The canonical QuadIrr, Fraction or RatInterval is built
-once, at the end.
+Exact targets (quadratic alpha, gamma in its field) run on the scaled
+remainder t_n = rem_n / D_n.  With zeta_k = (P_k + sqrt(E))/Q_k the integer
+complete-quotient states (CFContext.zeta_state), D_{n+1}/D_n = -1/zeta_{n+2}
+= -(sqrt(E) - P_{n+2})/Q_{n+1}, so
+
+    b_n = max(0, ceil(t_n - 1/zeta_{n+2})),    t_{n+1} = -(t_n - b_n) * zeta_{n+2},
+
+from t_0 = gamma/alpha = gamma*zeta_1 (a_0 = 0).  t_n is kept as
+(u + v*sqrt(E))/w in lowest terms with w > 0, the digit is one surd_floor
+and each range check is a sign of such a number.  The states take
+finitely many values:
+
+  * Both embeddings of t_n are bounded.  rem_n lies in T(n), between -D_n
+    and -D_{n-1} (less D_n after a nonzero digit), so t_n lies between -1
+    and zeta_{n+1} and |t_n| < max a_k + 2.  For the conjugates x -> x',
+    |D_n'| >= q_n*|alpha - alpha'| - 1, while |rem_n'| <= |gamma'| +
+    sum_{k<n} b_k*|D_k'| grows at most like q_n, because admissible digits
+    have sum_{k<n} b_k*q_k < q_n; so |t_n'| is bounded too, by about
+    |gamma'|/q_n plus a constant.
+  * t_n lies in a fixed lattice.  rem_n is in the Z-module
+    M = Z + Z*alpha + Z*gamma, and 1/D_n = D_n'/N(D_n), where
+    D_n' is in (1/A)*Z[alpha] and A*N(D_n) = A*p_n^2 + B*p_n*q_n + C*q_n^2 is
+    a nonzero integer of absolute value at most A*(|alpha - alpha'| + 1)
+    (A*x^2 + B*x + C the minimal polynomial of alpha).  So t_n lies in
+    (1/c)*M*Z[alpha] for one integer c, a lattice of R^2 under x -> (x, x').
+
+A lattice meets a bounded box in finitely many points, so t_n takes
+finitely many values: the inhomogeneous analogue of Lagrange's theorem.  A
+step maps t_n, a_{n+1}, zeta_{n+1}, zeta_{n+2} and whether b_{n-1} != 0 to
+b_n and t_{n+1}, and from n + 1 >= K, the start of alpha's digit period
+(K, L), the three quotients depend only on the phase (n + 1 - K) mod L.
+The first time the key (t_n, phase, b_{n-1} != 0) repeats, at n after m,
+the digits and states from n on copy those from m on: the rest of the
+digits are filled by the period n - m and t_depth is read off the history.
+The jump is correct because each step is deterministic; finiteness only
+says that it fires.  The exact remainder t_depth * D_depth is formed once,
+at the end.
+
+Certified targets run on integers too: the remainder and the memoized D_n
+enclosures (CFContext.d_enclosures) are integer numerators over a common
+denominator, and the digit is the ceiling of four endpoint quotients.  The
+RatInterval tail is built once, at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 
 from .cf import CFContext
 from .errors import (
@@ -151,11 +184,11 @@ def _gamma_orbit_certificate(gamma, alpha: QuadIrr):
     return int(v), int(u)
 
 
-def _d_num(ctx: CFContext, n: int, k: int) -> tuple[int, int]:
-    """(x, y) with D_n = (x + y*sqrt(D))/L for quadratic alpha = (P +
-    e*sqrt(D))/Q and L = k*Q."""
+def _d_num(ctx: CFContext, n: int) -> tuple[int, int]:
+    """(x, y) with D_n = (x + y*sqrt(D))/Q for quadratic alpha = (P +
+    e*sqrt(D))/Q."""
     a, p, q = ctx.alpha, ctx.p(n), ctx.q(n)
-    return (q * a.P - p * a.Q) * k, q * a.e * k
+    return q * a.P - p * a.Q, q * a.e
 
 
 def ostrowski_real(
@@ -187,56 +220,85 @@ def ostrowski_real(
     return _extract_certified(gamma, ctx, depth, precision_digits)
 
 
+def _times_zeta(x: int, y: int, w: int, P: int, Q: int, E: int) -> tuple[int, int, int]:
+    """(u, v, w') in lowest terms, w' > 0, with (u + v*sqrt(E))/w' equal to
+    (x + y*sqrt(E))/w times (P + sqrt(E))/Q."""
+    u, v, w = x * P + y * E, x + y * P, w * Q
+    g = gcd(u, v, w)
+    if w < 0:
+        g = -g
+    return u // g, v // g, w // g
+
+
+def _sign_minus_zeta(x: int, y: int, w: int, P: int, Q: int, E: int) -> int:
+    """Sign of (x + y*sqrt(E))/w - (P + sqrt(E))/Q for w > 0."""
+    sign = surd_sign(x * Q - w * P, y * Q - w, E)
+    return sign if Q > 0 else -sign
+
+
 def _extract_exact(gamma, ctx: CFContext, depth: int) -> RealDigits:
     alpha = ctx.alpha
-    D = alpha.D
     gP, gE, gQ = alpha._operand(gamma)
-    # rem = (U + V*sqrt(D))/L, and D_n = (x + y*sqrt(D))/L from _d_num
-    L = lcm(alpha.Q, gQ)
-    k = L // alpha.Q
-    U, V = gP * (L // gQ), gE * (L // gQ)
-    # gamma in T(0) = [-alpha, 1 - alpha)
-    x1, y1 = _d_num(ctx, 0, k)
-    if surd_sign(U + x1, V + y1, D) < 0:
+    # zeta_k = (P_k + sqrt(E))/Q_k with sqrt(E) = f*sqrt(D); the state is
+    # t_n = rem_n / D_n = (u + v*sqrt(E))/w
+    P1, Q1, E = ctx.zeta_state(1)
+    f = isqrt(E // alpha.D)
+    u, v, w = _times_zeta(gP * f, gE, gQ * f, P1, Q1, E)  # gamma * zeta_1
+    # gamma in T(0) = [-alpha, 1 - alpha): t_0 in [-1, zeta_1 - 1)
+    if surd_sign(u + w, v, E) < 0:
         raise ValueError("gamma below -alpha")
-    if surd_sign(U + x1 - L, V + y1, D) >= 0:
+    if _sign_minus_zeta(u + w, v, w, P1, Q1, E) >= 0:
         raise ValueError("gamma not below 1 - alpha")
+    # (P_k, Q_k) for k < K + L, alpha's digit period (K, L), read by index:
+    # zeta_{K+L} = zeta_K, and K >= 1 as a_0 = 0 < a_k for k >= 1
+    K, L = ctx.period
+    ring = [ctx.zeta_state(k)[:2] for k in range(min(K + L, depth + 2))]
+    j = 1  # ring index of zeta_{n+1}; a function of the phase once n + 1 >= K
     digits: list[int] = []
+    history: list[tuple] = []  # (t_n, j, prev_nonzero) for each n stepped from
+    seen: dict[tuple, int] = {}  # the same keys, from n + 1 >= K on -> n
     prev_nonzero = True  # position 0 carries the strict cap c_1 < a_1
     for n in range(depth):
-        x0, y0 = x1, y1
-        x1, y1 = _d_num(ctx, n + 1, k)
-        # (rem + D_{n+1}) / D_n = (r + s*sqrt(D))/N
-        x, y = U + x1, V + y1
-        N = x0 * x0 - y0 * y0 * D
-        r, s = x * x0 - y * y0 * D, y * x0 - x * y0
+        key = (u, v, w, j, prev_nonzero)
+        if n + 1 >= K:
+            m = seen.setdefault(key, n)
+            if m < n:
+                # steps m..n-1 repeat from here on
+                digits += [digits[m + (i - m) % (n - m)] for i in range(n, depth)]
+                u, v, w = history[m + (depth - m) % (n - m)][:3]
+                break
+        history.append(key)
+        j = K if j + 1 == K + L else j + 1
+        P2, Q2 = ring[j]
+        # t_n - 1/zeta_{n+2} = t_n - (sqrt(E) - P2)/Q1 = (r + s*sqrt(E))/N
+        r, s, N = u * Q1 + w * P2, v * Q1 - w, w * Q1
         if N < 0:
             r, s, N = -r, -s, -N
         if s:
-            b = surd_floor(r, s, D, N) + 1
+            b = surd_floor(r, s, E, N) + 1
             on_boundary = False
         else:
             b = -(-r // N)
             on_boundary = r % N == 0
-        b = max(0, b)
-        cap = ctx.a(n + 1) - (1 if prev_nonzero else 0)
+        if b < 0:
+            b = 0
+        # a_{n+1} = (P_{n+1} + P_{n+2})/Q_{n+1}, from P_{k+1} = a_k*Q_k - P_k
+        cap = (P1 + P2) // Q1 - (1 if prev_nonzero else 0)
         if on_boundary and r >= 0 and b + 1 <= cap:
             raise GammaOnOrbit(
                 f"remainder hits a cell boundary at position {n}: two expansions exist"
             )
         if b > cap:
             raise InvariantViolation(f"extraction overflow at {n}: digit {b} > cap {cap}")
-        if b:
-            U, V = U - b * x0, V - b * y0
-        # rem in T(n+1): between -D_{n+1} and -D_n, less D_{n+1} after a digit
-        lo_sign = surd_sign(U + x1, V + y1, D)
-        hi_sign = surd_sign(U + x0 + (x1 if b else 0), V + y0 + (y1 if b else 0), D)
-        if lo_sign * hi_sign > 0:
+        u, v, w = _times_zeta(b * w - u, -v, w, P2, Q2, E)  # -(t_n - b) * zeta_{n+2}
+        # rem in T(n+1): t_{n+1} between -1 and zeta_{n+2}, less 1 after a digit
+        if surd_sign(u + w, v, E) * _sign_minus_zeta(u + (w if b else 0), v, w, P2, Q2, E) > 0:
             raise InvariantViolation(f"remainder left T at {n}")
         digits.append(b)
         prev_nonzero = b > 0
+        P1, Q1 = P2, Q2
     check_admissible(digits, ctx)
-    rem = QuadIrr.make(U, V, D, L)
+    rem = QuadIrr.make(u, v * f, alpha.D, w) * ctx.D(depth)
     tail = enclose(rem, ctx.d_abs_upper(depth - 1) / 2**20)
     return RealDigits(digits, depth, tail, rem)
 
@@ -330,10 +392,10 @@ def dist_formula(profile: DeltaProfile, ctx: CFContext):
         D, Q = ctx.alpha.D, ctx.alpha.Q
         x = y = 0
         for n, d in terms:
-            xn, yn = _d_num(ctx, n, 1)
+            xn, yn = _d_num(ctx, n)
             x, y = x + d * xn, y + d * yn
         series = QuadIrr.make(x, y, D, Q) - profile.real_digits.exact_remainder
-        lead = sign_of(profile.delta[m]) * surd_sign(*_d_num(ctx, m, 1), D)
+        lead = sign_of(profile.delta[m]) * surd_sign(*_d_num(ctx, m), D)
         if sign_of(series) != lead:
             raise InvariantViolation("series sign disagrees with its leading term")
         return abs(series)

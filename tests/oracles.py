@@ -68,7 +68,8 @@ def bisect_enclose(x: QuadIrr, width: Fraction) -> RatInterval:
     if s_lo == 0:  # endpoint hit the conjugate root's side; nudge
         lo -= Fraction(1, 7)
         s_lo = poly_sign(triple, lo)
-    assert s_lo != 0 and poly_sign(triple, hi) != 0
+    if s_lo == 0 or poly_sign(triple, hi) == 0:
+        raise AssertionError(f"bisection endpoint of {x!r} is a root")
     while hi - lo > width:
         mid = (lo + hi) / 2
         if poly_sign(triple, mid) == s_lo:
@@ -102,8 +103,8 @@ def enumerate_ostrowski_values(q: list[int], a: list[int], s_max: int):
     q[n] are convergent denominators, a[n] the partial quotients of the
     underlying expansion (a[0] unused).  Digit c[n] multiplies q[n]; the
     admissibility rules are c[0] < a[1], c[n] <= a[n+1], and c[n] = a[n+1]
-    forces c[n-1] = 0.  Asserts on duplicate values, so a clean return is
-    itself the uniqueness statement.
+    forces c[n-1] = 0.  Raises AssertionError on duplicate values, also under
+    python -O, so a clean return is itself the uniqueness statement.
     """
     top = 0
     while top + 1 < len(q) and q[top + 1] <= s_max:
@@ -113,7 +114,8 @@ def enumerate_ostrowski_values(q: list[int], a: list[int], s_max: int):
     def descend(n: int, value: int, digits: list[int], force_zero: bool):
         if n < 0:
             key = value
-            assert key not in found, f"duplicate representation of {key}"
+            if key in found:
+                raise AssertionError(f"duplicate representation of {key}")
             found[key] = tuple(reversed(digits))
             return
         cap = 0 if force_zero else (a[1] - 1 if n == 0 else a[n + 1])
@@ -266,12 +268,14 @@ def reference_real_digits(gamma, ctx, depth: int, precision_digits: int = 200):
                 raise GammaOnOrbit(
                     f"remainder hits a cell boundary at position {n}: two expansions exist"
                 )
-            assert b <= cap
+            if b > cap:
+                raise AssertionError(f"digit {b} at {n} exceeds cap {cap}")
             if b:
                 rem = rem - b * ctx.D(n)
             # rem stays between -D_{n+1} and -D_n, less D_{n+1} after a digit
             ends = [-ctx.D(n + 1), -ctx.D(n) - (ctx.D(n + 1) if b else 0)]
-            assert min(ends) <= rem <= max(ends)
+            if not min(ends) <= rem <= max(ends):
+                raise AssertionError(f"remainder left T at {n}")
         else:
             dn, dn1 = as_interval(ctx.D(n), width), as_interval(ctx.D(n + 1), width)
             if dn.lo <= 0 <= dn.hi:

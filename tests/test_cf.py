@@ -384,3 +384,21 @@ def test_first_index_certified_golden(i):
     _check_points(ctx, alpha, pairs, i, list(reversed(POINT_QUERIES)))
     assert ctx._dense == -1
     assert set(ctx._conv) == {-1, i - 1, i, i + 1}
+
+
+@pytest.mark.parametrize("x", TARGETS + [qi_normalize(5, -1, 13, 3), qi_normalize(-5, 1, 28, 6)])
+def test_zeta_state_is_the_integer_state_of_zeta(x):
+    ctx = CFContext(x)
+    K, L = ctx.period
+    for n in range(K + 3 * L + 2):
+        P, Q, E = ctx.zeta_state(n)
+        assert (E - P * P) % Q == 0
+        assert ctx.zeta(n) == qi_normalize(P, 1, E, Q)
+        # P_{n+1} = a_n*Q_n - P_n
+        assert ctx.zeta_state(n + 1)[0] == ctx.a(n) * Q - P
+        assert ctx.zeta_state(n + 1)[2] == E
+    with pytest.raises(IndexError):
+        ctx.zeta_state(-1)
+    for other in (Fraction(3, 7), Certified.parse("0.6180339887±1e-10")):
+        with pytest.raises(TypeError):
+            CFContext(other).zeta_state(1)

@@ -163,6 +163,31 @@ def test_alpha_that_is_not_irrational_is_a_json_error(capsys, case):
     assert out == json.dumps({"error": error, "message": message}, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("literal", ["1/0", "0/0", "-7/0"])
+@pytest.mark.parametrize("flag", ["--alpha", "--gamma"])
+def test_rat_target_with_zero_denominator_is_a_value_error(capsys, flag, literal):
+    targets = {"--alpha": "quad:-1,1,5,2", "--gamma": "rat:1/3", flag: f"rat:{literal}"}
+    argv = ["dist", "--alpha", targets["--alpha"], "--gamma", targets["--gamma"], "--s", "5"]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    doc = {"error": "ValueError", "message": f"zero denominator in rational {literal!r}"}
+    assert out == json.dumps(doc, indent=2) + "\n"
+    if flag == "--alpha":
+        assert run_cli(capsys, ["cf", "--alpha", f"rat:{literal}"]) == (code, out)
+
+
+def test_package_runs_as_the_cli_module():
+    # python -m ratapprox and python -m ratapprox.cli: the same bytes and exit code
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ratapprox.__file__)))
+    argv = ["cf", "--alpha", "quad:1,1,5,2", "--depth", "10"]
+    runs = [subprocess.run([sys.executable, "-S", "-m", module, *argv], capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
+            for module in ("ratapprox", "ratapprox.cli")]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["a"] == [1] * 10
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

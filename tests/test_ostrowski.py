@@ -1,4 +1,6 @@
+import ast
 import gc
+import hashlib
 import os
 import random
 import subprocess
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ratapprox
-from ratapprox import exactnum
+from ratapprox import exactnum, ostrowski
 from ratapprox.cf import CFContext
 from ratapprox.errors import (
     GammaOnOrbit,
@@ -564,3 +566,118 @@ def test_real_digit_kernel_range_ends_match_reference(i):
         got = _kernel_outcome(gamma, ctx, 12, 200)
         assert got == _reference_outcome(gamma, ctx, 12, 200)
         assert (got[0] != "ValueError") == inside
+
+
+# The exact kernel over long depths, on gammas whose states repeat early so
+# that the period jump fires: finite sums sum b_n D_n (t_n = 0 after the last
+# digit) and rationals with small denominators.
+def _finite_sum(ctx, rng, length):
+    digits, prev = [], True
+    for n in range(length):
+        cap = ctx.a(n + 1) - (1 if prev else 0)
+        digits.append(rng.randint(0, cap) if rng.random() < 0.5 else 0)
+        prev = digits[-1] > 0
+    gamma = Fraction(0)
+    for n, b in enumerate(digits):
+        if b:
+            gamma = b * ctx.D(n) + gamma
+    return gamma, digits
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    i=st.integers(0, 5),
+    kind=st.sampled_from(["sum", "rational"]),
+    seed=st.integers(0, 2**32 - 1),
+    den=st.integers(1, 12),
+    length=st.integers(0, 30),
+    depth=st.integers(1, 400),
+)
+@example(i=0, kind="rational", seed=0, den=3, length=0, depth=400)
+@example(i=4, kind="sum", seed=7, den=1, length=30, depth=400)
+def test_exact_kernel_matches_reference_past_the_period_jump(i, kind, seed, den, length, depth):
+    ctx = KERNEL_CTX[i]
+    rng = random.Random(seed)
+    if kind == "sum":
+        gamma, digits = _finite_sum(ctx, rng, length)
+    else:
+        g = Fraction(rng.randint(-5 * den, 5 * den), den)
+        gamma = g - floor(g + KERNEL_ALPHAS[i])
+    steps = []  # one _times_zeta call forms t_0, one more each step
+    with pytest.MonkeyPatch.context() as mp:
+        times_zeta = ostrowski._times_zeta
+        mp.setattr(ostrowski, "_times_zeta", lambda *args: steps.append(1) or times_zeta(*args))
+        got = _kernel_outcome(gamma, ctx, depth, 200)
+    want = _reference_outcome(gamma, ctx, depth, 200)
+    assert got == want
+    assert type(got[-1]) is type(want[-1])
+    if kind == "sum":
+        # t_n = 0 with a zero digit before it from n = last + 1 on, and the
+        # key repeats one period after it is first recorded (n + 1 >= K)
+        K, L = ctx.period
+        last = max((n + 1 for n, b in enumerate(digits) if b), default=0)
+        assert got[0] == (digits + [0] * depth)[:depth]
+        assert len(steps) - 1 <= min(depth, max(last + 1, K - 1) + L)
+
+
+@pytest.mark.parametrize(
+    "i, gamma, depth, message",
+    [
+        (0, lambda ctx: -ctx.D(5), 10, "GammaOnOrbit: remainder hits a cell boundary at position 4"),
+        (3, lambda ctx: -ctx.D(150), 200, "GammaOnOrbit: remainder hits a cell boundary at position 149"),
+        (5, lambda ctx: -ctx.D(60), 400, "GammaOnOrbit: remainder hits a cell boundary at position 59"),
+        (1, lambda ctx: -ctx.alpha - Fraction(1, 10**40), 300, "ValueError: gamma below -alpha"),
+        (4, lambda ctx: 1 - ctx.alpha, 300, "ValueError: gamma not below 1 - alpha"),
+        (2, lambda ctx: Fraction(-1, 1) + Fraction(1, 10**40), 300, "ValueError: gamma below -alpha"),
+    ],
+)
+def test_exact_kernel_refuses_like_reference(i, gamma, depth, message):
+    ctx = KERNEL_CTX[i]
+    got = _kernel_outcome(gamma(ctx), ctx, depth, 200)
+    assert ": ".join(got).startswith(message)
+    assert got == _reference_outcome(gamma(ctx), ctx, depth, 200)
+
+
+def test_exact_kernel_checks_each_state_update():
+    # a state update that leaves T trips the check on t_{n+1}
+    ctx = KERNEL_CTX[0]
+    times_zeta, calls = ostrowski._times_zeta, []
+
+    def off_by_1000(*args):  # the fifth call forms t_4
+        calls.append(1)
+        u, v, w = times_zeta(*args)
+        return (u + 1000 * w, v, w) if len(calls) == 5 else (u, v, w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ostrowski, "_times_zeta", off_by_1000)
+        with pytest.raises(InvariantViolation, match="^remainder left T at 3$"):
+            ostrowski_real(Fraction(1, 3), ctx, 40)
+
+
+# sha256 of stdout of deep calls, taken with the big-integer extraction loop
+# that the bounded-state kernel replaced
+DEEP_PINS = {
+    ("ostrowski-real", "--alpha", "quad:-1,1,5,2", "--gamma", "rat:1/3", "--depth", "20000"):
+        "f2279d11ea15ba799f894326833c497a5a04399c8a47f78374d70c1ee062dbc7",
+    ("dist", "--alpha", "quad:-1,1,5,2", "--gamma", "rat:1/3", "--s", str(10**2000)):
+        "08cc74033b2f92d30fcce70aea9d0b84a9af588fc39dcf5811e8d7e21f12b57d",
+    ("ostrowski-real", "--alpha", "quad:-3,1,13,2", "--gamma", "quad:0,1,13,7", "--depth", "8000"):
+        "f75e123b00b94f0bc2cf61b6f03f1681c8002af36e2c484600da45b64ae79f7d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DEEP_PINS))
+def test_deep_calls_are_pinned(capsys, argv):
+    from ratapprox.cli import main
+
+    assert main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DEEP_PINS[argv]
+
+
+def test_oracles_have_no_assert_statements():
+    # pytest rewrites asserts only in test modules and python -O strips the
+    # rest, so the oracles raise AssertionError themselves
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracles.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
