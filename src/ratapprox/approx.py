@@ -24,13 +24,11 @@ from .errors import (
 )
 from .exactnum import (
     ByValue,
-    RatInterval,
     RealTarget,
     Record,
     as_interval,
     exp_bounds,
     exp_exceeds_pow10,
-    exp_le,
     exp_le_inverse_sum,
     frac_str,
     int_str,
@@ -135,15 +133,12 @@ class PsiSpec(ByValue):
             return self._table_value(t)
         return None
 
-    def le_psi(self, v: Fraction, t: int, tail_exponent: int | None = None) -> bool:
-        """Decide v <= Psi(t) exactly; with tail_exponent b, decide
-        v + 10**-b <= Psi(t) without forming 10**-b."""
-        b = tail_exponent
+    def le_psi(self, v: Fraction, t: int, b: int | None = None) -> bool:
+        """Decide v + 10**-b <= Psi(t) exactly without forming 10**-b, or
+        v <= Psi(t) for b None."""
         exact = self.exact_value(t)
         if exact is not None:
-            return v <= exact if b is None else pow10_cmp(exact - v, b) >= 0
-        if b is None:
-            return exp_le(self.c * t, 1 / Fraction(v))
+            return pow10_cmp(exact - v, b) >= 0
         return exp_le_inverse_sum(self.c * t, v, b)
 
     def numeric_feasible(self, t: int) -> bool:
@@ -325,59 +320,39 @@ def verify_order(
 # the Psi-driven existence construction
 
 
+# A bound of the construction is a pair (head, b) worth head + 10**-b, or
+# head alone when b is None, so that a tail of 10**-b is never formed.
+
+
 class CertLine(Record):
     """The certificate of pair k with denominator s_k.  `route` is "numeric"
-    (the rational `bound` on ||s_k alpha - gamma|| was compared with
+    (the bound pair `bound` on ||s_k alpha - gamma|| was compared with
     Psi(s_k)) or "monotone" (bound None: Psi is decreasing and s_k <=
-    q_{n_k+1}); `bound_head` is bound - tail when the bound is the sum of
-    the remaining digit bounds and the construction's tail, else None; `ok`
-    is the verdict and `detail` the checks it rests on.
+    q_{n_k+1}); `ok` is the verdict and `detail` the checks it rests on."""
 
-    When that tail is 10**-b, `tail_exponent` is b, `_bound` is None and
-    `bound` forms bound_head + 10**-b when read; else `tail_exponent` is
-    None and `bound` is `_bound`."""
-
-    __slots__ = ("k", "s", "route", "_bound", "bound_head", "tail_exponent", "ok", "detail")
-
-    @property
-    def bound(self) -> Fraction | None:
-        if self.tail_exponent is None:
-            return self._bound
-        return self.bound_head + Fraction(1, 10**self.tail_exponent)
+    __slots__ = ("k", "s", "route", "bound", "ok", "detail")
 
 
 class PsiConstruction(Record):
     """The construction's indices n_1..n_K, which are also gamma's digit
     support over D_n; n_next, the next index or None past the digit
     budget; the denominators s_1..s_K; gamma_partial = sum_k D_{n_k}, an
-    exact field element (a RatInterval for a certified alpha); the rational
-    bound `tail` on the rest of gamma; and one CertLine per pair.
+    exact field element (a RatInterval for a certified alpha); the bound
+    pair `tail` on the rest of gamma; and one CertLine per pair."""
 
-    When the tail is 10**-b, `tail_exponent` is b, `_tail` is None and `tail`
-    forms 10**-b when read; else `tail_exponent` is None and `tail` is
-    `_tail`."""
-
-    __slots__ = ("alpha", "psi", "indices", "n_next", "s", "gamma_partial", "_tail",
-                 "tail_exponent", "certificate")
-
-    @property
-    def tail(self) -> Fraction:
-        if self.tail_exponent is None:
-            return self._tail
-        return Fraction(1, 10**self.tail_exponent)
+    __slots__ = ("alpha", "psi", "indices", "n_next", "s", "gamma_partial", "tail",
+                 "certificate")
 
     @property
     def certified(self) -> bool:
         return all(line.ok for line in self.certificate)
 
     def gamma_interval_ends(self) -> tuple[tuple[Fraction, int], tuple[Fraction, int]]:
-        """The ends of gamma_interval() as (head, sign) pairs, each end being
-        head + sign * tail: a tight enclosure of gamma_partial, widened."""
+        """gamma's enclosure as two (head, sign) ends, each worth
+        head + sign * 10**-b for the tail's b (head alone when b is None): a
+        tight enclosure of gamma_partial widened by the tail's head."""
         base = as_interval(self.gamma_partial, _TIGHT)
-        return (base.lo, -1), (base.hi, 1)
-
-    def gamma_interval(self) -> RatInterval:
-        return RatInterval(*(head + sign * self.tail for head, sign in self.gamma_interval_ends()))
+        return (base.lo - self.tail[0], -1), (base.hi + self.tail[0], 1)
 
 
 def construct_psi(
@@ -459,20 +434,17 @@ def _package(
         partials.append(partial)
     gamma_partial = partials[-1]
 
-    # the tail is the rational `tail`, or 10**-b0 kept as its exponent b0
+    # the bound pair on the rest of gamma past n_K
     t_last = ctx.q(indices[-1] + 1)
-    tail = b0 = None
     if n_next is not None:
-        tail = 2 * ctx.d_abs_upper(n_next)
+        tail = (2 * ctx.d_abs_upper(n_next), None)
     else:
         exact_psi = psi.exact_value(t_last)
-        if exact_psi is not None:
-            tail = Fraction(2, 3) * exact_psi
-        else:
-            b0 = psi.tail_cap_exponent(t_last, digit_budget)
+        tail = ((Fraction(2, 3) * exact_psi, None) if exact_psi is not None
+                else (Fraction(0), psi.tail_cap_exponent(t_last, digit_budget)))
 
-    # heads[k-1] bounds |sum_{k<m<=K} D_{n_m}|, so heads[k-1] + tail bounds
-    # the remainder of gamma past n_k
+    # heads[k-1] bounds |sum_{k<m<=K} D_{n_m}|, so heads[k-1] plus the tail
+    # bounds the remainder of gamma past n_k
     heads = [Fraction(0)]
     for n in reversed(indices[1:]):
         heads.append(heads[-1] + ctx.d_abs_upper(n))
@@ -490,41 +462,22 @@ def _package(
             detail = "s_k*alpha - partial_k integral; " if integral else "DRIFT NOT INTEGRAL; "
         next_idx = indices[k] if k < K else n_next
         if next_idx is not None and psi.numeric_feasible(s_k):
-            # the bound is min(cap, head + tail)
+            # the bound is min(cap, rest), rest the remainder's bound pair
             cap = Fraction(3, ctx.q(next_idx + 1))
-            head = heads[k - 1]
-            line_b = None
-            if b0 is None:
-                remainder = head + tail
-                bound, bound_head = (cap, None) if cap <= remainder else (remainder, head)
-                ok = psi.le_psi(bound, s_k)
-            elif pow10_cmp(cap - head, b0) <= 0:  # cap <= head + 10**-b0
-                bound, bound_head = cap, None
-                ok = psi.le_psi(cap, s_k)
-            else:
-                bound, bound_head, line_b = None, head, b0
-                ok = psi.le_psi(head, s_k, b0)
-            certificate.append(CertLine(k, s_k, "numeric", bound, bound_head, line_b, ok,
+            rest = (heads[k - 1] + tail[0], tail[1])
+            bound = (cap, None) if pow10_cmp(cap - rest[0], rest[1]) <= 0 else rest
+            ok = psi.le_psi(bound[0], s_k, bound[1])
+            certificate.append(CertLine(k, s_k, "numeric", bound, ok,
                                         detail + "bound <= Psi(s_k)"))
             continue
         # monotone route: ||s_k alpha - gamma|| <= 3/q_{n_{k+1}} <= Psi(q_{n_k+1})
         # by the defining inequality of n_{k+1}; verified fact: s_k <= q_{n_k+1}
         t_k = ctx.q(indices[k - 1] + 1)
         ok = s_k <= t_k
-        certificate.append(
-            CertLine(
-                k,
-                s_k,
-                "monotone",
-                None,
-                None,
-                None,
-                ok,
-                detail + "s_k <= q_{n_k+1} and Psi decreasing",
-            )
-        )
+        certificate.append(CertLine(k, s_k, "monotone", None, ok,
+                                    detail + "s_k <= q_{n_k+1} and Psi decreasing"))
 
-    return PsiConstruction(alpha, psi, list(indices), n_next, s_list, gamma_partial, tail, b0,
+    return PsiConstruction(alpha, psi, list(indices), n_next, s_list, gamma_partial, tail,
                            certificate)
 
 

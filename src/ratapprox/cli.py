@@ -41,9 +41,9 @@ from .conic import (
 )
 from .errors import RatApproxError
 from .exactnum import (KINDS, ByValue, as_interval, frac_str, int_str, kind_of, offset_str,
-                       operand)
+                       operand, parse_rational)
 from .ostrowski import (DEFAULT_PRECISION_DIGITS, delta_profile, dist_bound, dist_direct,
-                        dist_formula, ostrowski_int, ostrowski_real)
+                        dist_formula, ostrowski_int, ostrowski_real, tail_bound)
 
 CONFIG_ENV_VAR = "RATAPPROX_CONFIG"
 
@@ -104,7 +104,7 @@ class Config(ByValue):
     @staticmethod
     def from_text(text: str) -> "Config":
         cfg = Config()
-        kinds = {name: type(default) for name, default in CONFIG_FIELDS}
+        kinds = {name: _field_parser(default) for name, default in CONFIG_FIELDS}
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -120,6 +120,12 @@ class Config(ByValue):
 
 # (name, default) of each Config field, in the order of the flags and the file
 CONFIG_FIELDS = tuple((name, getattr(Config(), name)) for name in Config.__slots__)
+
+
+def _field_parser(default):
+    """The parser of a Config field's text, in the file or as a flag, by the
+    type of its default."""
+    return {int: int, Fraction: parse_rational}[type(default)]
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +156,7 @@ def parse_ints(flag: str, text: str, names: str) -> tuple[int, ...]:
 def parse_psi(text: str) -> PsiSpec:
     kind, _, body = text.partition(":")
     if kind == "exp" and body:
-        return PsiSpec.exp_decay(Fraction(body))
+        return PsiSpec.exp_decay(parse_rational(body))
     if kind == "power" and body:
         return PsiSpec.power(int(body))
     if kind == "table" and body:
@@ -286,7 +292,7 @@ def _pairs_from_json(raw) -> list[tuple[int, int]]:
 def _table_from_json(rows) -> PsiSpec:
     # s and Psi(s) are JSON integers or decimal strings such as "1/10"
     return PsiSpec.rational_table(
-        [(int(s) if isinstance(s, str) else s, Fraction(v) if isinstance(v, str) else v)
+        [(int(s) if isinstance(s, str) else s, parse_rational(v) if isinstance(v, str) else v)
          for s, v in rows]
     )
 
@@ -355,7 +361,7 @@ def _cmd_ostrowski_real(args, cfg: Config) -> dict:
     return {
         "depth": d.depth,
         "digits": list(d.b),
-        "tail_bound": d.tail_bound.to_json(),
+        "tail_bound": tail_bound(d, ctx).to_json(),
     }
 
 
@@ -413,27 +419,17 @@ def _cmd_approx_verify(args, cfg: Config):
     return {"set": approx_set_json(aset), "report": report_json(report)}
 
 
-def _tail_sum_str(cons, head: Fraction, sign: int) -> str:
-    """rat_str(head + sign * cons.tail); a tail of 10**-b is joined to the
-    head's digits (offset_str) rather than summed and printed at b digits."""
-    if cons.tail_exponent is None:
-        return rat_str(head + sign * cons.tail)
-    return offset_str(head, sign, cons.tail_exponent)
-
-
-def _bound_str(cons, line) -> str | None:
-    if line.bound_head is not None:
-        return _tail_sum_str(cons, line.bound_head, 1)
-    return None if line.bound is None else rat_str(line.bound)
-
-
 def _cmd_build_psi(args, cfg: Config) -> dict:
     alpha = parse_target(args.alpha)
     cons = construct_psi(
         alpha, parse_psi(args.psi), args.count, digit_budget=cfg.digit_budget
     )
+    # every bound is a pair (head, b) worth head + 10**-b (a monotone line's
+    # is None); offset_str joins 10**-b to the head's digits rather than
+    # summing and printing b digits
+    b = cons.tail[1]
     ends = cons.gamma_interval_ends()
-    lo, hi = (_tail_sum_str(cons, head, sign) for head, sign in ends)
+    lo, hi = (offset_str(head, sign, b) for head, sign in ends)
     doc = {
         "psi": cons.psi.to_json(),
         "alpha": target_json(alpha),
@@ -442,7 +438,7 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
         "s": [int_str(v) for v in cons.s],
         "gamma": {
             "partial": target_json(cons.gamma_partial),
-            "tail_bound": _tail_sum_str(cons, Fraction(0), 1),
+            "tail_bound": offset_str(cons.tail[0], 1, b),
             "interval": {"lo": lo, "hi": hi},
         },
         "digit_support": cons.indices,
@@ -452,7 +448,7 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
                 "k": line.k,
                 "s": int_str(line.s),
                 "route": line.route,
-                "bound": _bound_str(cons, line),
+                "bound": line.bound and offset_str(line.bound[0], 1, line.bound[1]),
                 "ok": line.ok,
                 "detail": line.detail,
             }
@@ -461,7 +457,7 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
     }
     if args.pairs_out or args.with_pairs:
         # gamma_1 = -gamma: its ends are gamma's, negated and swapped
-        lo1, hi1 = (_tail_sum_str(cons, -head, -sign) for head, sign in reversed(ends))
+        lo1, hi1 = (offset_str(-head, -sign, b) for head, sign in reversed(ends))
         doc["set"] = {**approx_set_json(nearest_numerators(alpha, cons.s)), "N": 1,
                       "gamma": [{"kind": "interval", "value": {"lo": lo1, "hi": hi1}}]}
         if args.pairs_out:
@@ -565,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--config", help="path to key=value config file")
     for name, default in CONFIG_FIELDS:
-        top.add_argument("--" + name.replace("_", "-"), type=type(default), default=None)
+        top.add_argument("--" + name.replace("_", "-"), type=_field_parser(default),
+                         default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
     def cmd(name, handler, **kwargs):

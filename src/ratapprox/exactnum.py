@@ -83,9 +83,10 @@ def _split_prime_power(d: int, p: int, guess: int) -> tuple[int, int]:
     return v, d
 
 
-def offset_str(x: Fraction, sign: int, b: int) -> str:
+def offset_str(x: Fraction, sign: int, b: int | None) -> str:
     """frac_str(x + sign * 10**-b) for sign = +-1 and b >= 0, without
-    converting a b-digit integer once b is past the size of x.
+    converting a b-digit integer once b is past the size of x; frac_str(x)
+    for b None.
 
     With x = a/d in lowest terms, i = v2(d), j = v5(d), m = max(i, j) and
     d = 2**i * 5**j * d', every prime common to a*10**b + sign*d and d*10**b
@@ -96,6 +97,8 @@ def offset_str(x: Fraction, sign: int, b: int) -> str:
     the denominator's are those of d' followed by b zeros.  Smaller b falls
     back to the exact sum.
     """
+    if b is None:
+        return frac_str(x)
     a, d = x.numerator, x.denominator
     i = (d & -d).bit_length() - 1
     j, rest = _split_prime_power(d >> i, 5, i)
@@ -787,9 +790,10 @@ def exp_le(x: Fraction, bound: Fraction) -> bool:
     return _exp_le_by(x, lambda y: y <= bound)
 
 
-def exp_le_inverse_sum(x: Fraction, head: Fraction, b: int) -> bool:
-    """Decide exp(x) <= 1/(head + 10**-b) exactly, for head >= 0 and b >= 0,
-    without forming 10**-b: y <= 1/(head + 10**-b) is 10**-b <= 1/y - head."""
+def exp_le_inverse_sum(x: Fraction, head: Fraction, b: int | None) -> bool:
+    """Decide exp(x) <= 1/(head + 10**-b) exactly, for head >= 0 and b >= 0
+    (exp(x) <= 1/head for b None), without forming 10**-b:
+    y <= 1/(head + 10**-b) is 10**-b <= 1/y - head."""
     return _exp_le_by(rational(x), lambda y: pow10_cmp(1 / y - head, b) >= 0)
 
 
@@ -808,11 +812,14 @@ def _pow10_screen(bits: int, b: int) -> int:
     return 0
 
 
-def pow10_cmp(u: Fraction, b: int) -> int:
-    """sign(u - 10**-b) for b >= 0, exactly.  Bit lengths decide it unless u
-    lies within a factor of 4 * 2**(b/10**6) of 10**-b; only then is
-    10**b formed, to compare u's numerator times it with its denominator."""
+def pow10_cmp(u: Fraction, b: int | None) -> int:
+    """sign(u - 10**-b) for b >= 0, exactly, and sign(u) for b None.  Bit
+    lengths decide it unless u lies within a factor of 4 * 2**(b/10**6) of
+    10**-b; only then is 10**b formed, to compare u's numerator times it with
+    its denominator."""
     n, d = u.numerator, u.denominator
+    if b is None:
+        return _norm_sign(n)
     if n <= 0:
         return -1
     return _pow10_screen(n.bit_length() - d.bit_length(), b) or _norm_sign(n * 10**b - d)

@@ -57,7 +57,7 @@ at the end.
 Certified targets run on integers too: the remainder and the memoized D_n
 enclosures (CFContext.d_enclosures) are integer numerators over a common
 denominator, and the digit is the ceiling of four endpoint quotients.  The
-RatInterval tail is built once, at the end.
+RatInterval remainder is built once, at the end.
 """
 
 from __future__ import annotations
@@ -102,12 +102,12 @@ class RealDigits(ByValue):
     """Digits b with gamma = sum b[n] * D_n; b[n] is b_{n+1} in the classical
     one-based subscripting.
 
-    tail_bound encloses the truncation remainder gamma - sum_{n<depth} b[n]D_n;
-    exact_remainder is that remainder as a Fraction or QuadIrr on the exact
-    path, None on the certified one.  Compared by value, unhashable.
+    remainder is the truncation remainder gamma - sum_{n<depth} b[n]D_n: a
+    Fraction or QuadIrr on the exact path, a RatInterval enclosing it on the
+    certified one.  Compared by value, unhashable.
     """
 
-    __slots__ = ("b", "depth", "tail_bound", "exact_remainder")
+    __slots__ = ("b", "depth", "remainder")
     __hash__ = None
 
 
@@ -298,9 +298,7 @@ def _extract_exact(gamma, ctx: CFContext, depth: int) -> RealDigits:
         prev_nonzero = b > 0
         P1, Q1 = P2, Q2
     check_admissible(digits, ctx)
-    rem = QuadIrr.make(u, v * f, alpha.D, w) * ctx.D(depth)
-    tail = enclose(rem, ctx.d_abs_upper(depth - 1) / 2**20)
-    return RealDigits(digits, depth, tail, rem)
+    return RealDigits(digits, depth, QuadIrr.make(u, v * f, alpha.D, w) * ctx.D(depth))
 
 
 def _extract_certified(gamma, ctx: CFContext, depth: int, precision_digits: int) -> RealDigits:
@@ -341,8 +339,13 @@ def _extract_certified(gamma, ctx: CFContext, depth: int, precision_digits: int)
         digits.append(b)
         prev_nonzero = b > 0
     check_admissible(digits, ctx)
-    tail = RatInterval(Fraction(lo, L), Fraction(hi, L))
-    return RealDigits(digits, depth, tail, None)
+    return RealDigits(digits, depth, RatInterval(Fraction(lo, L), Fraction(hi, L)))
+
+
+def tail_bound(d: RealDigits, ctx: CFContext) -> RatInterval:
+    """An interval holding d's remainder: the certified path's own, or the
+    exact remainder enclosed to a 2**-20 share of |D_{depth-1}|'s bound."""
+    return as_interval(d.remainder, ctx.d_abs_upper(d.depth - 1) / 2**20)
 
 
 def delta_profile(
@@ -351,7 +354,6 @@ def delta_profile(
     ctx: CFContext,
     depth: int,
     allow_orbit: bool = False,
-    real_digits: RealDigits | None = None,
     precision_digits: int = DEFAULT_PRECISION_DIGITS,
 ) -> DeltaProfile:
     """delta_{n+1} = c_{n+1} - b_{n+1} together with its leading index m;
@@ -360,11 +362,9 @@ def delta_profile(
         raise ValueError("depth must be >= 1")
     ints = ostrowski_int(s, ctx)
     depth = max(depth, ints.M + 1)
-    reals = real_digits
-    if reals is None or reals.depth < depth:
-        reals = ostrowski_real(
-            gamma, ctx, depth, allow_orbit=allow_orbit, precision_digits=precision_digits
-        )
+    reals = ostrowski_real(
+        gamma, ctx, depth, allow_orbit=allow_orbit, precision_digits=precision_digits
+    )
     c = ints.c + [0] * (depth - len(ints.c))
     delta = [c[n] - reals.b[n] for n in range(depth)]
     for n, d in enumerate(delta):
@@ -387,14 +387,15 @@ def dist_formula(profile: DeltaProfile, ctx: CFContext):
     path (QuadIrr/Fraction), a certified RatInterval otherwise."""
     m = _require_regime(profile)
     terms = [(n, d) for n, d in enumerate(profile.delta) if d and n >= m]
-    if profile.real_digits.exact_remainder is not None:
+    rem = profile.real_digits.remainder
+    if kind_of(rem).exact:
         # numerators over alpha's denominator Q
         D, Q = ctx.alpha.D, ctx.alpha.Q
         x = y = 0
         for n, d in terms:
             xn, yn = _d_num(ctx, n)
             x, y = x + d * xn, y + d * yn
-        series = QuadIrr.make(x, y, D, Q) - profile.real_digits.exact_remainder
+        series = QuadIrr.make(x, y, D, Q) - rem
         lead = sign_of(profile.delta[m]) * surd_sign(*_d_num(ctx, m), D)
         if sign_of(series) != lead:
             raise InvariantViolation("series sign disagrees with its leading term")
@@ -407,7 +408,7 @@ def dist_formula(profile: DeltaProfile, ctx: CFContext):
         d_lo, d_hi = memo.num[n]
         lo, hi = (lo + d * d_lo, hi + d * d_hi) if d > 0 else (lo + d * d_hi, hi + d * d_lo)
     total = RatInterval(Fraction(lo, memo.den), Fraction(hi, memo.den))
-    return abs(total - profile.real_digits.tail_bound)
+    return abs(total - rem)
 
 
 def dist_direct(s: int, gamma, alpha, width: Fraction = DEFAULT_WIDTH) -> RatInterval:

@@ -18,7 +18,7 @@ from ratapprox.exactnum import (
     QuadIrr,
     RatInterval,
     as_interval,
-    enclose,
+    exp_le,
 )
 
 
@@ -237,10 +237,11 @@ def convergent_pairs(digits: list[int]) -> list[tuple[int, int]]:
 
 
 def reference_real_digits(gamma, ctx, depth: int, precision_digits: int = 200):
-    """(b, tail_bound, exact_remainder) of gamma over the basis D_n by the
-    step rule b = max(0, ceil((rem + D_{n+1}) / D_n)), computed on QuadIrr
-    and Fraction values for a quadratic alpha and exact gamma, and on
-    RatInterval enclosures of width 10**-precision_digits otherwise.
+    """(b, remainder) of gamma over the basis D_n by the step rule
+    b = max(0, ceil((rem + D_{n+1}) / D_n)), computed on QuadIrr and
+    Fraction values for a quadratic alpha and exact gamma, and on RatInterval
+    enclosures of width 10**-precision_digits otherwise; the remainder is
+    exact on the first route and an interval on the second.
 
     Raises GammaOnOrbit on a cell-boundary tie and PrecisionExhausted when
     the enclosures cannot decide a digit, with the library's messages; no
@@ -292,9 +293,7 @@ def reference_real_digits(gamma, ctx, depth: int, precision_digits: int = 200):
                 rem = rem - dn * b
         digits.append(b)
         prev_nonzero = b > 0
-    if not exact:
-        return digits, rem, None
-    return digits, enclose(rem, Fraction(1, ctx.q(depth)) / 2**20), rem
+    return digits, rem
 
 
 def real_digits_partial(d, ctx):
@@ -328,11 +327,29 @@ def dist_formula_terms(profile, ctx) -> list:
     return terms
 
 
+def pair_value(pair):
+    """The Fraction head + 10**-b of a bound pair (head, b), head for b None;
+    None for None."""
+    if pair is None:
+        return None
+    head, b = pair
+    return head if b is None else head + Fraction(1, 10**b)
+
+
+def gamma_interval(cons) -> RatInterval:
+    """The Psi construction's enclosure of gamma: gamma_partial enclosed to
+    10**-40 (as PsiConstruction.gamma_interval_ends encloses it), widened by
+    the formed tail on both sides."""
+    base, tail = as_interval(cons.gamma_partial, Fraction(1, 10**40)), pair_value(cons.tail)
+    return RatInterval(base.lo - tail, base.hi + tail)
+
+
 def psi_certificate_reference(cons, digit_budget: int):
-    """The tail and each certificate line's (route, ok, bound, bound_head) of
-    the Psi construction `cons`, recomputed by exact Fraction sums with the
-    tail 10**-b formed: the route approx._package took before it kept b apart.
-    Psi comparisons go through PsiSpec.le_psi on the formed sum."""
+    """The tail and each certificate line's (route, ok, bound) of the Psi
+    construction `cons`, as exact Fractions recomputed with the tail 10**-b
+    formed: the route approx._package took before it kept b apart.  Psi
+    comparisons are the plain ones on the formed sum: exp_le for the exp
+    family, a Fraction comparison for the others."""
     ctx, psi, indices = CFContext(cons.alpha), cons.psi, cons.indices
     s_list = [sum(ctx.q(n) for n in indices[:k]) for k in range(1, len(indices) + 1)]
     t_last = ctx.q(indices[-1] + 1)
@@ -346,11 +363,12 @@ def psi_certificate_reference(cons, digit_budget: int):
     for k, s_k in enumerate(s_list, start=1):
         next_idx = indices[k] if k < len(indices) else cons.n_next
         if next_idx is None or not psi.numeric_feasible(s_k):
-            lines.append(("monotone", s_k <= ctx.q(indices[k - 1] + 1), None, None))
+            lines.append(("monotone", s_k <= ctx.q(indices[k - 1] + 1), None))
             continue
         cap = Fraction(3, ctx.q(next_idx + 1))
         head = sum((ctx.d_abs_upper(n) for n in indices[k:]), Fraction(0))
-        remainder = head + tail
-        bound, bound_head = (cap, None) if cap <= remainder else (remainder, head)
-        lines.append(("numeric", psi.le_psi(bound, s_k), bound, bound_head))
+        bound = min(cap, head + tail)
+        exact = psi.exact_value(s_k)
+        ok = bound <= exact if exact is not None else exp_le(psi.c * s_k, 1 / bound)
+        lines.append(("numeric", ok, bound))
     return tail, lines

@@ -22,7 +22,7 @@ from ratapprox.errors import BlowUp
 from ratapprox.exactnum import QuadIrr, enclose, exp_bounds, exp_le, qi_normalize
 from ratapprox.ostrowski import check_admissible, delta_profile, dist_bound, dist_direct, dist_formula, ostrowski_int
 
-from oracles import enumerate_ostrowski_values, sqrt_series_coeffs
+from oracles import enumerate_ostrowski_values, pair_value, sqrt_series_coeffs
 
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(0)
@@ -170,8 +170,9 @@ def test_criterion_5_psi_power_law():
         ctx = CFContext(INV_PHI, depth=40)
         psi_s1 = Fraction(1, 5**2)
         psi_s2 = Fraction(1, 238**2)
-        assert Fraction(1, ctx.q(13)) + cons.tail <= psi_s1  # |D_12| + tail
-        assert cons.tail <= psi_s2
+        tail = pair_value(cons.tail)
+        assert Fraction(1, ctx.q(13)) + tail <= psi_s1  # |D_12| + tail
+        assert tail <= psi_s2
         drift1 = INV_PHI * 5 - ctx.D(4)
         drift2 = INV_PHI * 238 - (ctx.D(4) + ctx.D(12))
         assert drift1 == Fraction(3) and drift2 == Fraction(147)

@@ -19,10 +19,11 @@ from ratapprox.approx import (
 )
 from ratapprox.cf import CFContext
 from ratapprox.errors import BlowUp, InsufficientPairs, PrecisionExhausted, SingularSystem
-from ratapprox.exactnum import (Certified, QuadIrr, RatInterval, enclose, exp_bounds,
+from ratapprox.exactnum import (Certified, QuadIrr, RatInterval, enclose, exp_bounds, exp_le,
                                 qi_normalize)
 
-from oracles import convergent_pairs, psi_certificate_reference, quad_cf_digits
+from oracles import (convergent_pairs, gamma_interval, pair_value, psi_certificate_reference,
+                     quad_cf_digits)
 
 PHI = qi_normalize(1, 1, 5, 2)
 INV_PHI = qi_normalize(-1, 1, 5, 2)
@@ -129,7 +130,7 @@ def test_construct_psi_gamma_interval():
     cons = construct_psi(INV_PHI, PsiSpec.power(2), 2)
     ctx = CFContext(INV_PHI)
     partial = ctx.D(4) + ctx.D(12)
-    iv = cons.gamma_interval()
+    iv = gamma_interval(cons)
     assert iv.overlaps(enclose(partial, Fraction(1, 10**30)))
     assert iv.width < Fraction(1, 10**4)
 
@@ -143,17 +144,19 @@ def _unit_quadratic(rng) -> QuadIrr:
 
 def _certificate_routes(alpha, psi, count: int, budget: int) -> set:
     """Check one construction, or the partial one of its BlowUp, against the
-    exact Fraction route; return its lines' (tail is 10**-b, route, bound is
-    the cap) triples."""
+    exact Fraction route; return its lines' (tail has a b, route, bound has
+    no b) triples."""
     try:
         cons = construct_psi(alpha, psi, count, digit_budget=budget)
     except BlowUp as exc:
         cons = exc.partial
     tail, lines = psi_certificate_reference(cons, budget)
-    assert cons.tail == tail
-    assert [(line.route, line.ok, line.bound, line.bound_head)
-            for line in cons.certificate] == lines
-    return {(cons.tail_exponent is not None, line.route, line.bound_head is None)
+    assert pair_value(cons.tail) == tail
+    assert [(line.route, line.ok, pair_value(line.bound)) for line in cons.certificate] == lines
+    # a bound is the cap (no b) or carries the tail's b
+    assert all(line.bound[1] in (None, cons.tail[1])
+               for line in cons.certificate if line.bound is not None)
+    return {(cons.tail[1] is not None, line.route, line.bound is None or line.bound[1] is None)
             for line in cons.certificate}
 
 
@@ -174,14 +177,21 @@ def test_construct_psi_certificate_matches_the_exact_fraction_route(seed):
 
 @pytest.mark.parametrize("psi", [PsiSpec.exp_decay(Fraction(7, 3)), PsiSpec.power(3)],
                          ids=["exp", "power"])
-@pytest.mark.parametrize("b", [1, 12, 45])
+@pytest.mark.parametrize("b", [1, 12, 45, None])
 def test_le_psi_with_tail_exponent_is_the_formed_sum(psi, b):
-    # heads on both sides of Psi(t) - 10**-b, where v and v + 10**-b part
-    t, ten = 11, Fraction(1, 10**b)
-    value = psi.exact_value(t) or exp_bounds(-psi.c * t, b + 20).mid
-    for v in (Fraction(0), value - ten - ten / 2, value - ten / 2, value - 2 * ten, value):
+    # heads on both sides of Psi(t) - 10**-b, where v and v + 10**-b part;
+    # the formed sum v + 10**-b (v for b None) is compared by exp_le or
+    # exactly
+    t = 11
+    ten = Fraction(0) if b is None else Fraction(1, 10**b)
+    value = psi.exact_value(t) or exp_bounds(-psi.c * t, (b or 0) + 20).mid
+    for v in (Fraction(0), value - ten - ten / 2, value - ten / 2, value - 2 * ten, value,
+              2 * value):
         if v >= 0:
-            assert psi.le_psi(v, t, b) == psi.le_psi(v + ten, t), v
+            formed = v + ten
+            want = (formed <= psi.exact_value(t) if psi.kind == "power"
+                    else formed == 0 or exp_le(psi.c * t, 1 / formed))
+            assert psi.le_psi(v, t, b) == want, v
 
 
 def test_construct_psi_certificate_takes_the_cap_below_head_plus_ten_power():
@@ -348,7 +358,7 @@ def test_nearest_numerators_examples():
 
 def test_psi_set_verifies_first_order():
     cons = construct_psi(INV_PHI, PsiSpec.power(2), 3)
-    iv = cons.gamma_interval()
+    iv = gamma_interval(cons)
     gamma1 = RatInterval(-iv.hi, -iv.lo)
     aset = nearest_numerators(INV_PHI, cons.s, gamma1=gamma1)
     assert verify_order(aset, window=3).passed

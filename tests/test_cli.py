@@ -17,8 +17,8 @@ import pytest
 from jsonschema import Draft7Validator
 
 import ratapprox
-from ratapprox.approx import (ApproxSet, CertLine, PsiConstruction, construct_psi, detect_line,
-                              fit_coefficients, nearest_numerators, verify_order)
+from ratapprox.approx import (ApproxSet, construct_psi, detect_line, fit_coefficients,
+                              nearest_numerators, verify_order)
 from ratapprox.cf import CFContext
 from ratapprox.conic import periodic_construction, quad_detect
 from ratapprox.errors import BlowUp
@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 from ratapprox.cli import (Config, approx_set_json, load_approx_set, main, parse_psi,
                            parse_target, schema_path, sci_str, target_json, value_from_json)
 from ratapprox.exactnum import KINDS, Certified, RatInterval, qi_normalize
+
+from oracles import gamma_interval
 
 GOLDEN = {
     "cf-phi": ["cf", "--alpha", "quad:1,1,5,2", "--depth", "10"],
@@ -176,6 +178,29 @@ def test_rat_target_with_zero_denominator_is_a_value_error(capsys, flag, literal
         assert run_cli(capsys, ["cf", "--alpha", f"rat:{literal}"]) == (code, out)
 
 
+def test_zero_denominator_in_a_psi_or_config_rational_is_named(tmp_path, capsys):
+    # each rational literal of --psi exp:, a table: row and a config line
+    # goes through parse_rational, which names the literal
+    message = "zero denominator in rational '1/0'"
+    psi = ["build-psi", "--alpha", "quad:-1,1,5,2", "--count", "1", "--psi"]
+    table = tmp_path / "table.json"
+    table.write_text('[[1, "1/10"], [6, "1/0"]]')
+    config = tmp_path / "ratapprox.cfg"
+    config.write_text("decay_tolerance = 1/0\n")
+    for argv, expected in [
+        ([*psi, "exp:1/0"], message),
+        ([*psi, f"table:{table}"], f"malformed input file {table}: ValueError {message}"),
+        (["--config", str(config), "cf", "--alpha", "rat:1/2"], message),
+    ]:
+        code, out = run_cli(capsys, argv)
+        assert (code, json.loads(out)) == (1, {"error": "ValueError", "message": expected}), argv
+    # the flag is a usage error, as argparse reports a value its type refuses
+    with pytest.raises(SystemExit) as exc:
+        main(["--decay-tolerance", "1/0", "cf", "--alpha", "rat:1/2"])
+    assert exc.value.code == 2
+    assert "argument --decay-tolerance: invalid" in capsys.readouterr().err
+
+
 def test_package_runs_as_the_cli_module():
     # python -m ratapprox and python -m ratapprox.cli: the same bytes and exit code
     src = os.path.dirname(os.path.dirname(os.path.abspath(ratapprox.__file__)))
@@ -259,63 +284,66 @@ def test_build_psi_pairs_out_is_pinned(tmp_path, capsys, case):
     (100_000, "quad:-1,1,5,2", "power:3", 3),
     (100_000, "dec:0.6180339887498948482045868343656381177203±1e-40", "power:2", 2),
 ], ids=["exp", "power", "dec"])
-def test_build_psi_pairs_print_gamma1_without_the_exact_interval(capsys, monkeypatch, budget,
-                                                                 alpha, psi, count):
-    # the set's gamma_1 is -gamma_interval(), printed without forming it
+def test_build_psi_pairs_print_gamma1_without_the_exact_interval(capsys, budget, alpha, psi,
+                                                                 count):
+    # the set's gamma_1 is minus the enclosure of gamma, which the CLI prints
+    # from its (head, b) ends; the reference forms the exact interval
     cons = construct_psi(parse_target(alpha), parse_psi(psi), count, digit_budget=budget)
-    iv = cons.gamma_interval()
+    iv = gamma_interval(cons)
     expected = approx_set_json(nearest_numerators(cons.alpha, cons.s,
                                                   gamma1=RatInterval(-iv.hi, -iv.lo)))
-
-    def refuse(self):
-        raise AssertionError("gamma_interval called")
-
-    monkeypatch.setattr(PsiConstruction, "gamma_interval", refuse)
     code, out = run_cli(capsys, ["--digit-budget", str(budget), "build-psi", "--alpha", alpha,
                                  "--psi", psi, "--count", str(count), "--with-pairs"])
     assert code == 0, out
     assert json.loads(out)["set"] == expected
 
 
-def _refuse_ten_power(monkeypatch, cls, name):
-    """Make cls.name raise where it would form 10**-b from tail_exponent."""
-    read = getattr(cls, name).fget
+def _assert_holds_no_ten_power(cons) -> None:
+    """Every Fraction the construction stores (the tail's head, each
+    certificate bound's head and each head of gamma_interval_ends) has fewer
+    than b bits, b the tail's exponent: 10**-b is kept as b, never formed."""
+    b = cons.tail[1]
+    heads = [cons.tail[0], *(line.bound[0] for line in cons.certificate if line.bound),
+             *(head for head, _ in cons.gamma_interval_ends())]
+    sizes = [max(x.numerator.bit_length(), x.denominator.bit_length()) for x in heads]
+    assert b is not None and max(sizes) < b, (b, sizes)
 
-    def refuse(self):
-        if self.tail_exponent is not None:
-            raise AssertionError(f"{cls.__name__}.{name} formed 10**-{self.tail_exponent}")
-        return read(self)
 
-    monkeypatch.setattr(cls, name, property(refuse))
-
-
-@pytest.fixture
-def refuse_ten_power(monkeypatch):
-    _refuse_ten_power(monkeypatch, PsiConstruction, "tail")
-    _refuse_ten_power(monkeypatch, CertLine, "bound")
+def _construction(argv: list[str]):
+    """The construction (or BlowUp partial) of a build-psi argv with its flags
+    in the order of TAIL_PINS."""
+    flags = dict(zip(argv[::2], argv[1::2]))
+    budget = int(flags.get("--digit-budget", "100000"))
+    try:
+        return construct_psi(parse_target(flags["--alpha"]), parse_psi(flags["--psi"]),
+                             int(flags["--count"]), digit_budget=budget)
+    except BlowUp as exc:
+        return exc.partial
 
 
 @pytest.mark.parametrize("case", ["acceptance-6", "acceptance-6-pairs", "budget-14850"])
-def test_build_psi_never_forms_the_ten_power_tail(capsys, refuse_ten_power, case):
-    # the CLI prints head +- 10**-b by digit assembly, so neither the lazy
-    # tail nor a lazy certificate bound is read on the exp tail route
+def test_build_psi_never_forms_the_ten_power_tail(capsys, case):
+    # the tail 10**-b and the bounds that carry it stay (head, b) pairs, and
+    # the CLI prints head +- 10**-b by digit assembly
     argv, size, digest = TAIL_PINS[case]
+    cons = _construction([a for a in argv if a not in ("build-psi", "--with-pairs")])
+    _assert_holds_no_ten_power(cons)
+    assert any(line.route == "numeric" and line.bound[1] == cons.tail[1]
+               for line in cons.certificate)
     code, out = run_cli(capsys, argv)
     data = out.encode()
     assert (code, len(data), hashlib.sha256(data).hexdigest()) == (0, size, digest)
-    doc = json.loads(out)
-    assert any(line["route"] == "numeric" for line in doc["certificate"])
 
 
-def test_build_psi_blowup_never_forms_the_ten_power_tail(capsys, refuse_ten_power):
+def test_build_psi_blowup_never_forms_the_ten_power_tail(capsys):
     # the BlowUp's partial construction caps its tail at 10**-100000 too,
     # and keeps only the exponent
-    code, out = run_cli(capsys, ["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "exp:1000000",
-                                 "--count", "2"])
+    argv = ["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "exp:1000000", "--count", "2"]
+    code, out = run_cli(capsys, argv)
     assert (code, json.loads(out)["error"]) == (1, "BlowUp")
-    with pytest.raises(BlowUp) as exc:
-        construct_psi(parse_target("quad:-1,1,5,2"), parse_psi("exp:1000000"), 2)
-    assert (exc.value.partial.tail_exponent, exc.value.partial._tail) == (100_000, None)
+    cons = _construction(argv[1:])
+    assert cons.tail == (0, 100_000)
+    _assert_holds_no_ten_power(cons)
 
 
 def _unit_quad(D: int, Q: int) -> str:
@@ -575,13 +603,17 @@ SWEEP = {
     "config-dist": (["dist", "--alpha", "quad:-1,1,5,2", "--gamma", "dec:0.09016994±1e-8",
                      "--s", "5"],
                     ["--precision-digits"]),
+    "config-tolerance": (["build-periodic", "--alpha", "quad:-1,1,5,2", "--count", "3"],
+                         ["--decay-tolerance"]),
 }
+# the values a rational flag takes in place of -3..3
+SWEEP_VALUES = {"--decay-tolerance": ["0", "-1", "1/2", "1/0", "0/0"]}
 
 
-def _with_value(argv: list[str], flag: str, value: int) -> list[str]:
+def _with_value(argv: list[str], flag: str, value) -> list[str]:
     if flag == "power:":
         return [f"power:{value}" if a.startswith("power:") else a for a in argv]
-    if flag in ("--decay-window", "--precision-digits"):
+    if flag in ("--decay-window", "--precision-digits", "--decay-tolerance"):
         return [flag, str(value), *argv]
     if flag in argv:
         i = argv.index(flag)
@@ -597,7 +629,7 @@ def test_small_integer_flags_answer_or_refuse(tmp_path, capsys, command, flag):
     pairs.write_text(json.dumps({"pairs": PHI_PAIRS}))
     argv = [a.replace("{pairs}", str(pairs)) for a in SWEEP[command][0]]
     bad = []
-    for value in range(-3, 4):
+    for value in SWEEP_VALUES.get(flag, range(-3, 4)):
         try:
             code = main(_with_value(argv, flag, value))
         except SystemExit as exc:

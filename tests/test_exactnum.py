@@ -278,6 +278,9 @@ def _tail_sums(draw):
 @example(case=(Fraction(7, 40), -1, 5))
 @example(case=(Fraction(1, 3), -1, 1))
 @example(case=(Fraction(-5, 3), 1, 1))
+@example(case=(Fraction(0), 1, None))
+@example(case=(Fraction(7, 40), -1, None))
+@example(case=(Fraction(-5, 3), 1, None))
 def test_offset_str_is_the_printed_sum(case):
     x, sign, b = case
     saved = sys.get_int_max_str_digits()
@@ -286,7 +289,8 @@ def test_offset_str_is_the_printed_sum(case):
         got = offset_str(x, sign, b)
     finally:
         sys.set_int_max_str_digits(saved)
-    assert got == frac_str(x + Fraction(sign, 10**b))
+    # b None: the head alone
+    assert got == frac_str(x if b is None else x + Fraction(sign, 10**b))
 
 
 def test_enclose_phi_ten_thousandth():
@@ -385,23 +389,28 @@ def _pow10_cmp_screened(u: Fraction, b: int) -> tuple[int, bool]:
 
 
 @settings(max_examples=300, deadline=None)
-@given(b=st.integers(0, 3000), where=st.sampled_from(["at", "near", "far", "any"]),
+@given(b=st.none() | st.integers(0, 3000), where=st.sampled_from(["at", "near", "far", "any"]),
        q=st.integers(1, 10**12), t=st.integers(-10**12, 10**12), k=st.integers(4, 60),
        up=st.booleans())
 @example(b=0, where="at", q=1, t=0, k=4, up=True)
 @example(b=1, where="far", q=1, t=0, k=4, up=False)
+@example(b=None, where="any", q=1, t=0, k=4, up=False)
+@example(b=None, where="any", q=7, t=-3, k=4, up=False)
+@example(b=None, where="at", q=1, t=0, k=4, up=True)
 def test_pow10_cmp_matches_fraction_comparison(b, where, q, t, k, up):
     # u is 10**-b exactly, within a factor of 2 of it, at least 2**(k-1)
-    # away from it, or any rational
+    # away from it, or any rational; b None compares u with 0, unscreened
     f = Fraction((q + 1) // 2 + t % (2 * q - (q + 1) // 2 + 1), q)  # in [1/2, 2]
     u = {"at": Fraction(1), "near": f, "far": f * Fraction(2) ** (k if up else -k),
-         "any": Fraction(t, q)}[where] / 10**b
+         "any": Fraction(t, q)}[where] / 10**(b or 0)
     sign, screened = _pow10_cmp_screened(u, b)
-    ten = Fraction(1, 10**b)
+    ten = Fraction(0) if b is None else Fraction(1, 10**b)
     assert sign == (u > ten) - (u < ten)
-    if where == "at":
+    if b is None:
+        assert not screened
+    elif where == "at":
         assert sign == 0 and not screened
-    if where == "far":
+    elif where == "far":
         assert screened
 
 
@@ -416,16 +425,19 @@ def test_pow10_cmp_decides_by_bit_lengths_or_exactly():
 
 
 @pytest.mark.parametrize("x", [Fraction(1), Fraction(7, 3), Fraction(40)])
-@pytest.mark.parametrize("b", [0, 1, 5, 18, 60])
+@pytest.mark.parametrize("b", [0, 1, 5, 18, 60, None])
 def test_exp_le_inverse_sum_matches_exp_le(x, b):
-    # exp(x) <= 1/(head + 10**-b), decided with 10**-b kept apart and summed;
-    # the last head puts head + 10**-b within 10**-40 or so of exp(-x)
+    # exp(x) <= 1/(head + 10**-b), decided with 10**-b kept apart and summed
+    # (1/head for b None); the last heads put head + 10**-b within 10**-40 or
+    # so of exp(-x)
     inv = 1 / exp_bounds(x, 40).mid
-    for head in (Fraction(0), Fraction(1, 2), inv, inv - Fraction(1, 10**b)):
-        for nudge in (Fraction(0), Fraction(1, 10**(b + 3)), -Fraction(1, 10**(b + 3))):
+    ten = Fraction(0) if b is None else Fraction(1, 10**b)
+    tiny = Fraction(1, 10**((b or 40) + 3))
+    for head in (Fraction(0), Fraction(1, 2), inv, inv - ten):
+        for nudge in (Fraction(0), tiny, -tiny):
             h = head + nudge
-            if h >= 0:
-                assert exp_le_inverse_sum(x, h, b) == exp_le(x, 1 / (h + Fraction(1, 10**b)))
+            if h >= 0 and h + ten > 0:
+                assert exp_le_inverse_sum(x, h, b) == exp_le(x, 1 / (h + ten))
 
 
 def test_ln10_constants_bracket():
@@ -576,8 +588,8 @@ VALUE_TYPES = [
     (ConicForm, {"a": 1, "b": -1, "c": -1, "d": 1}, {"a": 3, "b": -3, "c": -3, "d": 5}),
     (Automorph, {"t11": 0, "t12": 1, "t21": 1, "t22": 1},
      {"t11": 2, "t12": -1, "t21": 5, "t22": 7}),
-    (RealDigits, {"b": [0, 1], "depth": 2, "tail_bound": _IV, "exact_remainder": None},
-     {"b": [0, 2], "depth": 3, "tail_bound": _IV2, "exact_remainder": Fraction(1, 9)}),
+    (RealDigits, {"b": [0, 1], "depth": 2, "remainder": _IV},
+     {"b": [0, 2], "depth": 3, "remainder": Fraction(1, 9)}),
     (Config, {"precision_digits": 200, "decay_window": 5, "decay_tolerance": Fraction(1, 1000),
               "digit_budget": 100_000, "seed_bound": 10_000, "prefix_exceptions": 2},
      {"precision_digits": 7, "decay_window": 3, "decay_tolerance": Fraction(1, 7),
@@ -636,12 +648,11 @@ RECORD_FIELDS = {cls: fields for cls, fields, _ in VALUE_TYPES} | {
     approx.ReportRow: {"r": 1, "s": 2, "residual": Fraction(1, 2), "scaled": Fraction(3, 2)},
     approx.DecayReport: {"order": 0, "rows": [], "window": 5, "rel_tolerance": Fraction(1, 1000),
                          "verdict": False, "note": "no verification pairs"},
-    approx.CertLine: {"k": 1, "s": 5, "route": "monotone", "_bound": None, "bound_head": None,
-                      "tail_exponent": None, "ok": True,
+    approx.CertLine: {"k": 1, "s": 5, "route": "monotone", "bound": None, "ok": True,
                       "detail": "s_k <= q_{n_k+1} and Psi decreasing"},
     approx.PsiConstruction: {"alpha": INV_PHI, "psi": PsiSpec.power(2), "indices": [4],
                              "n_next": 8, "s": [5], "gamma_partial": Fraction(1, 3),
-                             "_tail": None, "tail_exponent": 1, "certificate": []},
+                             "tail": (Fraction(0), 1), "certificate": []},
     approx.LineFit: {"a": 1, "b": 2, "d": 3, "exceptions": 0},
     approx.GrowthProfile: {"classification": "linear", "ratios": [Fraction(2)],
                            "differences": [1]},

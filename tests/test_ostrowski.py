@@ -39,6 +39,7 @@ from ratapprox.ostrowski import (
     int_digits_value,
     ostrowski_int,
     ostrowski_real,
+    tail_bound,
 )
 
 from oracles import (dist_formula_terms, enumerate_ostrowski_values, real_digits_partial,
@@ -108,7 +109,7 @@ def test_real_digits_finite_support(contexts):
     d = ostrowski_real(gamma, ctx, depth=16, allow_orbit=True)
     assert [n for n, b in enumerate(d.b) if b] == [4, 12]
     assert d.b[4] == 1 and d.b[12] == 1
-    assert d.exact_remainder == 0
+    assert d.remainder == 0
     assert real_digits_partial(d, ctx) == gamma
 
 
@@ -167,7 +168,7 @@ def test_real_digits_roundtrip_random(contexts):
                     gamma = b * ctx.D(n) + gamma
             d = ostrowski_real(gamma, ctx, depth=12, allow_orbit=True)
             assert d.b == digits
-            assert d.exact_remainder == 0
+            assert d.remainder == 0
 
 
 def test_real_digits_match_exhaustive_minimizer(contexts):
@@ -211,11 +212,15 @@ def test_real_digits_tail_bound(contexts):
         d = ostrowski_real(gamma, ctx, depth=depth, allow_orbit=True)
         partial = real_digits_partial(d, ctx)
         rem = gamma - partial
-        assert d.tail_bound.contains(enclose(rem, Fraction(1, 10**50)).mid) or (
-            isinstance(rem, Fraction) and d.tail_bound.contains(rem)
+        assert d.remainder == rem
+        # the tail is the exact remainder enclosed at width 1/(q_depth * 2**20)
+        tail = tail_bound(d, ctx)
+        assert tail == enclose(rem, Fraction(1, ctx.q(depth) * 2**20))
+        assert tail.contains(enclose(rem, Fraction(1, 10**50)).mid) or (
+            isinstance(rem, Fraction) and tail.contains(rem)
         )
         cap = ctx.d_abs_upper(depth - 1)
-        assert max(abs(d.tail_bound.lo), abs(d.tail_bound.hi)) <= cap
+        assert max(abs(tail.lo), abs(tail.hi)) <= cap
 
 
 def test_delta_profile_examples(contexts):
@@ -317,7 +322,9 @@ def test_certified_gamma_path():
     cert = Certified(digits="...", enclosure=iv)
     d = ostrowski_real(cert, ctx, depth=8)
     assert [n for n, b in enumerate(d.b) if b] == [4]
-    assert d.tail_bound.overlaps(enclose(ctx.D(9), Fraction(1, 10**20)))
+    # the certified path's remainder is an interval, and is its own tail bound
+    assert tail_bound(d, ctx) == d.remainder
+    assert d.remainder.overlaps(enclose(ctx.D(9), Fraction(1, 10**20)))
 
 
 def test_real_digits_boundary_tie_detected(contexts):
@@ -453,7 +460,7 @@ def _kernel_outcome(gamma, ctx, depth, precision):
         d = ostrowski_real(gamma, ctx, depth, allow_orbit=True, precision_digits=precision)
     except (RatApproxError, ValueError) as exc:
         return type(exc).__name__, str(exc)
-    return d.b, d.tail_bound, d.exact_remainder
+    return d.b, d.remainder
 
 
 def _reference_outcome(gamma, ctx, depth, precision):
@@ -480,7 +487,7 @@ KERNEL_KINDS = ["rational", "quadratic", "orbit", "certified", "certified-quadra
 @example(i=2, kind="certified-quadratic", num=3, den=8, coef=5, digits=200, depth=80, precision=200)
 @example(i=6, kind="quadratic", num=-3, den=11, coef=9, digits=40, depth=80, precision=200)
 def test_real_digit_kernels_match_reference(i, kind, num, den, coef, digits, depth, precision):
-    """Equal digits, tail_bound and exact remainder (of the same type), or
+    """Equal digits and remainder (of the same type), or
     the same error class and message."""
     ctx = KERNEL_CTX[i]
     gamma = _kernel_gamma(KERNEL_ALPHAS[i], kind, num, den, coef, digits)
