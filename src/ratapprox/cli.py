@@ -40,8 +40,8 @@ from .conic import (
     quad_detect,
 )
 from .errors import RatApproxError
-from .exactnum import (KINDS, ByValue, as_interval, frac_str, int_str, kind_of, offset_str,
-                       operand, parse_rational)
+from .exactnum import (KINDS, ByValue, as_interval, frac_str, int_str, kind_of, operand,
+                       outward_str, parse_rational)
 from .ostrowski import (DEFAULT_PRECISION_DIGITS, delta_profile, dist_bound, dist_direct,
                         dist_formula, ostrowski_int, ostrowski_real, tail_bound)
 
@@ -425,11 +425,11 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
         alpha, parse_psi(args.psi), args.count, digit_budget=cfg.digit_budget
     )
     # every bound is a pair (head, b) worth head + 10**-b (a monotone line's
-    # is None); offset_str joins 10**-b to the head's digits rather than
-    # summing and printing b digits
-    b = cons.tail[1]
+    # is None); bounds and interval ends print as decimals rounded outward,
+    # and the tail, whose head is 0 when b is set, prints exactly
+    head, b = cons.tail
     ends = cons.gamma_interval_ends()
-    lo, hi = (offset_str(head, sign, b) for head, sign in ends)
+    lo, hi = (outward_str(end, sign, b) for end, sign in ends)
     doc = {
         "psi": cons.psi.to_json(),
         "alpha": target_json(alpha),
@@ -438,7 +438,7 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
         "s": [int_str(v) for v in cons.s],
         "gamma": {
             "partial": target_json(cons.gamma_partial),
-            "tail_bound": offset_str(cons.tail[0], 1, b),
+            "tail_bound": frac_str(head) if b is None else outward_str(head, 1, b),
             "interval": {"lo": lo, "hi": hi},
         },
         "digit_support": cons.indices,
@@ -448,7 +448,7 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
                 "k": line.k,
                 "s": int_str(line.s),
                 "route": line.route,
-                "bound": line.bound and offset_str(line.bound[0], 1, line.bound[1]),
+                "bound": line.bound and outward_str(line.bound[0], 1, line.bound[1]),
                 "ok": line.ok,
                 "detail": line.detail,
             }
@@ -457,7 +457,7 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
     }
     if args.pairs_out or args.with_pairs:
         # gamma_1 = -gamma: its ends are gamma's, negated and swapped
-        lo1, hi1 = (offset_str(-head, -sign, b) for head, sign in reversed(ends))
+        lo1, hi1 = (outward_str(-end, -sign, b) for end, sign in reversed(ends))
         doc["set"] = {**approx_set_json(nearest_numerators(alpha, cons.s)), "N": 1,
                       "gamma": [{"kind": "interval", "value": {"lo": lo1, "hi": hi1}}]}
         if args.pairs_out:

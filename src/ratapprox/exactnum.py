@@ -69,59 +69,47 @@ def frac_str(x: Fraction) -> str:
     return num if x.denominator == 1 else f"{num}/{int_str(x.denominator)}"
 
 
-def _split_prime_power(d: int, p: int, guess: int) -> tuple[int, int]:
-    """(v, d // p**v) for d > 0 and v the exponent of the prime p in d.  Trial
-    exponents start at `guess` and double after a division, halve after a
-    miss, so a good guess takes one division by p**v."""
-    v, g = 0, max(guess, 1)
-    while g:
-        q, r = divmod(d, p**g)
-        if r:
-            g //= 2
-        else:
-            d, v, g = q, v + g, 2 * g
-    return v, d
+OUTWARD_DIGITS = 50  # significant digits of outward_str
 
 
-def offset_str(x: Fraction, sign: int, b: int | None) -> str:
-    """frac_str(x + sign * 10**-b) for sign = +-1 and b >= 0, without
-    converting a b-digit integer once b is past the size of x; frac_str(x)
-    for b None.
-
-    With x = a/d in lowest terms, i = v2(d), j = v5(d), m = max(i, j) and
-    d = 2**i * 5**j * d', every prime common to a*10**b + sign*d and d*10**b
-    divides 10, so for b > m the sum reduces to
-    (A*10**(b-m) + sign*d') / (d'*10**b) with A = a * 2**(m-i) * 5**(m-j).
-    Once d' < 10**(b-m), the numerator's digits are those of A (or A - 1)
-    joined to the b-m digits of d' (or of 10**(b-m) - d', mostly 9s), and
-    the denominator's are those of d' followed by b zeros.  Smaller b falls
-    back to the exact sum.
-    """
+def outward_str(head: Fraction, sign: int, b: int | None) -> str:
+    """The decimal "d.ddd...e<exp>" of head + sign * 10**-b (head for b None),
+    sign = +-1, rounded toward sign * infinity to OUTWARD_DIGITS significant
+    digits, without trailing zeros, so shorter values print exactly
+    ("1e-100000").  One floor division gives the digits of |head| = |n|/d, and
+    pow10_cmp decides how 10**-b moves the last one: 10**b is formed only
+    when it is not past the size of head's own digits."""
+    n, d = head.numerator, head.denominator
+    if not n:
+        return "0e0" if b is None else f"{'-' if sign < 0 else ''}1e{-b}"
+    # log2 |head| lies strictly between x - 1 and x + 1, x the difference of
+    # the bit lengths, so E is at most the exponent of |head|
+    E = (abs(n).bit_length() - d.bit_length() - 1) * 30103 // 100000 - 1
+    k = OUTWARD_DIGITS - 1 - E
+    if b is not None and b <= k + 1:  # 10**-b reaches the printed digits: sum exactly
+        return outward_str(head + Fraction(sign, 10**b), sign, None)
+    den = d * 10**max(0, -k)
+    N, rem = divmod(abs(n) * 10**max(0, k), den)
+    top = 10**OUTWARD_DIGITS
+    while N >= top:  # a digit more than wanted: move it into the remainder
+        N, digit = divmod(N, 10)
+        rem, den, E, k = digit * den + rem, den * 10, E + 1, k - 1
+    # |head| * 10**k = N + rem/den with top/10 <= N < top, and 10**-b moves
+    # |head| away from 0 exactly when the rounding does
+    up = (n > 0) == (sign > 0)
     if b is None:
-        return frac_str(x)
-    a, d = x.numerator, x.denominator
-    i = (d & -d).bit_length() - 1
-    j, rest = _split_prime_power(d >> i, 5, i)
-    m = max(i, j)
-    low = b - m  # digits the low block fills
-    rest_str = int_str(rest)
-    if len(rest_str) > low:  # also b <= m, where the reduction above fails
-        return frac_str(x + Fraction(sign, 10**b))
-    A = a * 2 ** (m - i) * 5 ** (m - j)
-    den = rest_str + "0" * b
-    if A == 0:
-        return f"{'-' if sign < 0 else ''}{rest_str}/{den}"
-    # |num| = |A|*10**low + sign*sign(A)*rest, and 0 < rest < 10**low
-    minus = "-" if A < 0 else ""
-    high = abs(A)
-    if (sign > 0) == (A > 0):
-        return f"{minus}{int_str(high)}{rest_str.zfill(low)}/{den}"
-    # (high - 1)*10**low + (10**low - rest); 10**low - rest is low - len(rest)
-    # nines followed by the len(rest) digits of 10**len(rest) - rest
-    width = len(rest_str)
-    block = "9" * (low - width) + int_str(10**width - rest).zfill(width)
-    head = int_str(high - 1) if high > 1 else ""
-    return f"{minus}{head}{block if head else block.lstrip('0')}/{den}"
+        M = N + (up and rem > 0)
+    elif up:  # the ceiling of N + r + eps, 0 <= r < 1, eps = 10**-(b-k) <= 1/100
+        M = N + 1 + (pow10_cmp(Fraction(den - rem, den), b - k) < 0)
+    else:  # the floor of N + r - eps
+        M = N - (pow10_cmp(Fraction(rem, den), b - k) < 0)
+    if M >= top:  # rounded up past a power of ten: the ceiling one digit up
+        M, E = -(-M // 10), E + 1
+    elif M < top // 10:  # N = top/10 less eps: the floor one digit down
+        M, E = 10 * M + 9, E - 1
+    digits = str(M).rstrip("0")
+    frac = f".{digits[1:]}" if len(digits) > 1 else ""
+    return f"{'-' if n < 0 else ''}{digits[0]}{frac}e{E}"
 
 
 def _norm_sign(x: int) -> int:
@@ -275,12 +263,20 @@ class QuadIrr:
             return other.numerator, 0, other.denominator
         return None
 
+    def _same_field(self, P: int, e: int, Q: int) -> "QuadIrr | Fraction":
+        """(P + e*sqrt(D))/Q for Q > 0, as a sum or product of canonical
+        operands needs it: one gcd, no squarefree split (a Fraction for e = 0)."""
+        if not e:
+            return Fraction(P, Q)
+        g = gcd(P, e, Q)
+        return QuadIrr(P // g, e // g, self.D, Q // g)
+
     def __add__(self, other):
         op = self._operand(other)
         if op is None:
             return NotImplemented
         P, e, Q = op
-        return QuadIrr.make(self.P * Q + P * self.Q, self.e * Q + e * self.Q, self.D, self.Q * Q)
+        return self._same_field(self.P * Q + P * self.Q, self.e * Q + e * self.Q, self.Q * Q)
 
     __radd__ = __add__
 
@@ -300,10 +296,8 @@ class QuadIrr:
         if op is None:
             return NotImplemented
         P, e, Q = op
-        # a zero rational factor gives e = 0, which make() returns as Fraction(0)
-        return QuadIrr.make(
-            self.P * P + self.e * e * self.D, self.P * e + self.e * P, self.D, self.Q * Q
-        )
+        return self._same_field(self.P * P + self.e * e * self.D, self.P * e + self.e * P,
+                                self.Q * Q)
 
     __rmul__ = __mul__
 
@@ -396,7 +390,8 @@ class QuadIrr:
 
 
 def qi_shift_half(x: QuadIrr) -> QuadIrr:
-    res = x + Fraction(1, 2)
+    # normalized in full, unlike x + 1/2, so that a square D shows as rational
+    res = QuadIrr.make(2 * x.P + x.Q, 2 * x.e, x.D, 2 * x.Q)
     if not isinstance(res, QuadIrr):
         raise InvariantViolation(f"non-canonical {x!r} plus 1/2 is rational")
     return res
@@ -490,7 +485,7 @@ class RatInterval(ByValue):
 
     @staticmethod
     def from_json(v: dict) -> "RatInterval":
-        return RatInterval(Fraction(v["lo"]), Fraction(v["hi"]))
+        return RatInterval(parse_rational(v["lo"]), parse_rational(v["hi"]))
 
     @staticmethod
     def _bounds(other) -> tuple[Fraction, Fraction] | None:
@@ -600,8 +595,8 @@ class Certified(ByValue):
         if "±" not in body:
             raise ValueError("certified literal must look like '1.41±0.005'")
         digits, err = body.split("±", 1)
-        center = Fraction(digits)
-        radius = Fraction(err)
+        center = parse_rational(digits)
+        radius = parse_rational(err)
         if radius <= 0:
             raise ValueError("certified radius must be positive")
         return Certified(digits, RatInterval(center - radius, center + radius))
@@ -630,7 +625,7 @@ class Kind(Record):
 KINDS = {
     k.name: k
     for k in (
-        Kind("rat", (int, Fraction), parse_rational, Fraction, frac_str, True),
+        Kind("rat", (int, Fraction), parse_rational, parse_rational, frac_str, True),
         Kind("quad", (QuadIrr,), QuadIrr.parse, QuadIrr.from_json, QuadIrr.to_json, True),
         Kind("dec", (Certified,), Certified.parse, Certified.from_json, Certified.to_json, False),
         Kind("interval", (RatInterval,), None, RatInterval.from_json, RatInterval.to_json, False),
@@ -689,9 +684,12 @@ def enclose(x: RealTarget, width: Fraction) -> RatInterval:
         k += 8
     while k > 1 and 10 ** (k - 8) >= c:
         k -= 8
-    # sqrt_bounds has width <= 10**-k, so the result's is <= |e|/(Q*10**k) <= width
-    scaled = sqrt_bounds(x.D, k) * Fraction(x.e)
-    return RatInterval((x.P + scaled.lo) / x.Q, (x.P + scaled.hi) / x.Q)
+    # r/m < sqrt(D) < (r + 1)/m for m = 10**k (D is not a square), so the ends
+    # (P*m + e*r)/(Q*m) and (P*m + e*(r + 1))/(Q*m) are |e|/(Q*m) <= width apart
+    m = 10**k
+    r = isqrt(x.D * m * m)
+    return RatInterval(*(Fraction(x.P * m + x.e * (r + i), x.Q * m)
+                         for i in ((0, 1) if x.e > 0 else (1, 0))))
 
 
 def as_interval(x, width: Fraction) -> RatInterval:

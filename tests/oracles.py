@@ -14,11 +14,14 @@ from math import ceil, floor, isqrt
 from ratapprox.cf import CFContext
 from ratapprox.errors import GammaOnOrbit, OutOfRegime, PrecisionExhausted
 from ratapprox.exactnum import (
+    KINDS,
     Certified,
     QuadIrr,
     RatInterval,
     as_interval,
     exp_le,
+    kind_of,
+    operand,
 )
 
 
@@ -372,3 +375,83 @@ def psi_certificate_reference(cons, digit_budget: int):
         ok = bound <= exact if exact is not None else exp_le(psi.c * s_k, 1 / bound)
         lines.append(("numeric", ok, bound))
     return tail, lines
+
+
+# the largest argument c*s at which the checker below decides exp(-c*s) by
+# exp_le, the library's own reach for a numeric certificate line
+_EXP_REACH = 2 * 10**6
+
+
+def _psi_le(psi: dict, v: Fraction, s: int) -> bool | None:
+    """v <= Psi(s) for the printed psi of a build-psi document; None when
+    Psi(s) is out of reach (an exp argument past _EXP_REACH, or a table
+    without a row at or below s)."""
+    if v <= 0:
+        return True
+    if psi["family"] == "power":
+        return v * s ** psi["k"] <= 1
+    if psi["family"] == "rational_table":
+        values = [Fraction(value) for row, value in psi["rows"] if int(row) <= s]
+        return v <= values[-1] if values else None
+    x = Fraction(psi["c"]) * s
+    return exp_le(x, 1 / v) if x <= _EXP_REACH else None
+
+
+def _relative_enclosure(x) -> RatInterval:
+    """An enclosure of the exact value x > 0 whose width is at most a
+    millionth of its lower end, however small x is."""
+    digits = 20
+    while True:
+        iv = as_interval(x, Fraction(1, 10**digits))
+        if iv.lo > 0 and iv.width * 10**6 <= iv.lo:
+            return iv
+        digits *= 2
+
+
+def check_psi_document(doc: dict) -> tuple[bool, list[str]]:
+    """Check a build-psi document from what it prints alone: alpha, psi, s,
+    gamma's partial sum, tail_bound, interval and the certificate, read back
+    without the construction.  gamma = partial + tau with |tau| <=
+    tail_bound = t, so for each line the distance d_k = ||s_k alpha -
+    partial|| puts ||s_k alpha - gamma|| in [d_k - t, d_k + t].
+
+    Returns whether the printed interval holds [partial - t, partial + t],
+    and each line's status:
+    - "checked": d_k + t <= Psi(s_k), so the line holds whatever the tail;
+    - "failed": the printed bound is below d_k - t, or the line says ok and
+      d_k - t exceeds Psi(s_k);
+    - "construction": d_k = 0 (the last line, where s_K alpha - partial is
+      an integer), Psi(s_k) is out of reach, or d_k +- t straddle it; the
+      line rests on the construction's own argument.
+    d_k is enclosed to a width relative to its size, since it can be as
+    small as 10**-7693.
+    """
+    def decode(value: dict):
+        return KINDS[value["kind"]].decode(value["value"])
+
+    alpha, partial = operand(decode(doc["alpha"])), operand(decode(doc["gamma"]["partial"]))
+    t = Fraction(doc["gamma"]["tail_bound"])
+    ends = doc["gamma"]["interval"]
+    low, high = (partial.lo, partial.hi) if isinstance(partial, RatInterval) else (partial, partial)
+    contains = Fraction(ends["lo"]) <= low - t and high + t <= Fraction(ends["hi"])
+    statuses = []
+    for line in doc["certificate"]:
+        s = int(line["s"])
+        x = alpha * s - partial
+        if not kind_of(x).exact:
+            dist = x.dist_to_nearest_int()
+        elif x == round(x):
+            statuses.append("construction")
+            continue
+        else:
+            dist = _relative_enclosure(abs(x - round(x)))
+        lower, upper = dist.lo - t, dist.hi + t
+        if line["bound"] is not None and Fraction(line["bound"]) < lower:
+            statuses.append("failed")
+        elif _psi_le(doc["psi"], upper, s):
+            statuses.append("checked")
+        elif line["ok"] and _psi_le(doc["psi"], lower, s) is False:
+            statuses.append("failed")
+        else:
+            statuses.append("construction")
+    return contains, statuses

@@ -30,7 +30,7 @@ from ratapprox.cli import (Config, approx_set_json, load_approx_set, main, parse
                            parse_target, schema_path, sci_str, target_json, value_from_json)
 from ratapprox.exactnum import KINDS, Certified, RatInterval, qi_normalize
 
-from oracles import gamma_interval
+from oracles import check_psi_document, gamma_interval
 
 GOLDEN = {
     "cf-phi": ["cf", "--alpha", "quad:1,1,5,2", "--depth", "10"],
@@ -201,6 +201,24 @@ def test_zero_denominator_in_a_psi_or_config_rational_is_named(tmp_path, capsys)
     assert "argument --decay-tolerance: invalid" in capsys.readouterr().err
 
 
+def test_zero_denominator_in_a_set_file_or_dec_radius_is_named(tmp_path, capsys):
+    # a set file's rat gamma and interval ends, and a dec: literal's center
+    # and radius, go through parse_rational; read_input names the file
+    message = "zero denominator in rational '1/0'"
+    base = {"alpha": {"kind": "quad", "value": {"P": "-1", "e": "1", "D": "5", "Q": "2"}},
+            "N": 1, "pairs": [["1", "2"], ["2", "3"], ["3", "5"]]}
+    for name, gamma in [("rat", {"kind": "rat", "value": "1/0"}),
+                        ("interval", {"kind": "interval", "value": {"lo": "0", "hi": "1/0"}})]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**base, "gamma": [gamma]}))
+        code, out = run_cli(capsys, ["approx-verify", "--set", str(path)])
+        expected = f"malformed input file {path}: ValueError {message}"
+        assert (code, json.loads(out)) == (1, {"error": "ValueError", "message": expected})
+    for literal in ["dec:0.5±1/0", "dec:1/0±1/10"]:
+        code, out = run_cli(capsys, ["cf", "--alpha", literal])
+        assert (code, json.loads(out)) == (1, {"error": "ValueError", "message": message})
+
+
 def test_package_runs_as_the_cli_module():
     # python -m ratapprox and python -m ratapprox.cli: the same bytes and exit code
     src = os.path.dirname(os.path.dirname(os.path.abspath(ratapprox.__file__)))
@@ -232,20 +250,21 @@ def test_blowup_is_reported(capsys):
     assert json.loads(out)["error"] == "BlowUp"
 
 
-# build-psi calls whose 10**-b tail puts b-digit numbers in the output (the
-# first is acceptance 6), as (argv, stdout bytes, stdout sha256)
+# build-psi calls with a 10**-b tail, b up to 100,000 (the first is
+# acceptance 6), as (argv, stdout bytes, stdout sha256); every bound and
+# interval end prints as a 50-digit decimal rounded outward, the tail as 1e-b
 TAIL_PINS = {
     "acceptance-6": (["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "exp:1", "--count", "3"],
-                     955_020, "d3d947b19cc6cda9e114d3bb2826a1c7ab90f2ea8d7641cc13b01a908202f8d8"),
+                     32_164, "b5704fc58c147f7c5f8c7baecf5c354bb4379a8d5d24a21f408c526ee61d7ef7"),
     "acceptance-6-pairs": (["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "exp:1",
                             "--count", "3", "--with-pairs"],
-                           1_370_864,
-                           "e3e0db861e47de0835548127cd3997c45fb0ecfd550ac9bf31a7f747dfc56ed8"),
+                           48_114,
+                           "755ed30c843ad4e3b66ec0e6697be46e48428c2aec7fdf45cd5eb218c306acdb"),
     "exp-half": (["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "exp:1/2", "--count", "3"],
-                 901_751, "853b231453ba68f2401f78a5c76426911e015b1c361efbbd45f35296f25eef56"),
+                 1_716, "abcdcc9975ad8c8137a04af7a7321e596ea6df209a0750d0a398a2679ea4faef"),
     "budget-14850": (["--digit-budget", "14850", "build-psi", "--alpha", "quad:-8,1,67,1",
                       "--psi", "exp:1/2", "--count", "2"],
-                     105_143, "c738e1bb6697728fc4f41795b07b4470bc173aa200cde57029a0f3be27ddb544"),
+                     1_314, "d23e6a441ecdba961901e871c2bce48936e3cf0b33ccfaf3cb3cba5bac3abf93"),
 }
 
 
@@ -258,14 +277,14 @@ def test_build_psi_tail_output_is_pinned(capsys, case):
 
 
 # build-psi calls with --pairs-out, as (argv, stdout bytes and sha256, file
-# bytes and sha256); exp:1 writes gamma_1 with 100,000-digit ends
+# bytes and sha256); exp:1 writes gamma_1 with 50-digit ends of 1e-100000 width
 PAIRS_OUT_PINS = {
     "exp": (["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "exp:1", "--count", "3"],
-            1_370_864, "e3e0db861e47de0835548127cd3997c45fb0ecfd550ac9bf31a7f747dfc56ed8",
-            415_766, "35d2fabf30f7659ea0d820be0197ec7c7792d55f7e1f9469e5be58436df8277e"),
+            48_114, "755ed30c843ad4e3b66ec0e6697be46e48428c2aec7fdf45cd5eb218c306acdb",
+            15_872, "da835813214466b6834e971c078941a6b41553b7a61546f603dbfc591df58880"),
     "power": (["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "power:3", "--count", "3"],
-              2_553, "170ba65469ab04a25742608156c4245b86ea492f22aa6f7da705479b0b1d36ad",
-              752, "1f03106ac5aa5157b16b035de1563d2b938809ce8402b5bbcfcffbd97ffd6698"),
+              2_066, "5f1314fff2bb1d7c0d4a5d1d4973cf9f64d39e944c3dafb9cd50a4acafe041f3",
+              506, "54cdf81f583d020507464d06bd9bbe3ca66a1d128dfcd25f56b5ccced797b8e7"),
 }
 
 
@@ -279,6 +298,11 @@ def test_build_psi_pairs_out_is_pinned(tmp_path, capsys, case):
     assert (len(written), hashlib.sha256(written).hexdigest()) == (file_size, file_digest)
 
 
+def _last_digit_unit(text: str) -> Fraction:
+    """The unit of the 50th significant digit of a printed decimal d.ddd...e<exp>."""
+    return Fraction(10) ** (int(text.split("e")[1]) - 49)
+
+
 @pytest.mark.parametrize("budget, alpha, psi, count", [
     (3000, "quad:-1,1,5,2", "exp:1", 2),
     (100_000, "quad:-1,1,5,2", "power:3", 3),
@@ -287,15 +311,37 @@ def test_build_psi_pairs_out_is_pinned(tmp_path, capsys, case):
 def test_build_psi_pairs_print_gamma1_without_the_exact_interval(capsys, budget, alpha, psi,
                                                                  count):
     # the set's gamma_1 is minus the enclosure of gamma, which the CLI prints
-    # from its (head, b) ends; the reference forms the exact interval
+    # from its (head, b) ends rounded outward; the reference forms the exact
+    # interval, and each printed end lies outside it by less than a unit of
+    # its 50th digit
     cons = construct_psi(parse_target(alpha), parse_psi(psi), count, digit_budget=budget)
     iv = gamma_interval(cons)
-    expected = approx_set_json(nearest_numerators(cons.alpha, cons.s,
-                                                  gamma1=RatInterval(-iv.hi, -iv.lo)))
+    expected = approx_set_json(nearest_numerators(cons.alpha, cons.s))
     code, out = run_cli(capsys, ["--digit-budget", str(budget), "build-psi", "--alpha", alpha,
                                  "--psi", psi, "--count", str(count), "--with-pairs"])
     assert code == 0, out
-    assert json.loads(out)["set"] == expected
+    aset = json.loads(out)["set"]
+    assert {**aset, "gamma": []} == {**expected, "N": 1}
+    [gamma1] = aset["gamma"]
+    assert gamma1["kind"] == "interval"
+    lo, hi = (gamma1["value"][end] for end in ("lo", "hi"))
+    assert 0 <= -iv.hi - Fraction(lo) < _last_digit_unit(lo)
+    assert 0 <= Fraction(hi) + iv.lo < _last_digit_unit(hi)
+
+
+@pytest.mark.parametrize("argv", [*(argv for argv, *_ in TAIL_PINS.values()),
+                                  *(argv for argv, *_ in PAIRS_OUT_PINS.values())],
+                         ids=[*TAIL_PINS, *(f"pairs-out-{case}" for case in PAIRS_OUT_PINS)])
+def test_build_psi_document_passes_the_independent_check(capsys, argv):
+    # the printed interval holds partial +- tail_bound, and no line fails;
+    # every line but the last (whose distance is 0) is checked from the
+    # printed facts alone
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    contains, statuses = check_psi_document(doc)
+    assert contains
+    assert statuses == ["checked"] * (len(statuses) - 1) + ["construction"]
 
 
 def _assert_holds_no_ten_power(cons) -> None:
@@ -324,7 +370,7 @@ def _construction(argv: list[str]):
 @pytest.mark.parametrize("case", ["acceptance-6", "acceptance-6-pairs", "budget-14850"])
 def test_build_psi_never_forms_the_ten_power_tail(capsys, case):
     # the tail 10**-b and the bounds that carry it stay (head, b) pairs, and
-    # the CLI prints head +- 10**-b by digit assembly
+    # the CLI prints head +- 10**-b rounded outward without forming 10**b
     argv, size, digest = TAIL_PINS[case]
     cons = _construction([a for a in argv if a not in ("build-psi", "--with-pairs")])
     _assert_holds_no_ten_power(cons)
@@ -389,6 +435,9 @@ def test_build_psi_fuzz_answers_with_one_json_document(flags, pairs, bad):
     else:
         doc = json.loads(out.getvalue())  # exactly one document
         assert ("error" in doc) == (code == 1), argv
+    if code == 0:
+        contains, statuses = check_psi_document(doc)
+        assert contains and "failed" not in statuses, (argv, statuses)
 
 
 def _fresh_cli(argv):

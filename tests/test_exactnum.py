@@ -27,9 +27,8 @@ from ratapprox.exactnum import (
     exp_bounds,
     exp_le,
     exp_le_inverse_sum,
-    frac_str,
     int_str,
-    offset_str,
+    outward_str,
     pow10_cmp,
     qi_normalize,
     qi_pair,
@@ -238,59 +237,69 @@ def test_enclose_precision_is_the_stepping_loops(P, e_digits, D, Q, w_num, w_dig
     assert enclose(x, w) == RatInterval((x.P + scaled.lo) / x.Q, (x.P + scaled.hi) / x.Q)
 
 
-def _prime_split(n: int, p: int) -> tuple[int, int]:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
-
-
 @st.composite
-def _tail_sums(draw):
-    """(x, sign, b) for offset_str: heads of any sign whose denominators
-    carry 2- and 5-powers, some of them Q*10**k with 2,000+ digits (the
-    shape of enclose's ends), and b on both sides of the size of x past
-    which the digits are joined rather than summed."""
-    rnd = draw(st.randoms(use_true_random=False))
-    q = draw(st.integers(1, 10**30))
-    if draw(st.booleans()):
-        k = draw(st.integers(2000, 2400))
-        i, j = k + draw(st.integers(-3, 3)), k + draw(st.integers(-3, 3))
+def _outward_cases(draw):
+    """(head, sign, b) for outward_str: heads of any sign, 0 among them, some
+    with 9,000-digit denominators (the size of a certificate bound's head),
+    some within a few parts in 10**t of 10**-b; b None, small, or 10**5."""
+    sign = draw(st.sampled_from((-1, 1)))
+    b = draw(st.none() | st.integers(0, 300) | st.sampled_from((10**5 - 1, 10**5)))
+    shape = draw(st.sampled_from(("any", "zero", "near")))
+    if shape == "zero":
+        head = Fraction(0)
+    elif shape == "near" and b is not None:
+        t = draw(st.integers(0, 60))
+        head = draw(st.sampled_from((-1, 1))) * Fraction(
+            10**t + draw(st.integers(-1000, 1000)), 10 ** (t + b))
     else:
-        i, j = draw(st.integers(0, 80)), draw(st.integers(0, 80))
-    d = q * 2**i * 5**j
-    a = rnd.getrandbits(draw(st.integers(0, d.bit_length() + 200)))
-    x = Fraction(draw(st.sampled_from((-1, 0, 1))) * a, d)
-    v2, rest = _prime_split(x.denominator, 2)
-    v5, rest = _prime_split(rest, 5)
-    b = max(0, max(v2, v5) + len(str(rest)) + draw(st.integers(-40, 40)))
-    return x, draw(st.sampled_from((-1, 1))), b
+        head = Fraction(draw(st.integers(-(10**80), 10**80)),
+                        draw(st.integers(1, 10**80)) * 10 ** draw(st.integers(0, 9000)))
+    return head, sign, b
 
 
-@settings(deadline=None, max_examples=80)
-@given(case=_tail_sums())
-@example(case=(Fraction(0), 1, 0))
-@example(case=(Fraction(0), -1, 1))
-@example(case=(Fraction(1), -1, 1))
-@example(case=(Fraction(-1, 2), 1, 1))
-@example(case=(Fraction(7, 40), -1, 4))
-@example(case=(Fraction(7, 40), -1, 5))
-@example(case=(Fraction(1, 3), -1, 1))
-@example(case=(Fraction(-5, 3), 1, 1))
+@settings(deadline=None, max_examples=150)
+@given(case=_outward_cases())
+@example(case=(Fraction(0), 1, 10**5))
+@example(case=(Fraction(0), -1, 0))
 @example(case=(Fraction(0), 1, None))
-@example(case=(Fraction(7, 40), -1, None))
-@example(case=(Fraction(-5, 3), 1, None))
-def test_offset_str_is_the_printed_sum(case):
-    x, sign, b = case
+@example(case=(Fraction(1), -1, 100))
+@example(case=(Fraction(-1), 1, 100))
+@example(case=(Fraction(10**50 - 1, 10**50), 1, 100))
+@example(case=(Fraction(10**50 - 1, 10**50), 1, None))
+@example(case=(Fraction(-1, 10**5), 1, 5))
+@example(case=(Fraction(1, 3), -1, None))
+@example(case=(Fraction(-1, 7), 1, 10**5))
+def test_outward_str_rounds_outward_within_a_unit(case):
+    head, sign, b = case
     saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)  # offset_str needs no lifted limit, like int_str
+    sys.set_int_max_str_digits(640)  # 10**b is never converted to a string
     try:
-        got = offset_str(x, sign, b)
+        text = outward_str(head, sign, b)
     finally:
         sys.set_int_max_str_digits(saved)
-    # b None: the head alone
-    assert got == frac_str(x if b is None else x + Fraction(sign, 10**b))
+    assert re.fullmatch(r"-?[0-9](\.[0-9]+)?e-?[0-9]+", text), text
+    mantissa, exp = text.split("e")
+    digits = mantissa.lstrip("-").replace(".", "")
+    assert len(digits) <= 50 and not digits.endswith("0") or digits == "0"
+    exact = head if b is None else head + Fraction(sign, 10**b)
+    printed = Fraction(text)
+    # on the side of sign * infinity, within one unit of the 50th digit
+    assert sign * (printed - exact) >= 0
+    if printed:
+        unit = Fraction(10) ** int(exp)  # 10**exp <= |printed| < 10**(exp + 1)
+        assert unit <= abs(printed) < 10 * unit
+        assert abs(printed - exact) < unit / 10**49
+    else:
+        assert exact == 0
+
+
+def test_outward_str_prints_short_values_exactly():
+    assert outward_str(Fraction(0), 1, 10**5) == "1e-100000"
+    assert outward_str(Fraction(0), -1, 0) == "-1e0"
+    assert outward_str(Fraction(-1, 8), 1, None) == "-1.25e-1"
+    assert outward_str(Fraction(123), -1, None) == "1.23e2"
+    assert outward_str(Fraction(1, 10**5), 1, 5) == "2e-5"
+    assert outward_str(Fraction(1, 3), 1, None) == "3." + "3" * 48 + "4e-1"
 
 
 def test_enclose_phi_ten_thousandth():
