@@ -148,10 +148,11 @@ class CFContext:
     quadratic targets.  `finite` marks a rational target, stored whole.
 
     Convergents are kept as M_n = (p_n, p_{n-1}, q_n, q_{n-1}) in one map
-    n -> M_n.  It holds every M_n up to the dense frontier, which a walk in
-    order advances; `first_index` searches far ahead and stores only M_{m-1}
-    and M_m where it lands, and a lookup just past a stored M_n steps from
-    it.  Everything is cached; the context itself is read-only from the
+    n -> M_n.  Only a walk in order stores every M_n, up to the dense
+    frontier: a lookup just past a stored M_n steps from it, and any other
+    lookup jumps by `first_index`, which stores only M_{m-1} and M_m where
+    it lands, so one far convergent costs memory linear in its digits.
+    Everything is cached; the context itself is read-only from the
     caller's perspective.
     """
 
@@ -213,15 +214,13 @@ class CFContext:
         self._enclosure = iv
 
     def _grow(self, n: int) -> tuple:
-        """Store and return M_n, stepped from M_{n-1} when that is stored,
-        else from the dense frontier."""
-        if n < -1:
-            raise IndexError("convergent index must be >= -1")
-        m = n - 1 if n - 1 in self._conv else self._dense
-        M = self._conv[m]
-        for k in range(m + 1, n + 1):
-            M = self._conv[k] = _step(M, self.a(k))
-        if m == self._dense:
+        """Store and return M_n: one step from M_{n-1} when that is stored,
+        else a jump by first_index, which stores only M_{n-1} and M_n."""
+        M = self._conv.get(n - 1)
+        if M is None:
+            return self._conv[self.first_index(n, lambda m, q: True)]
+        M = self._conv[n] = _step(M, self.a(n))
+        if n - 1 == self._dense:
             self._dense = n
         return M
 
@@ -231,24 +230,27 @@ class CFContext:
 
         Quadratic targets skip whole periods with powers of the period
         matrix while the index stays below n0 or q stays below q_floor;
-        other targets roll the recurrence.  pred only sees indices past the
-        skipped ones, and only M_{m-1} and M_m are stored.
+        other targets roll the recurrence; below the dense frontier M_n is
+        read, not stepped.  pred only sees indices past the skipped ones, and
+        only M_{m-1} and M_m are stored.
         """
         if n0 < 0:
             raise IndexError("search index must be >= 0")
-        n = n0 - 1 if n0 - 1 in self._conv else self._dense
-        M = self._conv[n]
-        period = self.period
+        conv, dense, period = self._conv, self._dense, self.period
+        n = n0 - 1 if n0 - 1 in conv else dense
+        M = conv[n]
         while True:
-            if period is not None and n >= period[0] - 1:
-                # one skip leaves less than a period below n0 or q_floor
-                n, M = self._skip_periods(n, M, n0, q_floor)
-                period = None
-            prev, M = M, _step(M, self.a(n + 1))
+            if n >= dense and period is not None and n >= period[0] - 1:
+                # one skip leaves less than a period below n0 or q_floor, and
+                # none can skip once a period reaches n0 and q_n reaches q_floor
+                if n + period[1] < n0 or M[2] < q_floor:
+                    n, M = self._skip_periods(n, M, n0, q_floor)
+                    period = None
+            prev, M = M, conv[n + 1] if n < dense else _step(M, self.a(n + 1))
             n += 1
             if n >= n0 and pred(n, M[2]):
                 break
-        self._conv[n - 1], self._conv[n] = prev, M
+        conv[n - 1], conv[n] = prev, M
         return n
 
     def _skip_periods(self, n: int, M: tuple, n0: int, q_floor: int) -> tuple[int, tuple]:

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import floor
 
 from .approx import (
     DEFAULT_DIGIT_BUDGET, DEFAULT_PREFIX_EXCEPTIONS, DEFAULT_REL_TOLERANCE, DEFAULT_WINDOW,
@@ -41,7 +40,7 @@ from .conic import (
 )
 from .errors import RatApproxError
 from .exactnum import (KINDS, ByValue, as_interval, frac_str, int_str, kind_of, operand,
-                       outward_str, parse_rational)
+                       outward_str, parse_rational, sci_str)
 from .ostrowski import (DEFAULT_PRECISION_DIGITS, delta_profile, dist_bound, dist_direct,
                         dist_formula, ostrowski_int, ostrowski_real, tail_bound)
 
@@ -166,32 +165,6 @@ def parse_psi(text: str) -> PsiSpec:
 
 def rat_str(x: Fraction) -> str:
     return frac_str(Fraction(x))
-
-
-def sci_str(x, sig: int = 17) -> str:
-    """Deterministic scientific-notation rendering of an exact value (a
-    rational or a QuadIrr): its exponent is decided by exact comparisons with
-    powers of ten and its `sig` digits by an exact floor, rounding half up."""
-    if x == 0:
-        return "0"
-    sign = "-" if x < 0 else ""
-    ax = abs(x)
-    # log10 from the bit length of floor(ax) or of floor(1/ax), within 2 of
-    # the exponent; the loops below make it exact
-    if ax >= 1:
-        exp = floor(ax).bit_length() * 30103 // 100000
-    else:
-        exp = -(floor(1 / ax).bit_length() * 30103 // 100000) - 1
-    ten = Fraction(10)
-    while ax < ten**exp:
-        exp -= 1
-    while ax >= ten ** (exp + 1):
-        exp += 1
-    digits = str(floor(ax * ten ** (sig - 1 - exp) + Fraction(1, 2)))
-    if len(digits) > sig:  # rounding overflow, e.g. 9.99 -> 10.0
-        digits = digits[:sig]
-        exp += 1
-    return f"{sign}{digits[0]}.{digits[1:]}e{exp:+03d}"
 
 
 def target_json(x) -> dict:

@@ -72,6 +72,28 @@ def frac_str(x: Fraction) -> str:
 OUTWARD_DIGITS = 50  # significant digits of outward_str
 
 
+def _leading_digits(x: int, y: int, D: int, Q: int, digits: int) -> tuple[int, int, int, int]:
+    """(N, E, rem, den) with v * 10**(digits-1-E) = N + (rem + f)/den for v =
+    (x + y*sqrt(D))/Q > 0, Q > 0: E is v's exponent, 10**(digits-1) <= N <
+    10**digits, 0 <= rem < den and 0 <= f < 1 (f = 0 for a rational, y = 0)."""
+    if not y:  # log2 v lies strictly between t - 1 and t + 1, t the bit-length difference
+        E = (x.bit_length() - Q.bit_length() - 1) * 30103 // 100000 - 1
+    elif surd_sign(x - Q, y, D) >= 0:  # from floor(v), as x and y may cancel
+        E = (surd_floor(x, y, D, Q).bit_length() - 1) * 30103 // 100000 - 1
+    else:  # from floor(1/v), 1/v = Q*(x - y*sqrt(D))/(x^2 - y^2*D)
+        inv = surd_floor(Q * x, -Q * y, D, x * x - y * y * D)
+        E = -(inv.bit_length() * 30103 // 100000) - 1
+    # E is at or below the exponent: one divmod, then surplus digits move into rem
+    k = digits - 1 - E
+    m, den = 10**max(0, k), Q * 10**max(0, -k)
+    N, rem = divmod(x * m + surd_floor(0, y * m, D, 1), den)
+    top = 10**digits
+    while N >= top:
+        N, digit = divmod(N, 10)
+        rem, den, E = digit * den + rem, den * 10, E + 1
+    return N, E, rem, den
+
+
 def outward_str(head: Fraction, sign: int, b: int | None) -> str:
     """The decimal "d.ddd...e<exp>" of head + sign * 10**-b (head for b None),
     sign = +-1, rounded toward sign * infinity to OUTWARD_DIGITS significant
@@ -82,18 +104,11 @@ def outward_str(head: Fraction, sign: int, b: int | None) -> str:
     n, d = head.numerator, head.denominator
     if not n:
         return "0e0" if b is None else f"{'-' if sign < 0 else ''}1e{-b}"
-    # log2 |head| lies strictly between x - 1 and x + 1, x the difference of
-    # the bit lengths, so E is at most the exponent of |head|
-    E = (abs(n).bit_length() - d.bit_length() - 1) * 30103 // 100000 - 1
+    N, E, rem, den = _leading_digits(abs(n), 0, 1, d, OUTWARD_DIGITS)
     k = OUTWARD_DIGITS - 1 - E
     if b is not None and b <= k + 1:  # 10**-b reaches the printed digits: sum exactly
         return outward_str(head + Fraction(sign, 10**b), sign, None)
-    den = d * 10**max(0, -k)
-    N, rem = divmod(abs(n) * 10**max(0, k), den)
     top = 10**OUTWARD_DIGITS
-    while N >= top:  # a digit more than wanted: move it into the remainder
-        N, digit = divmod(N, 10)
-        rem, den, E, k = digit * den + rem, den * 10, E + 1, k - 1
     # |head| * 10**k = N + rem/den with top/10 <= N < top, and 10**-b moves
     # |head| away from 0 exactly when the rounding does
     up = (n > 0) == (sign > 0)
@@ -110,6 +125,24 @@ def outward_str(head: Fraction, sign: int, b: int | None) -> str:
     digits = str(M).rstrip("0")
     frac = f".{digits[1:]}" if len(digits) > 1 else ""
     return f"{'-' if n < 0 else ''}{digits[0]}{frac}e{E}"
+
+
+def sci_str(x, sig: int = 17) -> str:
+    """The decimal "d.ddd...e+XX" of an exact rational or QuadIrr x to sig
+    significant digits, rounded half up from its first sig + 1; "0" for 0."""
+    if isinstance(x, QuadIrr):
+        P, e, D, Q = x.P, x.e, x.D, x.Q
+    else:
+        P, e, D, Q = x.numerator, 0, 1, x.denominator
+    if not (P or e):
+        return "0"
+    sign = surd_sign(P, e, D)
+    N, E, _, _ = _leading_digits(sign * P, sign * e, D, Q, sig + 1)
+    N = (N + 5) // 10
+    if N == 10**sig:  # rounded up past a power of ten: 9.99 -> 10.0
+        N, E = N // 10, E + 1
+    digits = str(N)
+    return f"{'-' if sign < 0 else ''}{digits[0]}.{digits[1:]}e{E:+03d}"
 
 
 def _norm_sign(x: int) -> int:

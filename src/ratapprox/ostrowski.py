@@ -145,31 +145,27 @@ def _require_unit_interval_irrational(ctx: CFContext) -> None:
 
 
 def ostrowski_int(s: int, ctx: CFContext) -> IntDigits:
-    """Greedy top-down expansion s = sum c_{n+1} q_n (unique by admissibility)."""
+    """Greedy top-down expansion s = sum c_{n+1} q_n (unique by admissibility),
+    walking down from q_{M+1} > s by q_{n-1} = q_{n+1} - a_{n+1}*q_n to q_-1 = 0."""
     if s < 1:
         raise ValueError("s must be a positive integer")
     _require_unit_interval_irrational(ctx)
     try:
-        M = 0
-        while ctx.q(M + 1) <= s:
-            M += 1
+        M = ctx.first_index(1, lambda m, q: q > s, s + 1) - 1
     except PrecisionExhausted as exc:
         raise InsufficientDepth(f"cannot certify q_{{M+1}} > {s}") from exc
+    hi, q = ctx.q(M + 1), ctx.q(M)
     digits = [0] * (M + 1)
     rem = s
     for n in range(M, -1, -1):
-        digits[n], rem = divmod(rem, ctx.q(n))
+        digits[n], rem = divmod(rem, q)
+        hi, q = q, hi - ctx.a(n + 1) * q
+    if q:
+        raise InvariantViolation(f"the walk down from q_{M} ends on q_-1 = {q}, not 0")
     if rem:
         raise InvariantViolation(f"greedy expansion of {s} leaves {rem}")
     check_admissible(digits, ctx)
-    out = IntDigits(s, digits, M)
-    if int_digits_value(out, ctx) != s:
-        raise InvariantViolation(f"digits of {s} do not sum to it")
-    return out
-
-
-def int_digits_value(d: IntDigits, ctx: CFContext) -> int:
-    return sum(c * ctx.q(n) for n, c in enumerate(d.c))
+    return IntDigits(s, digits, M)
 
 
 def _gamma_orbit_certificate(gamma, alpha: QuadIrr):
@@ -182,13 +178,6 @@ def _gamma_orbit_certificate(gamma, alpha: QuadIrr):
     if u.denominator != 1:
         return None
     return int(v), int(u)
-
-
-def _d_num(ctx: CFContext, n: int) -> tuple[int, int]:
-    """(x, y) with D_n = (x + y*sqrt(D))/Q for quadratic alpha = (P +
-    e*sqrt(D))/Q."""
-    a, p, q = ctx.alpha, ctx.p(n), ctx.q(n)
-    return q * a.P - p * a.Q, q * a.e
 
 
 def ostrowski_real(
@@ -386,20 +375,22 @@ def dist_formula(profile: DeltaProfile, ctx: CFContext):
     """||s*alpha - gamma|| = |sum_{n>=m} delta_{n+1} D_n|, exact on the exact
     path (QuadIrr/Fraction), a certified RatInterval otherwise."""
     m = _require_regime(profile)
-    terms = [(n, d) for n, d in enumerate(profile.delta) if d and n >= m]
-    rem = profile.real_digits.remainder
+    delta, rem = profile.delta, profile.real_digits.remainder
     if kind_of(rem).exact:
-        # numerators over alpha's denominator Q
-        D, Q = ctx.alpha.D, ctx.alpha.Q
-        x = y = 0
-        for n, d in terms:
-            xn, yn = _d_num(ctx, n)
-            x, y = x + d * xn, y + d * yn
-        series = QuadIrr.make(x, y, D, Q) - rem
-        lead = sign_of(profile.delta[m]) * surd_sign(*_d_num(ctx, m), D)
-        if sign_of(series) != lead:
+        # Horner down D_{n+1} = a_{n+1}*D_n + D_{n-1} from the last nonzero
+        # delta: sum_{k>=n} delta_{k+1} D_k = A*D_{n+1} + B*D_n, so at n = m
+        # the sum is U*alpha - V, U = A*q_{m+1} + B*q_m, V = A*p_{m+1} + B*p_m
+        n = max(k for k, d in enumerate(delta) if d)
+        A, B = 0, delta[n]
+        while n > m:
+            A, B = A * ctx.a(n + 1) + B, A + delta[n - 1]
+            n -= 1
+        U, V = A * ctx.q(m + 1) + B * ctx.q(m), A * ctx.p(m + 1) + B * ctx.p(m)
+        series = ctx.alpha * U - V - rem
+        if sign_of(series) != sign_of(delta[m]) * sign_of(ctx.D(m)):
             raise InvariantViolation("series sign disagrees with its leading term")
         return abs(series)
+    terms = [(n, d) for n, d in enumerate(delta) if d and n >= m]
     memo = ctx.d_enclosures(DEFAULT_WIDTH)
     for n, _ in terms:
         memo.ensure(n)

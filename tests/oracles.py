@@ -455,3 +455,127 @@ def check_psi_document(doc: dict) -> tuple[bool, list[str]]:
         else:
             statuses.append("construction")
     return contains, statuses
+
+
+def quad_digits(alpha: QuadIrr, count: int) -> list[int]:
+    """a_0..a_{count-1} of a quadratic alpha: 200 bracketed digits
+    (quad_cf_digits) continued by their eventual period, which Lagrange's
+    theorem makes the period of the whole expansion."""
+    P, e, D, Q = alpha.P, alpha.e, alpha.D, alpha.Q
+    if e < 0:
+        P, e, Q = -P, -e, -Q
+    head = quad_cf_digits(P, e * e * D, Q, 200)
+    K, L = eventual_period(head)
+    return [head[n] if n < len(head) else head[K + (n - K) % L] for n in range(count)]
+
+
+def admissible(digits: list[int], a: list[int]) -> bool:
+    """The Ostrowski digit rules over the partial quotients a: 0 <= c[0] <
+    a[1], 0 <= c[n] <= a[n+1], and c[n] = a[n+1] forces c[n-1] = 0."""
+    for n, c in enumerate(digits):
+        if c < 0 or c > a[n + 1] or (n == 0 and c == a[1]):
+            return False
+        if n and c == a[n + 1] and digits[n - 1]:
+            return False
+    return True
+
+
+def _surd_sign(u: Fraction, v: Fraction, D: int) -> int:
+    """Sign of u + v*sqrt(D), D not a square, by comparing squares."""
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su == sv or not sv:
+        return su
+    if not su:
+        return sv
+    return su if u * u > v * v * D else sv
+
+
+def _surd_enclosure(u: Fraction, v: Fraction, D: int, k: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= u + v*sqrt(D) <= hi, hi - lo = 1/(den(v)*10**k), from
+    one isqrt."""
+    vn, vd = v.numerator, v.denominator
+    r = isqrt(vn * vn * D * 10 ** (2 * k))  # r <= |vn|*sqrt(D)*10**k < r + 1
+    lo, hi = (r, r + 1) if vn >= 0 else (-r - 1, -r)
+    return u + Fraction(lo, vd * 10**k), u + Fraction(hi, vd * 10**k)
+
+
+def _decode_interval(doc: dict) -> tuple[Fraction, Fraction]:
+    return Fraction(doc["lo"]), Fraction(doc["hi"])
+
+
+def check_ostrowski_real_document(doc: dict, alpha: QuadIrr, gamma) -> list[str]:
+    """The failures of an ostrowski-real document (empty when it checks out),
+    from what it prints and the inputs alone: alpha in (0, 1) quadratic,
+    gamma rational, in alpha's field, or inexact (its enclosure).
+
+    - The digits are admissible over alpha's partial quotients, taken from
+      quad_digits, not from the library.
+    - gamma - sum b_n D_n lies in the printed tail_bound, decided exactly in
+      the basis (1, sqrt(D)): sum b_n D_n = U*alpha - V with U = sum b_n q_n
+      and V = sum b_n p_n over convergent_pairs.  For an inexact gamma both
+      ends of its enclosure must lie in partial + tail_bound."""
+    b, D = doc["digits"], alpha.D
+    failures = []
+    if len(b) != doc["depth"]:
+        failures.append(f"{len(b)} digits at depth {doc['depth']}")
+    a = quad_digits(alpha, len(b) + 1)
+    if not admissible(b, a):
+        failures.append("digits not admissible")
+    pairs = convergent_pairs(a[:len(b)])
+    U = sum(d * q for d, (p, q) in zip(b, pairs))
+    V = sum(d * p for d, (p, q) in zip(b, pairs))
+    au, av = surd_coords(alpha, D)
+    lo, hi = _decode_interval(doc["tail_bound"])
+    if kind_of(gamma).exact:
+        ends = [gamma]
+    else:
+        iv = operand(gamma)
+        ends = [iv.lo, iv.hi]
+    for g in ends:
+        gu, gv = surd_coords(g, D)
+        # r = gamma - partial = (gu - U*au + V) + (gv - U*av)*sqrt(D)
+        ru, rv = gu - U * au + V, gv - U * av
+        if _surd_sign(ru - lo, rv, D) < 0 or _surd_sign(ru - hi, rv, D) > 0:
+            failures.append("gamma - sum b_n D_n is outside tail_bound")
+    return failures
+
+
+def check_dist_document(doc: dict, alpha: QuadIrr, gamma, s: int) -> list[str]:
+    """The failures of a dist document (empty when it checks out) for a
+    quadratic alpha and an exact gamma (rational or in alpha's field).
+
+    The distance ||s*alpha - gamma|| is enclosed from isqrt at 10**-k,
+    with no library arithmetic, and k doubles until the enclosure decides
+    each claim: the direct and formula intervals contain it, and the bound,
+    when printed, is at least it."""
+    D = alpha.D
+    (au, av), (gu, gv) = surd_coords(alpha, D), surd_coords(gamma, D)
+    u, v = s * au - gu, s * av - gv  # s*alpha - gamma = u + v*sqrt(D)
+    claims = [("direct", _decode_interval(doc["direct"]))]
+    if doc["formula"] is not None:
+        claims.append(("formula", _decode_interval(doc["formula"])))
+    if doc["bound"] is not None:
+        claims.append(("bound", (Fraction(0), Fraction(doc["bound"]))))
+    failures = []
+    k = 40 + s.bit_length() * 3 // 10  # past the digits of s
+    while claims:
+        xl, xh = _surd_enclosure(u, v, D, k) if v else (u, u)
+        f = floor(xl)
+        if floor(xh) == f and not xl <= f + Fraction(1, 2) <= xh or xl == xh:
+            # the distance to the nearest integer is monotone on [xl, xh]
+            ends = [min(x - f, f + 1 - x) for x in (xl, xh)]
+            dl, dh = min(ends), max(ends)
+            undecided = []
+            for name, (lo, hi) in claims:
+                if lo <= dl and dh <= hi:
+                    continue
+                if dh < lo or hi < dl or xl == xh:
+                    failures.append(f"{name} misses the distance")
+                else:
+                    undecided.append((name, (lo, hi)))
+            claims = undecided
+        if k > 10**5:
+            failures += [f"{name} undecided at 10**-{k}" for name, _ in claims]
+            break
+        k *= 2
+    return failures

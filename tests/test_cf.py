@@ -364,7 +364,7 @@ def test_first_index_after_dense_walk_and_between_searches():
     alpha = qi_normalize(-2, 1, 7, 1)
     pairs = convergent_pairs(quad_cf_digits(-2, 7, 1, 400))
     ctx = CFContext(alpha)
-    assert ctx.q(30) == pairs[30][1]
+    assert [ctx.q(n) for n in range(31)] == [q for _, q in pairs[:31]]
     for n0, i in [(3, 20), (10, 35), (36, 250), (252, 390), (100, 390)]:
         T = pairs[i][1]
         assert ctx.first_index(n0, lambda m, q: q >= T, T) == max(i, n0)

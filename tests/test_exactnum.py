@@ -32,6 +32,7 @@ from ratapprox.exactnum import (
     pow10_cmp,
     qi_normalize,
     qi_pair,
+    sci_str,
     sqrt_bounds,
     squarefree_decompose,
     surd_floor,
@@ -300,6 +301,79 @@ def test_outward_str_prints_short_values_exactly():
     assert outward_str(Fraction(123), -1, None) == "1.23e2"
     assert outward_str(Fraction(1, 10**5), 1, 5) == "2e-5"
     assert outward_str(Fraction(1, 3), 1, None) == "3." + "3" * 48 + "4e-1"
+
+
+# head = (N + r)/10**49 with N = 10**49 + 12345: r within 10**-10 of a
+# rounding boundary, and 10**-59 is 10**-10 of the last printed unit
+OUTWARD_BOUNDARIES = [
+    (1 - Fraction(2, 10**11), 1, "12347e0"),  # r + 10**-10 passes N + 1
+    (1 - Fraction(1, 10**10), 1, "12346e0"),  # r + 10**-10 lands on N + 1
+    (Fraction(2, 10**11), -1, "12344e0"),  # r - 10**-10 falls below N
+    (Fraction(1, 10**10), -1, "12345e0"),  # r - 10**-10 lands on N
+]
+
+
+@pytest.mark.parametrize("r, sign, tail", OUTWARD_BOUNDARIES)
+def test_outward_str_at_rounding_boundaries(r, sign, tail):
+    N = 10**49 + 12345
+    for head, sign in ((N + r) / 10**49, sign), (-(N + r) / 10**49, -sign):
+        text = outward_str(head, sign, 59)
+        assert text == f"{'-' if head < 0 else ''}1.{'0' * 44}{tail}"
+        exact = head + Fraction(sign, 10**59)
+        assert 0 <= sign * (Fraction(text) - exact) < Fraction(1, 10**49)
+
+
+def test_outward_str_rounds_a_remainder_of_one_up():
+    # |head| = 1000*N + 1 leaves the floor division a remainder of exactly 1
+    head = Fraction(1000 * (10**49 + 12345) + 1)
+    assert outward_str(head, 1, None) == f"1.{'0' * 44}12346e52"
+    assert outward_str(head, -1, None) == f"1.{'0' * 44}12345e52"
+    assert outward_str(-head, -1, None) == f"-1.{'0' * 44}12346e52"
+
+
+def test_surd_floor_of_a_rational():
+    # y = 0 is the rational floor x // Q, also where Q divides x
+    for x in range(-12, 13):
+        for Q in (-3, -2, -1, 1, 2, 7):
+            assert surd_floor(x, 0, 5, Q) == math.floor(Fraction(x, Q))
+
+
+def _sci_reference(P: int, e: int, D: int, Q: int, sig: int) -> str:
+    """sci_str of v = (P + e*sqrt(D))/Q > 0, Q > 0, from quad_floor alone:
+    the exponent is the j with 1 <= floor(v/10**j) < 10, found by stepping."""
+    def floor_scaled(num: int, add: int, k: int, den: int) -> int:
+        # floor((num*P + add + num*e*sqrt(D)) * 10**k / (den*Q))
+        up, down = 10 ** max(0, k), 10 ** max(0, -k)
+        return quad_floor(num * P * up + add * down, num * e * up, D, den * Q * down)
+
+    j = 0
+    while floor_scaled(1, 0, -j, 1) >= 10:
+        j += 1
+    while floor_scaled(1, 0, -j, 1) < 1:
+        j -= 1
+    digits = str(floor_scaled(2, Q, sig - 1 - j, 2))  # half up
+    if len(digits) > sig:
+        digits, j = digits[:sig], j + 1
+    return f"{digits[0]}.{digits[1:]}e{j:+03d}"
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    P=st.integers(-(10**30), 10**30),
+    e=st.integers(-(10**15), 10**15).filter(bool),
+    D=st.sampled_from((2, 3, 5, 13, 94, 1009)),
+    Q=st.integers(1, 10**20),
+    sig=st.sampled_from((1, 3, 5, 17)),
+)
+# F_40/phi - F_39 and 12*sqrt(2) - 17, cancelling to about -4e-9 and -3e-2
+@example(P=-102334155 - 2 * 63245986, e=102334155, D=5, Q=2, sig=17)
+@example(P=-17, e=12, D=2, Q=1, sig=17)
+def test_sci_str_of_a_surd_matches_isqrt_digits(P, e, D, Q, sig):
+    x = qi_normalize(P, e, D, Q)
+    sign = x.sign()
+    text = sci_str(x, sig)
+    ref = _sci_reference(sign * x.P, sign * x.e, x.D, x.Q, sig)
+    assert text == ("-" if sign < 0 else "") + ref
 
 
 def test_enclose_phi_ten_thousandth():

@@ -1,6 +1,7 @@
 import ast
 import gc
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -36,14 +37,20 @@ from ratapprox.ostrowski import (
     dist_bound,
     dist_direct,
     dist_formula,
-    int_digits_value,
     ostrowski_int,
     ostrowski_real,
     tail_bound,
 )
 
-from oracles import (dist_formula_terms, enumerate_ostrowski_values, real_digits_partial,
-                     reference_real_digits)
+from oracles import (check_dist_document, check_ostrowski_real_document, convergent_pairs,
+                     dist_formula_terms, enumerate_ostrowski_values, quad_digits,
+                     real_digits_partial, reference_real_digits)
+from test_cli import GOLDEN
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 INV_PHI = qi_normalize(-1, 1, 5, 2)
 SQRT2_M1 = qi_normalize(-1, 1, 2, 1)
@@ -76,7 +83,7 @@ def test_int_digits_reconstruct_and_admissible(contexts):
         for _ in range(150):
             s = rng.randint(1, 10**6)
             d = ostrowski_int(s, ctx)
-            assert int_digits_value(d, ctx) == s
+            assert sum(c * ctx.q(n) for n, c in enumerate(d.c)) == s
             check_admissible(d.c, ctx)
             assert ctx.q(d.M) <= s < ctx.q(d.M + 1)
 
@@ -91,6 +98,56 @@ def test_int_digits_match_exhaustive_enumeration_small(contexts):
             greedy = ostrowski_int(s, ctx).c
             expect = list(table[s][: len(greedy)])
             assert greedy == expect, f"s={s} alpha={alpha}"
+
+
+# alphas with a_1 >= 2, so that q_1 = a_1 > q_0 = 1 and s = 1 has M = 0
+WIDE_FIRST_DIGIT = [SQRT2_M1, INV_1_SQRT3, qi_normalize(-3, 1, 10, 1), qi_normalize(-4, 1, 17, 1)]
+
+
+@pytest.mark.parametrize("alpha", WIDE_FIRST_DIGIT, ids=str)
+def test_int_digits_below_q2_with_a_wide_first_digit(alpha):
+    a = quad_digits(alpha, 3)
+    q = [q for _, q in convergent_pairs(a)]
+    assert a[1] >= 2
+    table = enumerate_ostrowski_values(q, a, q[2] - 1)
+    ctx = CFContext(alpha)
+    for s in range(1, q[2]):
+        d = ostrowski_int(s, ctx)
+        assert d.M == (0 if s < q[1] else 1)
+        assert d.c == list(table[s][: d.M + 1]) and not any(table[s][d.M + 1:])
+
+
+def test_ostrowski_int_cli_below_q1(capsys):
+    from ratapprox.cli import main
+
+    assert main(["ostrowski-int", "--alpha", "quad:-1,1,2,1", "--s", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"s": "1", "M": 0, "digits": [1]}
+
+
+def test_ostrowski_keeps_no_convergent_walk():
+    # s shares gamma's first 600 digits, so m >= 600 and the formula runs
+    # from the last nonzero delta down to m, far from every stored M_n
+    gamma, depth = Fraction(1, 3), 900
+    b = ostrowski_real(gamma, CFContext(INV_PHI), depth).b
+    pairs = convergent_pairs(quad_digits(INV_PHI, depth))
+    s = sum(d * q for d, (_, q) in zip(b[:600], pairs)) + pairs[700][1]
+    ctx = CFContext(INV_PHI)
+    profile = delta_profile(s, gamma, ctx, depth)
+    assert profile.m >= 600
+    direct = dist_direct(s, gamma, INV_PHI, Fraction(1, 10**400))
+    assert direct.lo <= dist_formula(profile, ctx) <= direct.hi
+    assert ctx._dense == -1
+    assert len(ctx._conv) <= 8
+
+
+def test_int_walk_must_end_on_q_minus_1():
+    # q_5 = 8 read as 7: the walk down from it ends on -13 with no remainder
+    ctx = CFContext(INV_PHI)
+    q = ctx.q
+    ctx.q = lambda n: q(n) - (n == 5)
+    message = "^the walk down from q_5 ends on q_-1 = -13, not 0$"
+    with pytest.raises(InvariantViolation, match=message):
+        ostrowski_int(11, ctx)
 
 
 def test_int_digits_rejects_rational_and_out_of_range():
@@ -679,6 +736,104 @@ def test_deep_calls_are_pinned(capsys, argv):
 
     assert main(list(argv)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DEEP_PINS[argv]
+
+
+def test_ostrowski_real_tail_bound_is_pinned(capsys):
+    from ratapprox.cli import main
+
+    argv = ["ostrowski-real", "--alpha", "quad:-1,1,5,2", "--gamma", "rat:1/3", "--depth", "10"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["tail_bound"] == {"lo": "21286231/3000000000", "hi": "42572483/6000000000"}
+
+
+def _flag(argv, flag: str) -> str:
+    return argv[argv.index(flag) + 1]
+
+
+SWEEP_ALPHAS = [qi_normalize(*key) for key in ((-1, 1, 5, 2), (-1, 1, 2, 1), (-3, 1, 13, 2),
+                                                (-2, 1, 7, 3), (-4, 1, 17, 1), (3, -1, 7, 2))]
+
+
+def _sweep_argv(i: int) -> list[str]:
+    """A seeded ostrowski-real or dist call: a rational gamma or one in
+    alpha's field, shifted into [-alpha, 1 - alpha); for dist an s that is
+    random, 10**5000, or a truncation of gamma's digits (the series regime)."""
+    rng = random.Random(7700 + i)
+    alpha = rng.choice(SWEEP_ALPHAS)
+    if i % 2:
+        g = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+    else:
+        g = alpha * Fraction(rng.choice([1, 2, 3, 4, 5, 6]), 7) + Fraction(rng.randint(-50, 50), 11)
+    g = g - floor(g + alpha)
+    text = f"rat:{g}" if isinstance(g, Fraction) else f"quad:{g.P},{g.e},{g.D},{g.Q}"
+    target = ["--alpha", f"quad:{alpha.P},{alpha.e},{alpha.D},{alpha.Q}", "--gamma", text]
+    if i % 3 == 0:
+        depth = rng.choice([1, 40, 300, 3000])
+        return ["ostrowski-real", *target, "--depth", str(depth)]
+    kind = i % 9
+    if kind == 1:
+        s = 10**5000
+    elif kind in (2, 5, 7):
+        n = rng.randint(6, 20)  # m >= n, inside the default depth 24
+        b = ostrowski_real(g, CFContext(alpha), n + 1).b
+        q = [q for _, q in convergent_pairs(quad_digits(alpha, n + 1))]
+        s = sum(d * qn for d, qn in zip(b, q)) or 1
+    else:
+        s = rng.randint(1, 10**12)
+    return ["dist", *target, "--s", str(s)]
+
+
+CHECKED_ARGVS = {
+    **{name: argv for name, argv in GOLDEN.items() if argv[0] in ("ostrowski-real", "dist")},
+    **{f"deep-{j}": list(argv) for j, argv in enumerate(sorted(DEEP_PINS))},
+    **{f"sweep-{i}": i for i in range(24)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKED_ARGVS))
+def test_document_passes_the_independent_check(capsys, case):
+    from ratapprox.cli import main, parse_target
+
+    argv = CHECKED_ARGVS[case]
+    if isinstance(argv, int):
+        argv = _sweep_argv(argv)
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    alpha, gamma = parse_target(_flag(argv, "--alpha")), parse_target(_flag(argv, "--gamma"))
+    if argv[0] == "ostrowski-real":
+        failures = check_ostrowski_real_document(doc, alpha, gamma)
+    else:
+        failures = check_dist_document(doc, alpha, gamma, int(_flag(argv, "--s")))
+    assert failures == []
+
+
+@pytest.mark.skipif(resource is None, reason="resource is not available")
+def test_deep_calls_run_in_linear_memory():
+    # every M_n below q_M of s = 10**5000 (M = 23,925) held about 70 MiB
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ratapprox.__file__)))
+    code = (
+        "import os, resource, sys\n"
+        "if hasattr(sys, 'set_int_max_str_digits'):\n"
+        "    sys.set_int_max_str_digits(0)\n"
+        "from ratapprox.cli import main\n"
+        "s = str(10**5000)\n"
+        "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+        "codes = [main(['ostrowski-int', '--alpha', 'quad:-1,1,5,2', '--s', s]),\n"
+        "         main(['dist', '--alpha', 'quad:-1,1,5,2', '--gamma', 'rat:1/3', '--s', s])]\n"
+        "sys.stdout = out\n"
+        "print(*codes, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    # Linux hands a child the peak of the process it was started from, so the
+    # measured child is started from a small one, not from the test runner
+    spawn = ("import subprocess, sys\n"
+             "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)\n")
+    out = subprocess.run([sys.executable, "-c", spawn, code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60).stdout
+    int_code, dist_code, peak = map(int, out.split())
+    assert (int_code, dist_code) == (0, 0)
+    peak_bytes = peak if sys.platform == "darwin" else peak * 1024  # ru_maxrss is KiB on Linux
+    assert peak_bytes < 40 * 2**20
 
 
 def test_oracles_have_no_assert_statements():
