@@ -32,6 +32,7 @@ from .exactnum import (
     exp_le_inverse_sum,
     frac_str,
     int_str,
+    interval_ends,
     kind_of,
     operand,
     pow10_cmp,
@@ -138,7 +139,8 @@ class PsiSpec(ByValue):
         v <= Psi(t) for b None."""
         exact = self.exact_value(t)
         if exact is not None:
-            return pow10_cmp(exact - v, b) >= 0
+            u = exact - v
+            return pow10_cmp(u.numerator, u.denominator, b) >= 0
         return exp_le_inverse_sum(self.c * t, v, b)
 
     def numeric_feasible(self, t: int) -> bool:
@@ -347,12 +349,15 @@ class PsiConstruction(Record):
     def certified(self) -> bool:
         return all(line.ok for line in self.certificate)
 
-    def gamma_interval_ends(self) -> tuple[tuple[Fraction, int], tuple[Fraction, int]]:
-        """gamma's enclosure as two (head, sign) ends, each worth
-        head + sign * 10**-b for the tail's b (head alone when b is None): a
-        tight enclosure of gamma_partial widened by the tail's head."""
-        base = as_interval(self.gamma_partial, _TIGHT)
-        return (base.lo - self.tail[0], -1), (base.hi + self.tail[0], 1)
+    def gamma_interval_ends(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        """gamma's enclosure as two ((n, d), sign) ends, each worth
+        n/d + sign * 10**-b for the tail's b (n/d alone when b is None): a
+        tight enclosure of gamma_partial widened by the tail's head.  The
+        pairs are not reduced; they are only ever printed."""
+        (lo_n, lo_d), (hi_n, hi_d) = interval_ends(self.gamma_partial, _TIGHT)
+        t_n, t_d = self.tail[0].as_integer_ratio()
+        return (((lo_n * t_d - t_n * lo_d, lo_d * t_d), -1),
+                ((hi_n * t_d + t_n * hi_d, hi_d * t_d), 1))
 
 
 def construct_psi(
@@ -465,7 +470,8 @@ def _package(
             # the bound is min(cap, rest), rest the remainder's bound pair
             cap = Fraction(3, ctx.q(next_idx + 1))
             rest = (heads[k - 1] + tail[0], tail[1])
-            bound = (cap, None) if pow10_cmp(cap - rest[0], rest[1]) <= 0 else rest
+            gap = cap - rest[0]
+            bound = (cap, None) if pow10_cmp(gap.numerator, gap.denominator, rest[1]) <= 0 else rest
             ok = psi.le_psi(bound[0], s_k, bound[1])
             certificate.append(CertLine(k, s_k, "numeric", bound, ok,
                                         detail + "bound <= Psi(s_k)"))

@@ -402,16 +402,18 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
     # and the tail, whose head is 0 when b is set, prints exactly
     head, b = cons.tail
     ends = cons.gamma_interval_ends()
-    lo, hi = (outward_str(end, sign, b) for end, sign in ends)
+    lo, hi = (outward_str(n, d, sign, b) for (n, d), sign in ends)
+    s_text = [int_str(v) for v in cons.s]  # line k's s is s_k: one conversion each
     doc = {
         "psi": cons.psi.to_json(),
         "alpha": target_json(alpha),
         "indices": cons.indices,
         "n_next": cons.n_next,
-        "s": [int_str(v) for v in cons.s],
+        "s": s_text,
         "gamma": {
             "partial": target_json(cons.gamma_partial),
-            "tail_bound": frac_str(head) if b is None else outward_str(head, 1, b),
+            "tail_bound": (frac_str(head) if b is None
+                           else outward_str(*head.as_integer_ratio(), 1, b)),
             "interval": {"lo": lo, "hi": hi},
         },
         "digit_support": cons.indices,
@@ -419,9 +421,10 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
         "certificate": [
             {
                 "k": line.k,
-                "s": int_str(line.s),
+                "s": s_text[line.k - 1],
                 "route": line.route,
-                "bound": line.bound and outward_str(line.bound[0], 1, line.bound[1]),
+                "bound": line.bound and outward_str(*line.bound[0].as_integer_ratio(), 1,
+                                                    line.bound[1]),
                 "ok": line.ok,
                 "detail": line.detail,
             }
@@ -430,7 +433,7 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
     }
     if args.pairs_out or args.with_pairs:
         # gamma_1 = -gamma: its ends are gamma's, negated and swapped
-        lo1, hi1 = (outward_str(-end, -sign, b) for end, sign in reversed(ends))
+        lo1, hi1 = (outward_str(-n, d, -sign, b) for (n, d), sign in reversed(ends))
         doc["set"] = {**approx_set_json(nearest_numerators(alpha, cons.s)), "N": 1,
                       "gamma": [{"kind": "interval", "value": {"lo": lo1, "hi": hi1}}]}
         if args.pairs_out:

@@ -94,30 +94,32 @@ def _leading_digits(x: int, y: int, D: int, Q: int, digits: int) -> tuple[int, i
     return N, E, rem, den
 
 
-def outward_str(head: Fraction, sign: int, b: int | None) -> str:
-    """The decimal "d.ddd...e<exp>" of head + sign * 10**-b (head for b None),
-    sign = +-1, rounded toward sign * infinity to OUTWARD_DIGITS significant
-    digits, without trailing zeros, so shorter values print exactly
-    ("1e-100000").  One floor division gives the digits of |head| = |n|/d, and
-    pow10_cmp decides how 10**-b moves the last one: 10**b is formed only
-    when it is not past the size of head's own digits."""
-    n, d = head.numerator, head.denominator
+def outward_str(n: int, d: int, sign: int, b: int | None) -> str:
+    """The decimal "d.ddd...e<exp>" of n/d + sign * 10**-b (n/d for b None),
+    d > 0 and sign = +-1, rounded toward sign * infinity to OUTWARD_DIGITS
+    significant digits, without trailing zeros, so shorter values print
+    exactly ("1e-100000").  The pair (n, d) need not be reduced: the digits
+    depend on the value alone, and no gcd is taken.  One floor division gives
+    the digits of |n|/d, and pow10_cmp decides how 10**-b moves the last one:
+    10**b is formed only when it is not past the size of the pair's own
+    digits."""
     if not n:
         return "0e0" if b is None else f"{'-' if sign < 0 else ''}1e{-b}"
     N, E, rem, den = _leading_digits(abs(n), 0, 1, d, OUTWARD_DIGITS)
     k = OUTWARD_DIGITS - 1 - E
     if b is not None and b <= k + 1:  # 10**-b reaches the printed digits: sum exactly
-        return outward_str(head + Fraction(sign, 10**b), sign, None)
+        m = 10**b
+        return outward_str(n * m + sign * d, d * m, sign, None)
     top = 10**OUTWARD_DIGITS
-    # |head| * 10**k = N + rem/den with top/10 <= N < top, and 10**-b moves
-    # |head| away from 0 exactly when the rounding does
+    # |n|/d * 10**k = N + rem/den with top/10 <= N < top, and 10**-b moves
+    # |n|/d away from 0 exactly when the rounding does
     up = (n > 0) == (sign > 0)
     if b is None:
         M = N + (up and rem > 0)
     elif up:  # the ceiling of N + r + eps, 0 <= r < 1, eps = 10**-(b-k) <= 1/100
-        M = N + 1 + (pow10_cmp(Fraction(den - rem, den), b - k) < 0)
+        M = N + 1 + (pow10_cmp(den - rem, den, b - k) < 0)
     else:  # the floor of N + r - eps
-        M = N - (pow10_cmp(Fraction(rem, den), b - k) < 0)
+        M = N - (pow10_cmp(rem, den, b - k) < 0)
     if M >= top:  # rounded up past a power of ten: the ceiling one digit up
         M, E = -(-M // 10), E + 1
     elif M < top // 10:  # N = top/10 less eps: the floor one digit down
@@ -301,7 +303,9 @@ class QuadIrr:
         operands needs it: one gcd, no squarefree split (a Fraction for e = 0)."""
         if not e:
             return Fraction(P, Q)
-        g = gcd(P, e, Q)
+        # Q first: gcd(Q, P) is cheap when Q is small, and gcd(P, e, Q) of two
+        # 25,000-bit P and e took 200 times as long
+        g = gcd(Q, P, e)
         return QuadIrr(P // g, e // g, self.D, Q // g)
 
     def __add__(self, other):
@@ -448,7 +452,7 @@ def qi_normalize(P: int, e: int, D: int, Q: int) -> QuadIrr:
     D = core
     if D == 1:
         raise DegenerateRational(Fraction(P + e, Q))
-    g = gcd(gcd(abs(P), abs(e)), abs(Q))
+    g = gcd(Q, P, e)  # Q first, as in QuadIrr._same_field
     P, e, Q = P // g, e // g, Q // g
     if Q < 0:
         P, e, Q = -P, -e, -Q
@@ -689,25 +693,17 @@ def sqrt_bounds(n: int, scale_digits: int) -> RatInterval:
     return RatInterval(Fraction(r, m), Fraction(r + 1, m))
 
 
-def enclose(x: RealTarget, width: Fraction) -> RatInterval:
-    """Interval of width <= `width` provably containing x.
-
-    Quadratic values are bracketed by certified digit extraction of sqrt(D);
-    inexact kinds return the interval they carry, or refuse
-    (PrecisionExhausted) when it is wider than requested.
-    """
+def _positive_width(width) -> Fraction:
     width = rational(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    kind = kind_of(x)
-    if not kind.exact:
-        iv = operand(x)
-        if iv.width <= width:
-            return iv
-        raise PrecisionExhausted(f"stored enclosure width {iv.width} exceeds requested {width}")
-    if kind.name == "rat":
-        return RatInterval.point(x)
-    # quadratic: (P + e sqrt(D))/Q with exact outward rounding of sqrt(D)
+    return width
+
+
+def _quad_ends(x: QuadIrr, width: Fraction) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ends (lo, hi) of enclose(x, width) for a QuadIrr x, as integer
+    pairs (n, d) with d > 0, not reduced."""
+    # (P + e sqrt(D))/Q with exact outward rounding of sqrt(D)
     # k is the least k = 1 (mod 8) with 10**k >= need (>= ceil(need), as
     # 10**k is an integer), from a guess at or below it by the bit length
     need = Fraction(abs(x.e), x.Q) / width
@@ -721,14 +717,43 @@ def enclose(x: RealTarget, width: Fraction) -> RatInterval:
     # (P*m + e*r)/(Q*m) and (P*m + e*(r + 1))/(Q*m) are |e|/(Q*m) <= width apart
     m = 10**k
     r = isqrt(x.D * m * m)
-    return RatInterval(*(Fraction(x.P * m + x.e * (r + i), x.Q * m)
-                         for i in ((0, 1) if x.e > 0 else (1, 0))))
+    lo, hi = ((x.P * m + x.e * (r + i), x.Q * m) for i in ((0, 1) if x.e > 0 else (1, 0)))
+    return lo, hi
+
+
+def enclose(x: RealTarget, width: Fraction) -> RatInterval:
+    """Interval of width <= `width` provably containing x.
+
+    Quadratic values are bracketed by certified digit extraction of sqrt(D);
+    inexact kinds return the interval they carry, or refuse
+    (PrecisionExhausted) when it is wider than requested.
+    """
+    width = _positive_width(width)
+    kind = kind_of(x)
+    if not kind.exact:
+        iv = operand(x)
+        if iv.width <= width:
+            return iv
+        raise PrecisionExhausted(f"stored enclosure width {iv.width} exceeds requested {width}")
+    if kind.name == "rat":
+        return RatInterval.point(x)
+    return RatInterval(*(Fraction(n, d) for n, d in _quad_ends(x, width)))
 
 
 def as_interval(x, width: Fraction) -> RatInterval:
     """x as a RatInterval: an exact value enclosed at `width`, an inexact one
     as the interval it carries."""
     return enclose(x, width) if kind_of(x).exact else operand(x)
+
+
+def interval_ends(x, width: Fraction) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ends (lo, hi) of as_interval(x, width) as integer pairs (n, d) with
+    d > 0.  A quadratic x's pairs are not reduced, which saves the gcds of
+    two Fractions whose only use is a division."""
+    if kind_of(x).name == "quad":
+        return _quad_ends(x, _positive_width(width))
+    iv = as_interval(x, width)
+    return iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +789,15 @@ def _round_fixed(m: int, e: int, prec: int, up: bool) -> tuple[int, int]:
     return (-(-m >> shift) if up else m >> shift), e + shift
 
 
+@lru_cache(maxsize=32)
+def _e_fixed(prec: int, up: bool) -> int:
+    """_exp_taylor_fixed(1, 1, prec, up): the constant e, once per precision."""
+    return _exp_taylor_fixed(1, 1, prec, up)
+
+
 def _exp_fixed(n: int, f: Fraction, prec: int, up: bool) -> Fraction:
     """Bound on exp(n + f) by square-and-multiply on fixed-point values."""
-    base, base_e = _exp_taylor_fixed(1, 1, prec, up), -prec
+    base, base_e = _e_fixed(prec, up), -prec
     m, e = 1, 0
     while n:
         if n & 1:
@@ -825,16 +856,21 @@ def exp_le_inverse_sum(x: Fraction, head: Fraction, b: int | None) -> bool:
     """Decide exp(x) <= 1/(head + 10**-b) exactly, for head >= 0 and b >= 0
     (exp(x) <= 1/head for b None), without forming 10**-b:
     y <= 1/(head + 10**-b) is 10**-b <= 1/y - head."""
-    return _exp_le_by(rational(x), lambda y: pow10_cmp(1 / y - head, b) >= 0)
+    def le(y: Fraction) -> bool:
+        u = 1 / y - head
+        return pow10_cmp(u.numerator, u.denominator, b) >= 0
+
+    return _exp_le_by(rational(x), le)
 
 
 def _pow10_screen(bits: int, b: int) -> int:
-    """sign(u - 10**-b) for a rational u = n/d > 0 with bits = the bit length
-    of n minus that of d, when the bit lengths settle it; else 0.
+    """sign(n/d - 10**-b) for n, d > 0 with bits = the bit length of n minus
+    that of d, when the bit lengths settle it; else 0.
 
-    log2(u) lies strictly between bits - 1 and bits + 1, and
-    3.321928 < log2(10) < 3.321929, so log2(u * 10**b) lies strictly between
-    bits - 1 + floor(3.321928 b) and bits + 1 + ceil(3.321929 b).
+    log2(n/d) lies strictly between bits - 1 and bits + 1 whether or not the
+    pair is reduced, and 3.321928 < log2(10) < 3.321929, so log2(n/d * 10**b)
+    lies strictly between bits - 1 + floor(3.321928 b) and
+    bits + 1 + ceil(3.321929 b).
     """
     if bits - 1 + 3321928 * b // 1000000 >= 0:
         return 1
@@ -843,12 +879,12 @@ def _pow10_screen(bits: int, b: int) -> int:
     return 0
 
 
-def pow10_cmp(u: Fraction, b: int | None) -> int:
-    """sign(u - 10**-b) for b >= 0, exactly, and sign(u) for b None.  Bit
-    lengths decide it unless u lies within a factor of 4 * 2**(b/10**6) of
-    10**-b; only then is 10**b formed, to compare u's numerator times it with
-    its denominator."""
-    n, d = u.numerator, u.denominator
+def pow10_cmp(n: int, d: int, b: int | None) -> int:
+    """sign(n/d - 10**-b) for d > 0 and b >= 0, exactly, and sign(n) for b
+    None.  The pair (n, d) need not be reduced; a Fraction u is passed as
+    (u.numerator, u.denominator).  Bit lengths decide it unless n/d lies
+    within a factor of 4 * 2**(b/10**6) of 10**-b; only then is 10**b
+    formed, to compare n times it with d."""
     if b is None:
         return _norm_sign(n)
     if n <= 0:

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -133,6 +134,26 @@ def test_construct_psi_gamma_interval():
     iv = gamma_interval(cons)
     assert iv.overlaps(enclose(partial, Fraction(1, 10**30)))
     assert iv.width < Fraction(1, 10**4)
+
+
+def test_acceptance_6_sums_of_d_n_are_canonical():
+    # sums of the 25,000-bit D_n reduce by one gcd taken small operand first;
+    # each partial sum, in either order, is the canonical triple
+    ctx = CFContext(INV_PHI)
+    terms = [ctx.D(n) for n in (4, 20, 36808)]
+    assert terms[-1].e.bit_length() > 25_000
+    sums = []
+    for order in (terms, terms[::-1]):
+        total = 0
+        for term in order:
+            total = term + total
+            sums.append(total)
+    sums.append(construct_psi(INV_PHI, PsiSpec.exp_decay(1), 3).gamma_partial)
+    assert sums[2] == sums[5] == sums[6]
+    for x in sums:
+        assert isinstance(x, QuadIrr)
+        assert math.gcd(x.P, x.e, x.Q) == 1 and x.Q > 0
+        assert x == qi_normalize(x.P, x.e, x.D, x.Q)
 
 
 def _unit_quadratic(rng) -> QuadIrr:

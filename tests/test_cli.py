@@ -305,9 +305,11 @@ def _last_digit_unit(text: str) -> Fraction:
 
 @pytest.mark.parametrize("budget, alpha, psi, count", [
     (3000, "quad:-1,1,5,2", "exp:1", 2),
+    # the tail's 10**-45 reaches the 50 printed digits: each end is summed exactly
+    (45, "quad:-1,1,5,2", "exp:1", 2),
     (100_000, "quad:-1,1,5,2", "power:3", 3),
     (100_000, "dec:0.6180339887498948482045868343656381177203±1e-40", "power:2", 2),
-], ids=["exp", "power", "dec"])
+], ids=["exp", "exp-short-tail", "power", "dec"])
 def test_build_psi_pairs_print_gamma1_without_the_exact_interval(capsys, budget, alpha, psi,
                                                                  count):
     # the set's gamma_1 is minus the enclosure of gamma, which the CLI prints
@@ -345,13 +347,15 @@ def test_build_psi_document_passes_the_independent_check(capsys, argv):
 
 
 def _assert_holds_no_ten_power(cons) -> None:
-    """Every Fraction the construction stores (the tail's head, each
-    certificate bound's head and each head of gamma_interval_ends) has fewer
-    than b bits, b the tail's exponent: 10**-b is kept as b, never formed."""
+    """Every number the construction stores (the tail's head, each
+    certificate bound's head and each (n, d) pair of gamma_interval_ends) has
+    fewer than b bits, b the tail's exponent: 10**-b is kept as b, never
+    formed."""
     b = cons.tail[1]
-    heads = [cons.tail[0], *(line.bound[0] for line in cons.certificate if line.bound),
-             *(head for head, _ in cons.gamma_interval_ends())]
-    sizes = [max(x.numerator.bit_length(), x.denominator.bit_length()) for x in heads]
+    pairs = [cons.tail[0].as_integer_ratio(),
+             *(line.bound[0].as_integer_ratio() for line in cons.certificate if line.bound),
+             *(pair for pair, _ in cons.gamma_interval_ends())]
+    sizes = [max(n.bit_length(), d.bit_length()) for n, d in pairs]
     assert b is not None and max(sizes) < b, (b, sizes)
 
 

@@ -270,12 +270,20 @@ def _outward_cases(draw):
 @example(case=(Fraction(-1, 10**5), 1, 5))
 @example(case=(Fraction(1, 3), -1, None))
 @example(case=(Fraction(-1, 7), 1, 10**5))
+# N = 10**49 and b = k: the exact sum gives 1 - 10**-49, which the floor
+# one digit down, 10*(N - 1) + 9, would overshoot
+@example(case=(Fraction(1), -1, 49))
+@example(case=(-1 - Fraction(1, 10**60), 1, 49))
+# N = 10**50 - 1 and r + 10**-(b-k) > 1: M = N + 2 is rounded up one digit
+# to 10**49 + 1 (1 + 10**-49), not 10**51 + 10
+@example(case=(1 - Fraction(1, 10**120), 1, 60))
+@example(case=(Fraction(1, 10**120) - 1, -1, 60))
 def test_outward_str_rounds_outward_within_a_unit(case):
     head, sign, b = case
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)  # 10**b is never converted to a string
     try:
-        text = outward_str(head, sign, b)
+        text = outward_str(*head.as_integer_ratio(), sign, b)
     finally:
         sys.set_int_max_str_digits(saved)
     assert re.fullmatch(r"-?[0-9](\.[0-9]+)?e-?[0-9]+", text), text
@@ -295,12 +303,12 @@ def test_outward_str_rounds_outward_within_a_unit(case):
 
 
 def test_outward_str_prints_short_values_exactly():
-    assert outward_str(Fraction(0), 1, 10**5) == "1e-100000"
-    assert outward_str(Fraction(0), -1, 0) == "-1e0"
-    assert outward_str(Fraction(-1, 8), 1, None) == "-1.25e-1"
-    assert outward_str(Fraction(123), -1, None) == "1.23e2"
-    assert outward_str(Fraction(1, 10**5), 1, 5) == "2e-5"
-    assert outward_str(Fraction(1, 3), 1, None) == "3." + "3" * 48 + "4e-1"
+    assert outward_str(0, 1, 1, 10**5) == "1e-100000"
+    assert outward_str(0, 1, -1, 0) == "-1e0"
+    assert outward_str(-1, 8, 1, None) == "-1.25e-1"
+    assert outward_str(123, 1, -1, None) == "1.23e2"
+    assert outward_str(1, 10**5, 1, 5) == "2e-5"
+    assert outward_str(1, 3, 1, None) == "3." + "3" * 48 + "4e-1"
 
 
 # head = (N + r)/10**49 with N = 10**49 + 12345: r within 10**-10 of a
@@ -317,7 +325,7 @@ OUTWARD_BOUNDARIES = [
 def test_outward_str_at_rounding_boundaries(r, sign, tail):
     N = 10**49 + 12345
     for head, sign in ((N + r) / 10**49, sign), (-(N + r) / 10**49, -sign):
-        text = outward_str(head, sign, 59)
+        text = outward_str(*head.as_integer_ratio(), sign, 59)
         assert text == f"{'-' if head < 0 else ''}1.{'0' * 44}{tail}"
         exact = head + Fraction(sign, 10**59)
         assert 0 <= sign * (Fraction(text) - exact) < Fraction(1, 10**49)
@@ -325,10 +333,56 @@ def test_outward_str_at_rounding_boundaries(r, sign, tail):
 
 def test_outward_str_rounds_a_remainder_of_one_up():
     # |head| = 1000*N + 1 leaves the floor division a remainder of exactly 1
-    head = Fraction(1000 * (10**49 + 12345) + 1)
-    assert outward_str(head, 1, None) == f"1.{'0' * 44}12346e52"
-    assert outward_str(head, -1, None) == f"1.{'0' * 44}12345e52"
-    assert outward_str(-head, -1, None) == f"-1.{'0' * 44}12346e52"
+    head = 1000 * (10**49 + 12345) + 1
+    assert outward_str(head, 1, 1, None) == f"1.{'0' * 44}12346e52"
+    assert outward_str(head, 1, -1, None) == f"1.{'0' * 44}12345e52"
+    assert outward_str(-head, 1, -1, None) == f"-1.{'0' * 44}12346e52"
+
+
+def _exponent(x: Fraction) -> int:
+    """E with 10**E <= |x| < 10**(E + 1), for x != 0."""
+    x = abs(x)
+    E = len(str(x.numerator)) - len(str(x.denominator))
+    while Fraction(10) ** E > x:
+        E -= 1
+    while Fraction(10) ** (E + 1) <= x:
+        E += 1
+    return E
+
+
+@st.composite
+def _unreduced_cases(draw):
+    """(head, sign, b, g) for outward_str on the pair (n*g, d*g): heads of
+    any sign and 0, or OUTWARD_BOUNDARIES' heads with b = 59; b None, around
+    k + 1 (k = 49 - E, the exact-sum branch reaches b <= k + 1), or far past
+    k; g from 1 to a 3,000-bit factor."""
+    sign = draw(st.sampled_from((-1, 1)))
+    if draw(st.booleans()):
+        r, bsign, _ = draw(st.sampled_from(OUTWARD_BOUNDARIES))
+        side = draw(st.sampled_from((-1, 1)))
+        head, sign, b = side * (10**49 + 12345 + r) / 10**49, side * bsign, 59
+    else:
+        head = Fraction(draw(st.integers(-(10**80), 10**80)),
+                        draw(st.integers(1, 10**80)) * 10 ** draw(st.integers(0, 300)))
+        k = 49 - _exponent(head) if head else 0
+        b = draw(st.none() | st.integers(max(0, k - 2), max(0, k + 3))
+                 | st.integers(k + 10, k + 10**5))
+    g = draw(st.integers(1, 10**6) | st.integers(1, 2**3000))
+    return head, sign, b, g
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_unreduced_cases())
+@example(case=(Fraction(0), 1, None, 6))
+@example(case=(Fraction(0), -1, 7, 6))
+@example(case=(Fraction(1, 3), 1, 50, 9))  # k = 50: b = k sums exactly
+@example(case=(Fraction(1, 3), -1, 51, 9))  # b = k + 1, the last exact sum
+@example(case=(Fraction(-1, 3), 1, 52, 9))  # b = k + 2, by pow10_cmp
+def test_outward_str_reads_an_unreduced_pair(case):
+    # the printed digits depend on the value alone, not on a common factor
+    head, sign, b, g = case
+    n, d = head.numerator, head.denominator
+    assert outward_str(n * g, d * g, sign, b) == outward_str(n, d, sign, b)
 
 
 def test_surd_floor_of_a_rational():
@@ -465,7 +519,7 @@ def _pow10_cmp_screened(u: Fraction, b: int) -> tuple[int, bool]:
 
     exactnum._pow10_screen = recording
     try:
-        sign = pow10_cmp(u, b)
+        sign = pow10_cmp(u.numerator, u.denominator, b)
     finally:
         exactnum._pow10_screen = screen
     return sign, bool(seen) and seen[0] != 0
@@ -507,6 +561,23 @@ def test_pow10_cmp_decides_by_bit_lengths_or_exactly():
     assert _pow10_cmp_screened(ten * 9, b)[1] and _pow10_cmp_screened(Fraction(1, 3), b)[1]
 
 
+# b = 643: floor(3.321929 b) passes floor(b log2 10); b = 789: ceil(3.321929 b
+# / 1.000001) falls below ceil(b log2 10), so a looser constant misjudges there
+@pytest.mark.parametrize("b", [0, 1, 2, 643, 789, 10**5])
+def test_pow10_cmp_at_the_edges_of_its_screen(b):
+    # for each bit-length difference from past one screen bound to past the
+    # other, the least and the greatest n/d with that difference (d up to
+    # 3.4 b + 80 bits), against the exact comparison with 10**-b
+    ten = Fraction(1, 10**b)
+    lo, hi = -(10**b).bit_length() - 3, -(10**b).bit_length() + 4
+    for bits in range(lo, hi):
+        c = 70 - bits  # bit length of d; n has 70 bits
+        for n, d in ((1 << 69, (1 << c) - 1), ((1 << 70) - 1, 1 << (c - 1))):
+            assert n.bit_length() - d.bit_length() == bits
+            u = Fraction(n, d)
+            assert pow10_cmp(n, d, b) == (u > ten) - (u < ten), (bits, n, d)
+
+
 @pytest.mark.parametrize("x", [Fraction(1), Fraction(7, 3), Fraction(40)])
 @pytest.mark.parametrize("b", [0, 1, 5, 18, 60, None])
 def test_exp_le_inverse_sum_matches_exp_le(x, b):
@@ -538,6 +609,37 @@ def _mpmath_exp_enclosure(x: Fraction, dps: int) -> tuple[Fraction, Fraction]:
     finally:
         iv.dps = saved
     return tuple(Fraction(man) * Fraction(2) ** exp for man, exp in ends)
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 12), Fraction(23), Fraction(164, 5),
+                               Fraction(17711)])
+def test_exp_bounds_same_with_the_e_memo_cold_and_warm(x):
+    # e is taken once per precision from a memo; the bounds are those of the
+    # series summed afresh, whichever precision was asked first
+    levels = [20, 35, 60, 120, 240]
+    memo = exactnum._e_fixed
+
+    def series(prec, up):
+        return exactnum._exp_taylor_fixed(1, 1, prec, up)
+
+    def checked(prec, up):
+        value = memo(prec, up)
+        assert value == series(prec, up)
+        return value
+
+    try:
+        exactnum._e_fixed = series
+        reference = {digits: exp_bounds(x, digits) for digits in levels}
+        exactnum._e_fixed = checked
+        memo.cache_clear()
+        for digits in levels + levels[::-1]:  # cold on the way up, warm on the way down
+            assert exp_bounds(x, digits) == reference[digits]
+    finally:
+        exactnum._e_fixed = memo
+    assert memo.cache_info().hits >= 2 * len(levels)
+    for digits, iv in reference.items():
+        lo, hi = _mpmath_exp_enclosure(x, digits + 40)
+        assert iv.lo <= lo and hi <= iv.hi
 
 
 _EXP_ARGS = st.fractions(min_value=-50_000, max_value=50_000, max_denominator=1000)
