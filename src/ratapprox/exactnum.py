@@ -748,8 +748,8 @@ def as_interval(x, width: Fraction) -> RatInterval:
 
 def interval_ends(x, width: Fraction) -> tuple[tuple[int, int], tuple[int, int]]:
     """The ends (lo, hi) of as_interval(x, width) as integer pairs (n, d) with
-    d > 0.  A quadratic x's pairs are not reduced, which saves the gcds of
-    two Fractions whose only use is a division."""
+    d > 0.  A quadratic x's pairs are not reduced: a caller that only prints
+    the ends (outward_str) skips the gcds of two Fractions."""
     if kind_of(x).name == "quad":
         return _quad_ends(x, _positive_width(width))
     iv = as_interval(x, width)
