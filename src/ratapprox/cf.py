@@ -33,7 +33,7 @@ from .exactnum import (
 )
 
 
-def _expand_rational(x, depth: int) -> dict:
+def _expand_rational(x) -> dict:
     p, q = x.numerator, x.denominator
     out = []
     while q:
@@ -43,7 +43,7 @@ def _expand_rational(x, depth: int) -> dict:
     return {"_digits": out, "finite": True}
 
 
-def _expand_quadratic(x: QuadIrr, depth: int) -> dict:
+def _expand_quadratic(x: QuadIrr) -> dict:
     # bring (P + e sqrt(D))/Q to the form (P0 + sqrt(E))/Q0 with Q0 | E - P0^2
     P0, Q0 = x.P, x.Q
     if x.e < 0:
@@ -66,13 +66,10 @@ def _expand_quadratic(x: QuadIrr, depth: int) -> dict:
     # zeta_n fixes both (P_n, Q_n) and the digits from a_n on, so the first
     # repeated state starts the minimal digit period
     k = seen[(P, Q)]
-    ell = len(digits) - k
-    # digits below `depth` are read by index, past it through the period
-    digits += [digits[k + (n - k) % ell] for n in range(len(digits), depth)]
-    return {"_digits": digits, "period": (k, ell), "_states": list(seen), "_surd": E}
+    return {"_digits": digits, "period": (k, len(digits) - k), "_states": list(seen), "_surd": E}
 
 
-def _expand_certified(x: Certified, depth: int) -> dict:
+def _expand_certified(x: Certified) -> dict:
     # encloses zeta_n for the last digit a_n, or alpha while there is none
     return {"_digits": [], "_enclosure": x.enclosure}
 
@@ -167,7 +164,7 @@ class CFContext:
         self.alpha = alpha
         self.period: tuple[int, int] | None = None
         self.finite = False
-        self.__dict__.update(expand(alpha, depth))
+        self.__dict__.update(expand(alpha))
         if not self.finite:
             self.a(depth - 1)
         self._conv: dict[int, tuple] = {-1: _M_START}
@@ -184,7 +181,10 @@ class CFContext:
             return digits[n]
         if self.period is not None:
             k, ell = self.period
-            return digits[k + (n - k) % ell]
+            a = digits[k + (n - k) % ell]
+            if n == len(digits):  # a walk in order stores its digits, as it does M_n
+                digits.append(a)
+            return a
         if self.finite:
             raise InsufficientDepth(f"finite expansion has {len(digits)} digits")
         while n >= len(digits):

@@ -39,7 +39,7 @@ from .conic import (
     quad_detect,
 )
 from .errors import RatApproxError
-from .exactnum import (KINDS, ByValue, as_interval, frac_str, int_str, kind_of, operand,
+from .exactnum import (KINDS, as_interval, frac_str, int_str, kind_of, operand,
                        outward_str, parse_rational, sci_str)
 from .ostrowski import (DEFAULT_PRECISION_DIGITS, delta_profile, dist_bound, dist_direct,
                         dist_formula, ostrowski_int, ostrowski_real, tail_bound)
@@ -72,59 +72,48 @@ def schema_path(name: str) -> str:
     return os.path.join(os.path.dirname(__file__), "schemas", f"{base}.schema.json")
 
 
-class Config(ByValue):
-    """Runtime knobs; file values (key=value lines) are overridden by flags.
-
-    Each field is also the top-level flag --field-name, typed like its default.
-    Compared by value, unhashable.
-    """
-
-    __slots__ = ("precision_digits", "decay_window", "decay_tolerance", "digit_budget",
-                 "seed_bound", "prefix_exceptions")
-    __hash__ = None
-
-    def __init__(
-        self,
-        precision_digits: int = DEFAULT_PRECISION_DIGITS,
-        decay_window: int = DEFAULT_WINDOW,
-        decay_tolerance: Fraction = DEFAULT_REL_TOLERANCE,
-        digit_budget: int = DEFAULT_DIGIT_BUDGET,
-        seed_bound: int = 10_000,
-        prefix_exceptions: int = DEFAULT_PREFIX_EXCEPTIONS,
-    ):
-        super().__init__(precision_digits, decay_window, decay_tolerance, digit_budget,
-                         seed_bound, prefix_exceptions)
-
-    def validate(self) -> None:
-        for name, _ in CONFIG_FIELDS:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"config {name} must be positive")
-
-    @staticmethod
-    def from_text(text: str) -> "Config":
-        cfg = Config()
-        kinds = {name: _field_parser(default) for name, default in CONFIG_FIELDS}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in kinds:
-                raise ValueError(f"unknown config key: {key}")
-            setattr(cfg, key, kinds[key](value.strip()))
-        cfg.validate()
-        return cfg
-
-
-# (name, default) of each Config field, in the order of the flags and the file
-CONFIG_FIELDS = tuple((name, getattr(Config(), name)) for name in Config.__slots__)
+# (name, default) of each knob, in the order of the flags and the file.  Each
+# is the top-level flag --name (dashes for underscores) and the config file
+# key name, typed like its default, and each default is the library constant
+# of the parameter it feeds; find_seed has none for seed_bound.
+CONFIG_FIELDS = (
+    ("precision_digits", DEFAULT_PRECISION_DIGITS),
+    ("decay_window", DEFAULT_WINDOW),
+    ("decay_tolerance", DEFAULT_REL_TOLERANCE),
+    ("digit_budget", DEFAULT_DIGIT_BUDGET),
+    ("seed_bound", 10_000),
+    ("prefix_exceptions", DEFAULT_PREFIX_EXCEPTIONS),
+)
 
 
 def _field_parser(default):
-    """The parser of a Config field's text, in the file or as a flag, by the
-    type of its default."""
+    """The parser of a knob's text, in the file or as a flag, by the type of
+    its default."""
     return {int: int, Fraction: parse_rational}[type(default)]
+
+
+def _refuse_non_positive(values: dict) -> None:
+    for name, _ in CONFIG_FIELDS:
+        if name in values and values[name] <= 0:
+            raise ValueError(f"config {name} must be positive")
+
+
+def read_config(text: str) -> dict:
+    """The knob values set by a config file's `key = value` lines ('#' starts
+    a comment); the last line of a key wins."""
+    kinds = {name: _field_parser(default) for name, default in CONFIG_FIELDS}
+    values = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in kinds:
+            raise ValueError(f"unknown config key: {key}")
+        values[key] = kinds[key](value.strip())
+    _refuse_non_positive(values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +152,6 @@ def parse_psi(text: str) -> PsiSpec:
     raise ValueError(f"cannot parse psi {text!r}; use exp:c, power:k or table:FILE")
 
 
-def rat_str(x: Fraction) -> str:
-    return frac_str(Fraction(x))
-
-
 def target_json(x) -> dict:
     """The {"kind", "value"} document of x; value_from_json inverts it."""
     kind = kind_of(x)
@@ -186,7 +171,7 @@ def report_json(rep: DecayReport) -> dict:
     return {
         "order": rep.order,
         "window": rep.window,
-        "rel_tolerance": rat_str(rep.rel_tolerance),
+        "rel_tolerance": frac_str(rep.rel_tolerance),
         "verdict": "PASS" if rep.verdict else "FAIL",
         "note": rep.note,
         "rows": [
@@ -299,7 +284,7 @@ def _check_depth(depth: int) -> None:
         raise ValueError("depth must be >= 1")
 
 
-def _cmd_cf(args, cfg: Config) -> dict:
+def _cmd_cf(args) -> dict:
     alpha = parse_target(args.alpha)
     _check_depth(args.depth)
     ctx = CFContext(alpha)
@@ -307,20 +292,20 @@ def _cmd_cf(args, cfg: Config) -> dict:
     return {"a": ctx.digits(args.depth), "K": k, "L": ell}
 
 
-def _cmd_convergents(args, cfg: Config) -> dict:
+def _cmd_convergents(args) -> dict:
     if args.n < 0:
         raise ValueError("--n must be >= 0")
     ctx = CFContext(parse_target(args.alpha))
     return {"convergents": [[int_str(ctx.p(n)), int_str(ctx.q(n))] for n in range(args.n + 1)]}
 
 
-def _cmd_ostrowski_int(args, cfg: Config) -> dict:
+def _cmd_ostrowski_int(args) -> dict:
     ctx = CFContext(parse_target(args.alpha))
     d = ostrowski_int(args.s, ctx)
     return {"s": int_str(d.s), "M": d.M, "digits": list(d.c)}
 
 
-def _cmd_ostrowski_real(args, cfg: Config) -> dict:
+def _cmd_ostrowski_real(args) -> dict:
     alpha = parse_target(args.alpha)
     _check_depth(args.depth)
     ctx = CFContext(alpha)
@@ -329,7 +314,7 @@ def _cmd_ostrowski_real(args, cfg: Config) -> dict:
         ctx,
         args.depth,
         allow_orbit=args.allow_orbit,
-        precision_digits=cfg.precision_digits,
+        precision_digits=args.precision_digits,
     )
     return {
         "depth": d.depth,
@@ -338,7 +323,7 @@ def _cmd_ostrowski_real(args, cfg: Config) -> dict:
     }
 
 
-def _cmd_dist(args, cfg: Config) -> dict:
+def _cmd_dist(args) -> dict:
     alpha = parse_target(args.alpha)
     gamma = parse_target(args.gamma)
     # the flags are refused before dist_direct, which can fail on its own
@@ -349,7 +334,7 @@ def _cmd_dist(args, cfg: Config) -> dict:
     width = Fraction(1, 10**args.width_digits)
     direct = dist_direct(args.s, gamma, alpha, width)
     prof = delta_profile(args.s, gamma, ctx, args.depth, allow_orbit=args.allow_orbit,
-                         precision_digits=cfg.precision_digits)
+                         precision_digits=args.precision_digits)
     doc = {
         "s": int_str(args.s),
         "m": prof.m,
@@ -361,19 +346,19 @@ def _cmd_dist(args, cfg: Config) -> dict:
     if doc["regime"] == "series":
         val = dist_formula(prof, ctx)
         doc["formula"] = as_interval(val, width).to_json()
-        doc["bound"] = rat_str(dist_bound(prof, ctx))
+        doc["bound"] = frac_str(dist_bound(prof, ctx))
     return doc
 
 
-def _cmd_approx_fit(args, cfg: Config):
+def _cmd_approx_fit(args):
     pairs = load_pairs(args.pairs)
     alpha = parse_target(args.alpha)
     gamma, report = fit_coefficients(
         pairs,
         alpha,
         args.order,
-        window=cfg.decay_window,
-        rel_tolerance=cfg.decay_tolerance,
+        window=args.decay_window,
+        rel_tolerance=args.decay_tolerance,
     )
     aset = ApproxSet(alpha=alpha, pairs=sorted(pairs, key=lambda p: p[1]),
                      order=args.order, gamma=gamma)
@@ -382,20 +367,20 @@ def _cmd_approx_fit(args, cfg: Config):
     return {"set": approx_set_json(aset), "report": report_json(report)}
 
 
-def _cmd_approx_verify(args, cfg: Config):
+def _cmd_approx_verify(args):
     aset = load_approx_set(args.set)
     report = verify_order(
-        aset, window=cfg.decay_window, rel_tolerance=cfg.decay_tolerance
+        aset, window=args.decay_window, rel_tolerance=args.decay_tolerance
     )
     if args.csv:
         return report_csv(report)
     return {"set": approx_set_json(aset), "report": report_json(report)}
 
 
-def _cmd_build_psi(args, cfg: Config) -> dict:
+def _cmd_build_psi(args) -> dict:
     alpha = parse_target(args.alpha)
     cons = construct_psi(
-        alpha, parse_psi(args.psi), args.count, digit_budget=cfg.digit_budget
+        alpha, parse_psi(args.psi), args.count, digit_budget=args.digit_budget
     )
     # every bound is a pair (head, b) worth head + 10**-b (a monotone line's
     # is None); bounds and interval ends print as decimals rounded outward,
@@ -434,8 +419,11 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
     if args.pairs_out or args.with_pairs:
         # gamma_1 = -gamma: its ends are gamma's, negated and swapped
         lo1, hi1 = (outward_str(-n, d, -sign, b) for (n, d), sign in reversed(ends))
-        doc["set"] = {**approx_set_json(nearest_numerators(alpha, cons.s)), "N": 1,
-                      "gamma": [{"kind": "interval", "value": {"lo": lo1, "hi": hi1}}]}
+        # only the numerators r are new; alpha and each s_k are printed above
+        r_list = [r for r, _ in nearest_numerators(alpha, cons.s).pairs]
+        doc["set"] = {"alpha": doc["alpha"], "N": 1,
+                      "gamma": [{"kind": "interval", "value": {"lo": lo1, "hi": hi1}}],
+                      "pairs": [[int_str(r), s] for r, s in zip(r_list, s_text)]}
         if args.pairs_out:
             with open(args.pairs_out, "w", encoding="utf-8") as fh:
                 json.dump(doc["set"], fh, indent=2)
@@ -443,12 +431,12 @@ def _cmd_build_psi(args, cfg: Config) -> dict:
     return doc
 
 
-def _cmd_line(args, cfg: Config) -> dict:
+def _cmd_line(args) -> dict:
     return approx_set_json(line_set(args.a, args.b, args.d, args.count))
 
 
-def _cmd_detect_line(args, cfg: Config) -> dict:
-    fit = detect_line(load_pairs(args.pairs), max_prefix_exceptions=cfg.prefix_exceptions)
+def _cmd_detect_line(args) -> dict:
+    fit = detect_line(load_pairs(args.pairs), max_prefix_exceptions=args.prefix_exceptions)
     if fit is None:
         return {"line": None}
     return {
@@ -461,15 +449,15 @@ def _cmd_detect_line(args, cfg: Config) -> dict:
     }
 
 
-def _cmd_conic_orbit(args, cfg: Config) -> dict:
+def _cmd_conic_orbit(args) -> dict:
     form = ConicForm(*parse_ints("--form", args.form, "a,b,c"), args.d)
     if args.seed:
         seed = parse_ints("--seed", args.seed, "r,s")
     else:
-        seed = find_seed(form, cfg.seed_bound)
+        seed = find_seed(form, args.seed_bound)
         if seed is None:
             raise RatApproxError(
-                f"no seed with s <= {cfg.seed_bound} represents {args.d}"
+                f"no seed with s <= {args.seed_bound} represents {args.d}"
             )
     aset = conic_orbit(form, seed, args.count)
     doc = approx_set_json(aset)
@@ -477,7 +465,7 @@ def _cmd_conic_orbit(args, cfg: Config) -> dict:
     return doc
 
 
-def _cmd_laurent(args, cfg: Config) -> dict:
+def _cmd_laurent(args) -> dict:
     form = ConicForm(*parse_ints("--form", args.form, "a,b,c"), args.d)
     lx = laurent_expansion(form, args.terms)
     return {
@@ -486,14 +474,14 @@ def _cmd_laurent(args, cfg: Config) -> dict:
         "gamma": [target_json(g) for g in lx.gamma],
         "threshold_s": int_str(lx.threshold_s),
         "next_term_j": lx.next_term_j,
-        "next_term_upper": rat_str(lx.next_term_upper),
+        "next_term_upper": frac_str(lx.next_term_upper),
     }
 
 
-def _cmd_build_periodic(args, cfg: Config):
+def _cmd_build_periodic(args):
     alpha = parse_target(args.alpha)
     pc = periodic_construction(
-        alpha, args.count, window=cfg.decay_window, rel_tolerance=cfg.decay_tolerance
+        alpha, args.count, window=args.decay_window, rel_tolerance=args.decay_tolerance
     )
     if args.csv:
         return report_csv(pc.report)
@@ -505,12 +493,12 @@ def _cmd_build_periodic(args, cfg: Config):
     return doc
 
 
-def _cmd_detect_quad(args, cfg: Config) -> dict:
-    form = quad_detect(load_pairs(args.pairs), max_prefix_exceptions=cfg.prefix_exceptions)
+def _cmd_detect_quad(args) -> dict:
+    form = quad_detect(load_pairs(args.pairs), max_prefix_exceptions=args.prefix_exceptions)
     return {"form": None if form is None else form.to_json()}
 
 
-def _cmd_growth(args, cfg: Config) -> dict:
+def _cmd_growth(args) -> dict:
     if args.s:
         s_list = [int(x) for x in args.s.split(",")]
     elif args.pairs:
@@ -520,7 +508,7 @@ def _cmd_growth(args, cfg: Config) -> dict:
     prof = growth_profile(s_list)
     return {
         "classification": prof.classification,
-        "ratios": [rat_str(r) for r in prof.ratios],
+        "ratios": [frac_str(r) for r in prof.ratios],
         "differences": [int_str(d) for d in prof.differences],
     }
 
@@ -624,19 +612,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def load_config(args) -> Config:
+def load_config(args) -> None:
+    """Set each knob on args: its flag if given, else its value in the
+    --config or RATAPPROX_CONFIG file, else its default."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    values = {}
     if path:
         with open(path, encoding="utf-8") as fh:
-            cfg = Config.from_text(fh.read())
-    else:
-        cfg = Config()
-    for name, _ in CONFIG_FIELDS:
-        value = getattr(args, name)
-        if value is not None:
-            setattr(cfg, name, value)
-    cfg.validate()
-    return cfg
+            values = read_config(fh.read())
+    for name, default in CONFIG_FIELDS:
+        if getattr(args, name) is None:
+            setattr(args, name, values.get(name, default))
+    _refuse_non_positive(vars(args))
 
 
 def _reject_unknown_top_options(parser: argparse.ArgumentParser, argv: list[str]) -> None:
@@ -669,8 +656,8 @@ def main(argv=None) -> int:
     _reject_unknown_top_options(_parser, argv)
     args = _parser.parse_args(argv)
     try:
-        cfg = load_config(args)
-        doc = args.handler(args, cfg)
+        load_config(args)
+        doc = args.handler(args)
     except (RatApproxError, ValueError, ZeroDivisionError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")

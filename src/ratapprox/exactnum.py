@@ -76,10 +76,12 @@ def _leading_digits(x: int, y: int, D: int, Q: int, digits: int) -> tuple[int, i
     """(N, E, rem, den) with v * 10**(digits-1-E) = N + (rem + f)/den for v =
     (x + y*sqrt(D))/Q > 0, Q > 0: E is v's exponent, 10**(digits-1) <= N <
     10**digits, 0 <= rem < den and 0 <= f < 1 (f = 0 for a rational, y = 0)."""
+    # m * 30102 // 10**5 is at or below m*log10(2) for m >= 0, m * 30103 // 10**5 for m < 0
     if not y:  # log2 v lies strictly between t - 1 and t + 1, t the bit-length difference
-        E = (x.bit_length() - Q.bit_length() - 1) * 30103 // 100000 - 1
+        t = x.bit_length() - Q.bit_length()
+        E = (t - 1) * (30102 if t >= 1 else 30103) // 100000 - 1
     elif surd_sign(x - Q, y, D) >= 0:  # from floor(v), as x and y may cancel
-        E = (surd_floor(x, y, D, Q).bit_length() - 1) * 30103 // 100000 - 1
+        E = (surd_floor(x, y, D, Q).bit_length() - 1) * 30102 // 100000 - 1
     else:  # from floor(1/v), 1/v = Q*(x - y*sqrt(D))/(x^2 - y^2*D)
         inv = surd_floor(Q * x, -Q * y, D, x * x - y * y * D)
         E = -(inv.bit_length() * 30103 // 100000) - 1
@@ -708,11 +710,9 @@ def _quad_ends(x: QuadIrr, width: Fraction) -> tuple[tuple[int, int], tuple[int,
     # 10**k is an integer), from a guess at or below it by the bit length
     need = Fraction(abs(x.e), x.Q) / width
     c = -(-need.numerator // need.denominator)
-    k = 1 + 8 * max(0, ((c.bit_length() - 1) * 30103 // 100000 - 1) // 8)
+    k = 1 + 8 * max(0, ((c.bit_length() - 1) * 30102 // 100000 - 1) // 8)
     while 10**k < c:
         k += 8
-    while k > 1 and 10 ** (k - 8) >= c:
-        k -= 8
     # r/m < sqrt(D) < (r + 1)/m for m = 10**k (D is not a square), so the ends
     # (P*m + e*r)/(Q*m) and (P*m + e*(r + 1))/(Q*m) are |e|/(Q*m) <= width apart
     m = 10**k

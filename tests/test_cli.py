@@ -26,8 +26,9 @@ from ratapprox.ostrowski import delta_profile, ostrowski_real
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratapprox.cli import (Config, approx_set_json, load_approx_set, main, parse_psi,
-                           parse_target, schema_path, sci_str, target_json, value_from_json)
+from ratapprox.cli import (CONFIG_FIELDS, approx_set_json, load_approx_set, main, parse_psi,
+                           parse_target, read_config, schema_path, sci_str, target_json,
+                           value_from_json)
 from ratapprox.exactnum import KINDS, Certified, RatInterval, qi_normalize
 
 from oracles import check_psi_document, gamma_interval
@@ -560,16 +561,76 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch):
 
 
 def test_config_roundtrip():
-    cfg = Config(precision_digits=77, decay_tolerance=Fraction(3, 1234))
-    text = "".join(f"{name} = {getattr(cfg, name)}\n" for name in Config.__slots__)
-    again = Config.from_text(text)
-    assert again == cfg
-    with pytest.raises(ValueError):
-        Config.from_text("bogus_key = 3\n")
-    with pytest.raises(ValueError):
-        Config.from_text("digit_budget = -5\n")
-    with pytest.raises(ValueError):
-        Config.from_text("orbit_bound = 5\n")
+    # every key of the table, typed like its default; comments and blank lines skipped
+    values = {name: default + 7 for name, default in CONFIG_FIELDS}
+    text = "".join(f"{name} = {value}  # set\n\n" for name, value in values.items())
+    again = read_config(text)
+    assert again == values
+    assert [type(v) for v in again.values()] == [type(d) for _, d in CONFIG_FIELDS]
+    assert read_config("# nothing set\n") == {}
+    with pytest.raises(ValueError, match="unknown config key: bogus_key"):
+        read_config("bogus_key = 3\n")
+    with pytest.raises(ValueError, match="config digit_budget must be positive"):
+        read_config("digit_budget = -5\n")
+    with pytest.raises(ValueError, match="unknown config key: orbit_bound"):
+        read_config("orbit_bound = 5\n")
+
+
+# per knob: a call whose output the knob decides, and a value other than the
+# default that changes that output
+KNOB_PROBES = {
+    "precision_digits": (["ostrowski-real", "--alpha", "quad:-1,1,5,2", "--gamma",
+                          "dec:0.1234567890123456789012345678901234567890±1e-40",
+                          "--depth", "24"], "3"),
+    "decay_window": (["build-periodic", "--alpha", "quad:-1,1,5,2", "--count", "6"], "3"),
+    "decay_tolerance": (["build-periodic", "--alpha", "quad:-1,1,5,2", "--count", "6"], "1/7"),
+    "digit_budget": (["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "exp:1/2",
+                      "--count", "2"], "1"),
+    "seed_bound": (["conic-orbit", "--form", "1,-1,-1", "--d", "-11", "--count", "3"], "2"),
+    # the line 7r = 3s + 1 with its first two pairs moved off it
+    "prefix_exceptions": (["detect-line", "--pairs", "PAIRS"], "1"),
+}
+
+
+@pytest.mark.parametrize("name, default", CONFIG_FIELDS, ids=[name for name, _ in CONFIG_FIELDS])
+def test_every_knob_takes_the_same_precedence(name, default, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("RATAPPROX_CONFIG", raising=False)
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text("[[6, 2], [9, 9], [7, 16], [10, 23], [13, 30], [16, 37]]")
+    argv, value = KNOB_PROBES[name]
+    argv = [str(pairs) if a == "PAIRS" else a for a in argv]
+    flag = "--" + name.replace("_", "-")
+
+    def config(stem, text):
+        path = tmp_path / f"{stem}.cfg"
+        path.write_text(text)
+        return str(path)
+
+    given = run_cli(capsys, [flag, value, *argv])
+    # the default applies when neither a flag nor a file sets the knob, and
+    # the probe's value changes the output
+    assert run_cli(capsys, argv) == run_cli(capsys, [flag, str(default), *argv]) != given
+    # a file through --config or the environment reads like the flag
+    same, other = config("same", f"{name} = {value}\n"), config("other", f"{name} = {default}\n")
+    assert run_cli(capsys, ["--config", same, *argv]) == given
+    monkeypatch.setenv("RATAPPROX_CONFIG", same)
+    assert run_cli(capsys, argv) == given
+    # the flag beats the file, and --config beats the environment
+    monkeypatch.setenv("RATAPPROX_CONFIG", other)
+    assert run_cli(capsys, [flag, value, *argv]) == given
+    assert run_cli(capsys, [flag, value, "--config", other, *argv]) == given
+    assert run_cli(capsys, ["--config", same, *argv]) == given
+    monkeypatch.delenv("RATAPPROX_CONFIG")
+    # a non-positive file value is refused even where its flag is given, and an
+    # unknown key is reported before a value that is not positive
+    for stem, text, message in [
+            ("zero", f"{name} = 0\n", f"config {name} must be positive"),
+            ("unknown", f"{name} = -1\nbogus_key = 1\n", "unknown config key: bogus_key")]:
+        code, out = run_cli(capsys, [flag, value, "--config", config(stem, text), *argv])
+        assert (code, json.loads(out)) == (1, {"error": "ValueError", "message": message})
+    code, out = run_cli(capsys, [f"{flag}=0", *argv])
+    assert (code, json.loads(out)) == (
+        1, {"error": "ValueError", "message": f"config {name} must be positive"})
 
 
 def test_removed_ostrowski_int_depth_flag_is_usage_error(capsys):
@@ -714,10 +775,11 @@ CONFIG_FEEDS = {
 
 def test_config_defaults_are_the_library_defaults():
     # seed_bound feeds find_seed, which has no default
-    assert sorted(CONFIG_FEEDS) == sorted(set(Config.__slots__) - {"seed_bound"})
+    defaults = dict(CONFIG_FIELDS)
+    assert sorted(CONFIG_FEEDS) == sorted(set(defaults) - {"seed_bound"})
     for name, feeds in CONFIG_FEEDS.items():
         for fn, param in feeds:
-            assert inspect.signature(fn).parameters[param].default == getattr(Config(), name)
+            assert inspect.signature(fn).parameters[param].default == defaults[name]
 
 
 def test_removed_orbit_bound_flag_is_usage_error(capsys):

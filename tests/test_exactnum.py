@@ -14,7 +14,6 @@ from ratapprox import exactnum
 from ratapprox.errors import DegenerateRational, MixedField, PrecisionExhausted
 from ratapprox import approx, conic, ostrowski
 from ratapprox.approx import PsiSpec
-from ratapprox.cli import Config
 from ratapprox.conic import Automorph, ConicForm
 from ratapprox.exactnum import (
     Certified,
@@ -236,6 +235,31 @@ def test_enclose_precision_is_the_stepping_loops(P, e_digits, D, Q, w_num, w_dig
         k += 8
     scaled = sqrt_bounds(x.D, k) * Fraction(x.e)
     assert enclose(x, w) == RatInterval((x.P + scaled.lo) / x.Q, (x.P + scaled.hi) / x.Q)
+
+
+@pytest.mark.parametrize("j", [1, 2, 8, 9, 10, 17, 100, 1001, 20000])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_enclose_precision_at_powers_of_ten(j, offset):
+    # sqrt(2) at width 1/c needs c = ceil(need) exactly: k is the least
+    # k = 1 (mod 8) with 10**k >= c, read off the ends' denominator Q*10**k
+    c = 10**j + offset
+    least = j + (offset > 0)  # the least k >= 1 with 10**k >= c
+    k = 1 + 8 * -(-(least - 1) // 8)
+    (_, d_lo), (_, d_hi) = exactnum._quad_ends(SQRT2, Fraction(1, c))
+    assert d_lo == d_hi == 10**k
+
+
+@pytest.mark.parametrize("x, Q", [(1, 2**400_000), (1, 3**250_000), (2**400_000 - 1, 1),
+                                  (3**250_000, 7), (1, 1), (9, 10), (10, 1)],
+                         ids=["2^-400000", "3^-250000", "2^400000-1", "3^250000/7", "1", "9/10",
+                              "10"])
+def test_leading_digits_finds_the_exponent_of_tiny_and_huge_rationals(x, Q):
+    # the guess from bit lengths must stay at or below the exponent on both
+    # sides of 1: 10**E <= x/Q < 10**(E + 1)
+    N, E, rem, den = exactnum._leading_digits(x, 0, 1, Q, 5)
+    assert 10**4 <= N < 10**5
+    scaled = (x * 10**-E, Q) if E <= 0 else (x, Q * 10**E)
+    assert scaled[1] <= scaled[0] < 10 * scaled[1]
 
 
 @st.composite
@@ -775,12 +799,8 @@ VALUE_TYPES = [
      {"t11": 2, "t12": -1, "t21": 5, "t22": 7}),
     (RealDigits, {"b": [0, 1], "depth": 2, "remainder": _IV},
      {"b": [0, 2], "depth": 3, "remainder": Fraction(1, 9)}),
-    (Config, {"precision_digits": 200, "decay_window": 5, "decay_tolerance": Fraction(1, 1000),
-              "digit_budget": 100_000, "seed_bound": 10_000, "prefix_exceptions": 2},
-     {"precision_digits": 7, "decay_window": 3, "decay_tolerance": Fraction(1, 7),
-      "digit_budget": 9, "seed_bound": 11, "prefix_exceptions": 1}),
 ]
-UNHASHABLE = (RealDigits, Config)
+UNHASHABLE = (RealDigits,)
 
 
 def test_value_type_reprs_are_pinned():
@@ -798,10 +818,6 @@ def test_value_type_reprs_are_pinned():
     )
     assert repr(ConicForm(1, -1, -1, 1)) == "ConicForm(a=1, b=-1, c=-1, d=1)"
     assert repr(Automorph(0, 1, 1, 1)) == "Automorph(t11=0, t12=1, t21=1, t22=1)"
-    assert repr(Config()) == (
-        "Config(precision_digits=200, decay_window=5, decay_tolerance=Fraction(1, 1000), "
-        "digit_budget=100000, seed_bound=10000, prefix_exceptions=2)"
-    )
 
 
 @pytest.mark.parametrize("cls, fields, others", VALUE_TYPES, ids=[t[0].__name__ for t in VALUE_TYPES])
@@ -850,8 +866,8 @@ RECORD_FIELDS = {cls: fields for cls, fields, _ in VALUE_TYPES} | {
     ostrowski.DeltaProfile: {"s": 3, "depth": 2, "delta": [0, 1], "m": 1,
                              "int_digits": None, "real_digits": None},
 }
-# their own constructors default a field: ConicForm's d and every Config knob
-DEFAULTED = (ConicForm, Config)
+# their own constructors default a field: ConicForm's d
+DEFAULTED = (ConicForm,)
 
 
 def _record_types():
