@@ -11,7 +11,7 @@ the rational-line case exactly, and classifies denominator growth.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd
+from math import ceil, floor, gcd
 from operator import index
 
 from .cf import CFContext
@@ -23,12 +23,13 @@ from .errors import (
     SingularSystem,
 )
 from .exactnum import (
+    LN10_HI,
     ByValue,
+    RatInterval,
     RealTarget,
     Record,
     as_interval,
     exp_bounds,
-    exp_exceeds_pow10,
     exp_le_inverse_sum,
     frac_str,
     int_str,
@@ -36,7 +37,6 @@ from .exactnum import (
     kind_of,
     operand,
     pow10_cmp,
-    pow10_exponent_below_exp,
     rational,
 )
 
@@ -81,7 +81,9 @@ class PsiSpec(ByValue):
     rational_table: explicit (s, Psi(s)) pairs read as a step function,
     a tuple of (int, Fraction) sorted by s.  The fields of the other
     families are None.  Immutable by convention, compared and hashed by
-    value.
+    value.  It is the only code that knows the family: the construction
+    asks it for each comparison with Psi (le_psi), the threshold bracket,
+    the digit-budget test and the tail bound.
     """
 
     __slots__ = ("kind", "c", "k", "table")
@@ -145,35 +147,34 @@ class PsiSpec(ByValue):
 
     def numeric_feasible(self, t: int) -> bool:
         """Whether le_psi at argument t is computationally reasonable."""
-        if self.kind != "exp_decay":
-            return True
-        return self.c * t <= 2 * 10**6
+        return self.kind != "exp_decay" or self.c * t <= 2 * 10**6
 
-    def threshold_int_bracket(self, t: int, digits: int) -> tuple[int, int]:
+    def threshold_int_bracket(self, t: int) -> tuple[int, int]:
         """Integers lo <= 3/Psi(t) <= hi; q >= hi accepts, q < lo rejects,
         anything between is decided exactly by le_psi(3/q, t)."""
         exact = self.exact_value(t)
-        if exact is not None:
-            x = 3 / exact
-            lo = x.numerator // x.denominator
-            return lo, lo + (0 if x.denominator == 1 else 1)
-        iv = exp_bounds(self.c * t, digits) * 3
-        lo = iv.lo.numerator // iv.lo.denominator
-        hi = -((-iv.hi.numerator) // iv.hi.denominator)
-        return lo, hi
+        iv = RatInterval.point(3 / exact) if exact is not None else exp_bounds(self.c * t, 30) * 3
+        return floor(iv.lo), ceil(iv.hi)
 
     def threshold_exceeds_digits(self, t: int, budget: int) -> bool:
-        """Sound check: True guarantees 3/Psi(t) has more than `budget` digits."""
+        """Sound check: True guarantees 3/Psi(t) > 10**budget."""
+        exact = self.exact_value(t)
+        if exact is None:
+            # LN10_HI > ln 10, so this gives exp(c*t) >= 10**(budget + 1)
+            return self.c * t >= (budget + 1) * LN10_HI
+        # 3/Psi(t) = n/d > 2**(bits(n) - bits(d) - 1), and 0.30102 < log10 2
+        bits = (3 * exact.denominator).bit_length() - exact.numerator.bit_length() - 1
+        return bits * 30102 > budget * 100000
+
+    def tail_pair(self, t: int, cap: int) -> tuple[Fraction, int | None]:
+        """The bound pair (head, b) on gamma's tail when no next index fits
+        the digit budget: (2/3)Psi(t) exactly, or 10**-b >= Psi(t) =
+        exp(-c*t) with b <= cap (b = 0 for a cap below 0)."""
         exact = self.exact_value(t)
         if exact is not None:
-            num = 3 * exact.denominator
-            den = exact.numerator
-            return (num.bit_length() - den.bit_length() - 1) * 30103 > budget * 100000
-        return exp_exceeds_pow10(self.c * t, budget + 1)
-
-    def tail_cap_exponent(self, t: int, cap: int) -> int:
-        """Exponent B <= cap with 10**-B >= Psi(t); exp family only."""
-        return max(0, min(cap, pow10_exponent_below_exp(self.c * t)))
+            return Fraction(2, 3) * exact, None
+        # LN10_HI > ln 10, so b <= c*t/LN10_HI gives 10**-b >= exp(-c*t)
+        return Fraction(0), max(0, min(cap, int(self.c * t / LN10_HI)))
 
     def to_json(self) -> dict:
         if self.kind == "exp_decay":
@@ -369,8 +370,11 @@ def construct_psi(
     """Indices n_1 = 4, n_{k+1} = least n > n_k + 1 with 3/q_n <= Psi(q_{n_k+1});
     gamma = sum_k D_{n_k}; s_k = sum_{m<=k} q_{n_m}; certified per-pair bounds.
 
-    Raises BlowUp (carrying the partial construction) when the next index
-    forces denominators past `digit_budget` decimal digits.
+    The digit budget is applied to bit lengths: the search admits q_m while
+    floor(0.30103 * bit length of q_m) <= digit_budget, so a q_m of
+    digit_budget + 1 decimal digits can pass, and none of more.  Raises
+    BlowUp (carrying the partial construction) when the next index needs a
+    larger q_m, or when psi.threshold_exceeds_digits(q_{n_k+1}) holds.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -380,8 +384,7 @@ def construct_psi(
     if ctx.a(0) != 0:
         raise ValueError("alpha must lie in (0, 1)")
 
-    # q is past the budget when its bit length times 0.30103, floored, exceeds
-    # digit_budget; q_blowup is the least such q, a power of two
+    # q_blowup is the least q past the budget, a power of two
     q_blowup = 1 << max(0, -(-(digit_budget + 1) * 100000 // 30103) - 1)
 
     def find_next(prev_n: int) -> int:
@@ -390,7 +393,7 @@ def construct_psi(
             raise BlowUp(
                 f"next index after n={prev_n} needs more than {digit_budget} digits"
             )
-        lo_i, hi_i = psi.threshold_int_bracket(t, 30)
+        lo_i, hi_i = psi.threshold_int_bracket(t)
 
         def stop(m: int, qm: int) -> bool:
             return (
@@ -440,13 +443,10 @@ def _package(
     gamma_partial = partials[-1]
 
     # the bound pair on the rest of gamma past n_K
-    t_last = ctx.q(indices[-1] + 1)
     if n_next is not None:
         tail = (2 * ctx.d_abs_upper(n_next), None)
     else:
-        exact_psi = psi.exact_value(t_last)
-        tail = ((Fraction(2, 3) * exact_psi, None) if exact_psi is not None
-                else (Fraction(0), psi.tail_cap_exponent(t_last, digit_budget)))
+        tail = psi.tail_pair(ctx.q(indices[-1] + 1), digit_budget)
 
     # heads[k-1] bounds |sum_{k<m<=K} D_{n_m}|, so heads[k-1] plus the tail
     # bounds the remainder of gamma past n_k

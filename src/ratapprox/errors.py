@@ -55,7 +55,7 @@ class InsufficientPairs(RatApproxError):
 
 
 class BlowUp(RatApproxError):
-    """The next denominator would exceed the configured digit budget.
+    """The next index is past the digit budget as construct_psi applies it.
 
     ``partial`` holds the construction completed so far (may be None).
     """

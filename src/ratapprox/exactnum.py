@@ -891,14 +891,3 @@ def pow10_cmp(n: int, d: int, b: int | None) -> int:
         return -1
     return _pow10_screen(n.bit_length() - d.bit_length(), b) or _norm_sign(n * 10**b - d)
 
-
-def exp_exceeds_pow10(x: Fraction, b: int) -> bool:
-    """Sound one-sided check: True guarantees exp(x) >= 10**b."""
-    return x >= b * LN10_HI
-
-
-def pow10_exponent_below_exp(x: Fraction) -> int:
-    """Largest integer b (>= 0) with 10**-b >= exp(-x), for x > 0."""
-    if x <= 0:
-        return 0
-    return int(x / LN10_HI)

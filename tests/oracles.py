@@ -361,7 +361,7 @@ def psi_certificate_reference(cons, digit_budget: int):
     elif psi.exact_value(t_last) is not None:
         tail = Fraction(2, 3) * psi.exact_value(t_last)
     else:
-        tail = Fraction(1, 10**psi.tail_cap_exponent(t_last, digit_budget))
+        tail = Fraction(1, 10**psi.tail_pair(t_last, digit_budget)[1])
     lines = []
     for k, s_k in enumerate(s_list, start=1):
         next_idx = indices[k] if k < len(indices) else cons.n_next

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import functools
 import hashlib
 import inspect
 import io
@@ -8,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -251,6 +253,38 @@ def test_blowup_is_reported(capsys):
     assert json.loads(out)["error"] == "BlowUp"
 
 
+def test_build_psi_table_threshold_of_exactly_budget_digits_is_within_budget(tmp_path, capsys):
+    # Psi = 1048575/D, D = (2**13321 + 1)/3: 3/Psi = 3D/1048575 scores 13,301
+    # in the bit-length test and has exactly 4,004 digits, so it is not past a
+    # 4004-digit budget; 0.30103 in that test claimed it was (BlowUp)
+    D = (2**13321 + 1) // 3
+    assert 10**4003 * 1048575 <= 3 * D < 10**4004 * 1048575
+    table = tmp_path / "psi.json"
+    table.write_text(json.dumps([[1, f"1048575/{D}"]]))
+    code, out = run_cli(capsys, ["--digit-budget", "4004", "build-psi", "--alpha",
+                                 "quad:-1,1,5,2", "--psi", f"table:{table}", "--count", "2"])
+    doc = json.loads(out)
+    assert (code, doc["indices"], doc["n_next"], doc["certified"]) == (0, [4, 19160], 19162, True)
+    # oracle: 1/phi has q_n = F_{n+1}, and n_2 is the least n > 5 with q_n >= 3/Psi
+    q = [1, 1]
+    while q[-1] * 1048575 < 3 * D:
+        q.append(q[-1] + q[-2])
+    assert len(q) - 1 == 19160
+
+
+def test_digit_budget_admits_a_denominator_of_one_more_digit(capsys):
+    # the search admits q_m while floor(0.30103 * bit length of q_m) <= the
+    # budget: q_60 = F_61 = 2504730781961 has 41 bits and 13 digits, budget 12
+    code, out = run_cli(capsys, ["--digit-budget", "12", "build-psi", "--alpha",
+                                 "quad:-1,1,5,2", "--psi", "power:2", "--count", "3"])
+    doc = json.loads(out)
+    assert (code, doc["indices"], doc["n_next"]) == (0, [4, 12, 28], 60)
+    q = [1, 1]
+    while len(q) <= 60:
+        q.append(q[-1] + q[-2])
+    assert q[60] == 2504730781961 and q[60].bit_length() * 30103 // 100000 == 12
+
+
 # build-psi calls with a 10**-b tail, b up to 100,000 (the first is
 # acceptance 6), as (argv, stdout bytes, stdout sha256); every bound and
 # interval end prints as a 50-digit decimal rounded outward, the tail as 1e-b
@@ -445,6 +479,97 @@ def test_build_psi_fuzz_answers_with_one_json_document(flags, pairs, bad):
         assert contains and "failed" not in statuses, (argv, statuses)
 
 
+# convergents p_n/q_n of 1/phi, n = 1..8
+PHI_PAIRS = [[1, 1], [1, 2], [2, 3], [3, 5], [5, 8], [8, 13], [13, 21], [21, 34]]
+
+
+_FUZZ_INT = st.integers(-3, 40)
+_FUZZ_TARGET = st.one_of(
+    st.builds(_unit_quad, st.integers(2, 400), st.integers(1, 4)),
+    st.builds("rat:{}/{}".format, st.integers(-30, 30), st.integers(-2, 30)),
+    st.builds("quad:{},{},{},{}".format, st.integers(-9, 9), st.integers(-3, 3),
+              st.integers(-2, 40), st.integers(-3, 4)),
+    st.builds("dec:{}.{:04d}±1e-{}".format, st.integers(-3, 3), st.integers(0, 9999),
+              st.integers(1, 12)),
+    # an enclosure that straddles the integer n, so that a_0 is undecided
+    st.builds("dec:{}±1e-{}".format, st.integers(-3, 3), st.integers(1, 6)),
+)
+# mostly in [0, 1), where the Ostrowski commands take it
+_FUZZ_GAMMA = st.one_of(st.builds("rat:{}/{}".format, st.integers(0, 12), st.integers(13, 40)),
+                        _FUZZ_TARGET)
+_FUZZ_PAIRS = st.one_of(st.just(PHI_PAIRS), st.lists(
+    st.tuples(st.integers(-60, 60), st.integers(-3, 60)).map(list), max_size=8))
+_FUZZ_FORM = st.one_of(st.just("1,-1,-1"), st.builds(
+    "{},{},{}".format, st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)))
+# each subcommand but build-psi (fuzzed above), with a strategy per flag;
+# PAIRS and SET stand for files written from the drawn pairs
+_FUZZ_COMMANDS = {
+    "cf": {"--alpha": _FUZZ_TARGET, "--depth": _FUZZ_INT},
+    "convergents": {"--alpha": _FUZZ_TARGET, "--n": _FUZZ_INT},
+    "ostrowski-int": {"--alpha": _FUZZ_TARGET, "--s": st.integers(-3, 10**6)},
+    "ostrowski-real": {"--alpha": _FUZZ_TARGET, "--gamma": _FUZZ_GAMMA, "--depth": _FUZZ_INT},
+    "dist": {"--alpha": _FUZZ_TARGET, "--gamma": _FUZZ_GAMMA, "--s": st.integers(-3, 10**6),
+             "--depth": _FUZZ_INT, "--width-digits": _FUZZ_INT},
+    "approx-fit": {"--alpha": _FUZZ_TARGET, "--order": st.integers(-1, 4), "--pairs": "PAIRS"},
+    "approx-verify": {"--set": "SET"},
+    "line": {"--a": st.integers(-9, 9), "--b": st.integers(-3, 9), "--d": st.integers(-9, 9),
+             "--count": st.integers(-2, 8)},
+    "detect-line": {"--pairs": "PAIRS"},
+    "conic-orbit": {"--form": _FUZZ_FORM, "--d": st.integers(-12, 12),
+                    "--count": st.integers(-2, 6)},
+    "laurent": {"--form": _FUZZ_FORM, "--d": st.integers(-12, 12), "--terms": st.integers(-2, 5)},
+    "build-periodic": {"--alpha": _FUZZ_TARGET, "--count": st.integers(-2, 8)},
+    "detect-quad": {"--pairs": "PAIRS"},
+    "growth": {"--s": st.lists(st.integers(-3, 200), max_size=6).map(
+        lambda s: ",".join(map(str, s))), "--pairs": "PAIRS"},
+}
+_FUZZ_CSV = {"approx-fit", "approx-verify", "build-periodic"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_other_command_fuzz_answers_with_one_document(data):
+    command = data.draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    pairs = data.draw(_FUZZ_PAIRS)
+    order = data.draw(st.integers(-1, 2))
+    gamma = [{"kind": "rat", "value": f"{data.draw(st.integers(-9, 9))}/7"}
+             for _ in range(max(order, 0))]
+    alpha = data.draw(st.sampled_from([{"kind": "rat", "value": "3/7"},
+                                       {"kind": "quad", "value": {"P": "1", "e": "1", "D": "5",
+                                                                   "Q": "2"}}]))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"PAIRS": Path(tmp, "pairs.json"), "SET": Path(tmp, "set.json")}
+        files["PAIRS"].write_text(json.dumps({"pairs": pairs}))
+        files["SET"].write_text(json.dumps({"alpha": alpha, "N": order, "gamma": gamma,
+                                            "pairs": pairs}))
+        argv = [command]
+        for flag, values in _FUZZ_COMMANDS[command].items():
+            # growth takes --s or --pairs; drop each one in a while
+            if command == "growth" and data.draw(st.booleans()):
+                continue
+            value = files[values] if isinstance(values, str) else data.draw(values)
+            argv.append(f"{flag}={value}")
+        csv = command in _FUZZ_CSV and data.draw(st.booleans())
+        argv += ["--csv"] if csv else []
+        if command in ("ostrowski-real", "dist") and data.draw(st.booleans()):
+            argv.append("--allow-orbit")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), argv
+    text = out.getvalue()
+    if code == 2:
+        assert text == "" and "usage:" in err.getvalue(), argv
+    elif code == 0 and csv:
+        assert text.startswith("s,r,residual,scaled_residual\n"), argv
+    else:
+        doc = json.loads(text)  # exactly one document
+        assert ("error" in doc) == (code == 1), argv
+
+
 def _fresh_cli(argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ratapprox.__file__)))
     child = subprocess.run([sys.executable, "-m", "ratapprox.cli", *argv], capture_output=True,
@@ -535,31 +660,6 @@ def test_approx_fit_csv(tmp_path, capsys):
     assert all(line.endswith(",0,0") for line in lines[1:])
 
 
-def test_config_file_and_env(tmp_path, capsys, monkeypatch):
-    cfg_file = tmp_path / "ratapprox.cfg"
-    cfg_file.write_text("seed_bound = 2\ndecay_tolerance = 1/500\n")
-    # d=-11 on the golden form needs seed (1,3); bound 2 fails
-    code, out = run_cli(
-        capsys,
-        ["--config", str(cfg_file), "conic-orbit", "--form", "1,-1,-1", "--d",
-         "-11", "--count", "3"],
-    )
-    assert code == 1 and "seed" in json.loads(out)["message"]
-    monkeypatch.setenv("RATAPPROX_CONFIG", str(cfg_file))
-    code2, out2 = run_cli(
-        capsys, ["conic-orbit", "--form", "1,-1,-1", "--d", "-11", "--count", "3"]
-    )
-    assert (code2, out2) == (code, out)
-    # flag overrides the file
-    code3, out3 = run_cli(
-        capsys,
-        ["--seed-bound", "100", "conic-orbit", "--form", "1,-1,-1", "--d", "-11",
-         "--count", "3"],
-    )
-    assert code3 == 0
-    monkeypatch.delenv("RATAPPROX_CONFIG")
-
-
 def test_config_roundtrip():
     # every key of the table, typed like its default; comments and blank lines skipped
     values = {name: default + 7 for name, default in CONFIG_FIELDS}
@@ -576,19 +676,26 @@ def test_config_roundtrip():
         read_config("orbit_bound = 5\n")
 
 
-# per knob: a call whose output the knob decides, and a value other than the
-# default that changes that output
+# per knob: a call whose output the knob decides, a value other than the
+# default that changes that output, and fields of that output as (with the
+# value, at the default); a field the output lacks reads None
 KNOB_PROBES = {
     "precision_digits": (["ostrowski-real", "--alpha", "quad:-1,1,5,2", "--gamma",
                           "dec:0.1234567890123456789012345678901234567890±1e-40",
-                          "--depth", "24"], "3"),
-    "decay_window": (["build-periodic", "--alpha", "quad:-1,1,5,2", "--count", "6"], "3"),
-    "decay_tolerance": (["build-periodic", "--alpha", "quad:-1,1,5,2", "--count", "6"], "1/7"),
+                          "--depth", "24"], "3", {}),
+    "decay_window": (["build-periodic", "--alpha", "quad:-1,1,5,2", "--count", "6"], "3",
+                     {("report", "window"): (3, 5)}),
+    "decay_tolerance": (["build-periodic", "--alpha", "quad:-1,1,5,2", "--count", "6"], "1/7",
+                        {("report", "rel_tolerance"): ("1/7", "1/1000"),
+                         ("report", "note"): ("final scaled residual below 1/7 of the first",
+                                              "final scaled residual below 1/1000 of the first")}),
     "digit_budget": (["build-psi", "--alpha", "quad:-1,1,5,2", "--psi", "exp:1/2",
-                      "--count", "2"], "1"),
-    "seed_bound": (["conic-orbit", "--form", "1,-1,-1", "--d", "-11", "--count", "3"], "2"),
+                      "--count", "2"], "1", {}),
+    # d = -11 on this form needs the seed (1, 3)
+    "seed_bound": (["conic-orbit", "--form", "1,-1,-1", "--d", "-11", "--count", "3"], "2",
+                   {("message",): ("no seed with s <= 2 represents -11", None)}),
     # the line 7r = 3s + 1 with its first two pairs moved off it
-    "prefix_exceptions": (["detect-line", "--pairs", "PAIRS"], "1"),
+    "prefix_exceptions": (["detect-line", "--pairs", "PAIRS"], "1", {}),
 }
 
 
@@ -597,7 +704,7 @@ def test_every_knob_takes_the_same_precedence(name, default, tmp_path, capsys, m
     monkeypatch.delenv("RATAPPROX_CONFIG", raising=False)
     pairs = tmp_path / "pairs.json"
     pairs.write_text("[[6, 2], [9, 9], [7, 16], [10, 23], [13, 30], [16, 37]]")
-    argv, value = KNOB_PROBES[name]
+    argv, value, fields = KNOB_PROBES[name]
     argv = [str(pairs) if a == "PAIRS" else a for a in argv]
     flag = "--" + name.replace("_", "-")
 
@@ -609,7 +716,12 @@ def test_every_knob_takes_the_same_precedence(name, default, tmp_path, capsys, m
     given = run_cli(capsys, [flag, value, *argv])
     # the default applies when neither a flag nor a file sets the knob, and
     # the probe's value changes the output
-    assert run_cli(capsys, argv) == run_cli(capsys, [flag, str(default), *argv]) != given
+    unset = run_cli(capsys, argv)
+    assert unset == run_cli(capsys, [flag, str(default), *argv]) != given
+    docs = json.loads(given[1]), json.loads(unset[1])
+    for path, want in fields.items():
+        assert tuple(functools.reduce(lambda d, key: d.get(key), path, doc)
+                     for doc in docs) == want, path
     # a file through --config or the environment reads like the flag
     same, other = config("same", f"{name} = {value}\n"), config("other", f"{name} = {default}\n")
     assert run_cli(capsys, ["--config", same, *argv]) == given
@@ -677,9 +789,6 @@ REFUSALS = {
     "ostrowski-real-dec-depth-0": (["ostrowski-real", "--alpha", "dec:0.5±0.6", "--gamma",
                                     "rat:0", "--depth", "0"], "depth must be >= 1"),
 }
-
-# convergents p_n/q_n of 1/phi, n = 1..8
-PHI_PAIRS = [[1, 1], [1, 2], [2, 3], [3, 5], [5, 8], [8, 13], [13, 21], [21, 34]]
 
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))
@@ -1273,25 +1382,6 @@ def test_records_take_their_constructor_from_record():
                       if isinstance(node, ast.FunctionDef) and node.name == "__init__"
                       and _copies_arguments(node)]
     assert found == []
-
-
-PERIODIC = ["build-periodic", "--alpha", "quad:-1,1,5,2", "--count", "6"]
-
-
-def test_build_periodic_honours_decay_settings(tmp_path, capsys, monkeypatch):
-    code, out = run_cli(capsys, ["--decay-window", "3", "--decay-tolerance", "1/7", *PERIODIC])
-    report = json.loads(out)["report"]
-    assert code == 0
-    assert (report["window"], report["rel_tolerance"]) == (3, "1/7")
-    assert report["note"] == "final scaled residual below 1/7 of the first"
-    cfg_file = tmp_path / "ratapprox.cfg"
-    cfg_file.write_text("decay_window = 3\ndecay_tolerance = 1/7\n")
-    assert run_cli(capsys, ["--config", str(cfg_file), *PERIODIC]) == (code, out)
-    monkeypatch.setenv("RATAPPROX_CONFIG", str(cfg_file))
-    assert run_cli(capsys, PERIODIC) == (code, out)
-    monkeypatch.delenv("RATAPPROX_CONFIG")
-    report = json.loads(run_cli(capsys, PERIODIC)[1])["report"]
-    assert (report["window"], report["rel_tolerance"]) == (5, "1/1000")
 
 
 CERT_GAMMA = "dec:0.1234567890123456789012345678901234567890±1e-40"
