@@ -23,7 +23,6 @@ from .errors import (
 from .exactnum import (
     Certified,
     QuadIrr,
-    RatInterval,
     RealTarget,
     as_interval,
     kind_of,
@@ -129,12 +128,6 @@ class DEnclosures:
         self.num[n] = (lo.numerator * (den // lo.denominator),
                        hi.numerator * (den // hi.denominator))
 
-    def interval(self, n: int) -> RatInterval:
-        """as_interval(ctx.D(n), width)."""
-        self.ensure(n)
-        lo, hi = self.num[n]
-        return RatInterval(Fraction(lo, self.den), Fraction(hi, self.den))
-
 
 class CFContext:
     """One target's continued fraction: digits a_n, complete quotients
@@ -192,12 +185,15 @@ class CFContext:
         return digits[n]
 
     def digits(self, depth: int) -> list[int]:
-        """a_0..a_{depth-1}, or the whole expansion when it is finite."""
+        """a_0..a_{depth-1} (the whole expansion when finite) as a new list,
+        read in order, so stored as a walk in order stores them."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
         if self.finite:
             return list(self._digits)
-        return [self.a(n) for n in range(depth)]
+        while len(self._digits) < depth:
+            self.a(len(self._digits))
+        return self._digits[:depth]
 
     def _extract_digit(self) -> None:
         iv = self._enclosure

@@ -190,6 +190,8 @@ _RATIONAL = (int, Fraction)
 def rational(x) -> Fraction:
     """x as a Fraction when it is an int or a Fraction; TypeError for a
     float, Decimal, complex or anything else inexact."""
+    if type(x) is Fraction:  # as is: Fraction(x) would copy it through the ABC check
+        return x
     if isinstance(x, _RATIONAL):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
@@ -498,7 +500,7 @@ class RatInterval(ByValue):
     def __init__(self, lo: Fraction, hi: Fraction):
         if not (isinstance(lo, _RATIONAL) and isinstance(hi, _RATIONAL)):
             raise TypeError(f"interval endpoints must be exact rationals: {lo!r}, {hi!r}")
-        if lo > hi:
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
             raise ValueError("interval endpoints out of order")
         self.lo = lo
         self.hi = hi
@@ -706,10 +708,9 @@ def _quad_ends(x: QuadIrr, width: Fraction) -> tuple[tuple[int, int], tuple[int,
     """The ends (lo, hi) of enclose(x, width) for a QuadIrr x, as integer
     pairs (n, d) with d > 0, not reduced."""
     # (P + e sqrt(D))/Q with exact outward rounding of sqrt(D)
-    # k is the least k = 1 (mod 8) with 10**k >= need (>= ceil(need), as
-    # 10**k is an integer), from a guess at or below it by the bit length
-    need = Fraction(abs(x.e), x.Q) / width
-    c = -(-need.numerator // need.denominator)
+    # k is the least k = 1 (mod 8) with 10**k >= c = ceil(|e|/(Q*width)),
+    # from a guess at or below it by the bit length
+    c = -(-abs(x.e) * width.denominator // (x.Q * width.numerator))
     k = 1 + 8 * max(0, ((c.bit_length() - 1) * 30102 // 100000 - 1) // 8)
     while 10**k < c:
         k += 8

@@ -124,10 +124,11 @@ class DeltaProfile(Record):
 
 def check_admissible(digits: list[int], ctx: CFContext) -> None:
     """Check the shared digit constraints; raises InvariantViolation on breach."""
+    a = ctx.digits(len(digits) + 1)
     for n, d in enumerate(digits):
         if d < 0:
             raise InvariantViolation(f"negative digit at {n}")
-        cap = ctx.a(n + 1)
+        cap = a[n + 1]
         if n == 0:
             if d >= cap:
                 raise InvariantViolation(f"c_1 = {d} must be < a_1 = {cap}")
@@ -155,11 +156,12 @@ def ostrowski_int(s: int, ctx: CFContext) -> IntDigits:
     except PrecisionExhausted as exc:
         raise InsufficientDepth(f"cannot certify q_{{M+1}} > {s}") from exc
     hi, q = ctx.q(M + 1), ctx.q(M)
+    a = ctx.digits(M + 2)
     digits = [0] * (M + 1)
     rem = s
     for n in range(M, -1, -1):
         digits[n], rem = divmod(rem, q)
-        hi, q = q, hi - ctx.a(n + 1) * q
+        hi, q = q, hi - a[n + 1] * q
     if q:
         raise InvariantViolation(f"the walk down from q_{M} ends on q_-1 = {q}, not 0")
     if rem:
@@ -171,13 +173,13 @@ def ostrowski_int(s: int, ctx: CFContext) -> IntDigits:
 def _gamma_orbit_certificate(gamma, alpha: QuadIrr):
     """Exact test: gamma = u + v*alpha with u, v in Z (the forbidden orbit)."""
     gP, gE, gQ = alpha._operand(gamma)
-    v = Fraction(gE * alpha.Q, gQ * alpha.e)
-    if v.denominator != 1:
+    v, r = divmod(gE * alpha.Q, gQ * alpha.e)
+    if r:
         return None
-    u = Fraction(gP, gQ) - v * Fraction(alpha.P, alpha.Q)
-    if u.denominator != 1:
+    u, r = divmod(gP * alpha.Q - v * alpha.P * gQ, gQ * alpha.Q)
+    if r:
         return None
-    return int(v), int(u)
+    return v, u
 
 
 def ostrowski_real(
@@ -294,24 +296,29 @@ def _extract_certified(gamma, ctx: CFContext, depth: int, precision_digits: int)
     width = Fraction(1, 10**precision_digits)
     rem = as_interval(gamma, width)
     memo = ctx.d_enclosures(width)
-    # rem = [lo, hi]/L; the D_n enclosures are memo.num[n]/memo.den, times k/L
+    # rem = [lo, hi]/L and D_n's enclosure memo.num[n]/memo.den = ends[n]/L;
+    # ends and a_0..a_top are read as the loop reaches their end, doubling for an
+    # exact alpha and one step for a certified one, whose refusals keep their order
     L = lcm(rem.lo.denominator, rem.hi.denominator)
     lo = rem.lo.numerator * (L // rem.lo.denominator)
     hi = rem.hi.numerator * (L // rem.hi.denominator)
-    den = k = None
+    den, ends = None, []
     digits: list[int] = []
     prev_nonzero = True
     for n in range(depth):
-        memo.ensure(n)
-        memo.ensure(n + 1)
-        if memo.den != den:
-            den = memo.den
-            f = lcm(L, den) // L
-            L, lo, hi = L * f, lo * f, hi * f
-            k = L // den
-        (d_lo, d_hi), (e_lo, e_hi) = memo.num[n], memo.num[n + 1]
-        if k != 1:
-            d_lo, d_hi, e_lo, e_hi = d_lo * k, d_hi * k, e_lo * k, e_hi * k
+        if n + 1 >= len(ends):
+            top = min(depth, 2 * n + 1 if kind_of(ctx.alpha).exact else n + 1)
+            a = ctx.digits(top + 1)
+            for i in range(len(ends), top + 1):
+                memo.ensure(i)
+            if memo.den != den:  # the memo rescaled: so do rem and ends
+                den = memo.den
+                f = lcm(L, den) // L
+                L, lo, hi = L * f, lo * f, hi * f
+                k = L // den
+                ends = []
+            ends += [(x * k, y * k) for x, y in (memo.num[i] for i in range(len(ends), top + 1))]
+        (d_lo, d_hi), (e_lo, e_hi) = ends[n], ends[n + 1]
         if d_lo <= 0 <= d_hi:
             raise PrecisionExhausted(f"D_{n} enclosure straddles zero")
         # (rem + D_{n+1}) / D_n spans the four endpoint quotients
@@ -320,7 +327,7 @@ def _extract_certified(gamma, ctx: CFContext, depth: int, precision_digits: int)
         if b != max(ceils):
             raise PrecisionExhausted(f"digit at position {n} undecidable")
         b = max(0, b)
-        cap = ctx.a(n + 1) - (1 if prev_nonzero else 0)
+        cap = a[n + 1] - (1 if prev_nonzero else 0)
         if b > cap:
             raise PrecisionExhausted(f"digit at position {n} exceeds cap {cap}")
         if b:
@@ -356,8 +363,9 @@ def delta_profile(
     )
     c = ints.c + [0] * (depth - len(ints.c))
     delta = [c[n] - reals.b[n] for n in range(depth)]
+    a = ctx.digits(depth + 1)
     for n, d in enumerate(delta):
-        if abs(d) > ctx.a(n + 1):
+        if abs(d) > a[n + 1]:
             raise InvariantViolation(f"|delta| = {abs(d)} at {n} exceeds a_{n + 1}")
     m = next((n for n, d in enumerate(delta) if d), None)
     return DeltaProfile(s, depth, delta, m, ints, reals)
@@ -381,9 +389,10 @@ def dist_formula(profile: DeltaProfile, ctx: CFContext):
         # delta: sum_{k>=n} delta_{k+1} D_k = A*D_{n+1} + B*D_n, so at n = m
         # the sum is U*alpha - V, U = A*q_{m+1} + B*q_m, V = A*p_{m+1} + B*p_m
         n = max(k for k, d in enumerate(delta) if d)
+        a = ctx.digits(n + 2)
         A, B = 0, delta[n]
         while n > m:
-            A, B = A * ctx.a(n + 1) + B, A + delta[n - 1]
+            A, B = A * a[n + 1] + B, A + delta[n - 1]
             n -= 1
         U, V = A * ctx.q(m + 1) + B * ctx.q(m), A * ctx.p(m + 1) + B * ctx.p(m)
         series = ctx.alpha * U - V - rem
@@ -421,5 +430,7 @@ def dist_direct(s: int, gamma, alpha, width: Fraction = DEFAULT_WIDTH) -> RatInt
 def dist_bound(profile: DeltaProfile, ctx: CFContext) -> Fraction:
     """Upper bound (|delta_{m+1}| + 2) * ||q_m alpha||, as an exact rational."""
     m = _require_regime(profile)
-    upper = abs(ctx.d_enclosures(DEFAULT_WIDTH).interval(m)).hi
-    return (abs(profile.delta[m]) + 2) * upper
+    memo = ctx.d_enclosures(DEFAULT_WIDTH)
+    memo.ensure(m)
+    # |D_m| <= max(|lo|, |hi|)/den for its enclosure [lo, hi]/den
+    return Fraction(max(map(abs, memo.num[m])) * (abs(profile.delta[m]) + 2), memo.den)

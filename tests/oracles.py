@@ -23,6 +23,7 @@ from ratapprox.exactnum import (
     kind_of,
     operand,
 )
+from ratapprox.ostrowski import DEFAULT_WIDTH
 
 
 def minpoly_triple(x: QuadIrr) -> tuple[int, int, int]:
@@ -328,6 +329,16 @@ def dist_formula_terms(profile, ctx) -> list:
         denom = (ctx.zeta(n + 1) + ctx.xi(n)) * ctx.q(n)
         terms.append(((-1) ** n * d) / denom)
     return terms
+
+
+def dist_bound_reference(profile, ctx) -> Fraction:
+    """(|delta_{m+1}| + 2) * ||q_m alpha|| bounded by the upper end of
+    |D_m|'s RatInterval enclosure at ostrowski.DEFAULT_WIDTH, in the regime
+    m >= 4; ratapprox reads the same bound off integer numerators."""
+    m = profile.m
+    if m is None or m < 4:
+        raise OutOfRegime(f"m = {m} is outside the series regime")
+    return (abs(profile.delta[m]) + 2) * abs(as_interval(ctx.D(m), DEFAULT_WIDTH)).hi
 
 
 def pair_value(pair):

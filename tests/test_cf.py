@@ -402,3 +402,33 @@ def test_zeta_state_is_the_integer_state_of_zeta(x):
     for other in (Fraction(3, 7), Certified.parse("0.6180339887±1e-10")):
         with pytest.raises(TypeError):
             CFContext(other).zeta_state(1)
+
+
+DIGIT_TARGETS = {
+    "rat": (Fraction(355, 113), None),
+    "quad": (SQRT13_1_2, 60),
+    "dec": (Certified.parse("1.41421356237309504880168872420969807856967187537694±1e-50"), 40),
+}
+
+
+@pytest.mark.parametrize("jump", [False, True], ids=["in-order", "after-jump"])
+@pytest.mark.parametrize("kind", sorted(DIGIT_TARGETS))
+def test_digits_is_a_new_list_of_the_digits(kind, jump):
+    alpha, far = DIGIT_TARGETS[kind]
+    ctx = CFContext(alpha)
+    if jump and far is not None:
+        # q_far by first_index: a quadratic target skips whole periods
+        # without storing the digits it skips
+        ctx.first_index(1, lambda m, q: m >= far)
+    reference = CFContext(alpha)
+    sizes = [3] if far is None else [1, 5, far // 2, far]
+    for n in sizes:
+        want = [reference.a(k) for k in range(n)]
+        got = ctx.digits(n)
+        assert got == want
+        got[0] += 1
+        got.append(7)
+        assert ctx.digits(n) == want and ctx.a(0) == want[0]
+        assert ctx.digits(n) is not ctx.digits(n)
+    if far is not None:
+        assert [ctx.a(k) for k in range(far)] == [reference.a(k) for k in range(far)]

@@ -1120,3 +1120,62 @@ def test_enclose_and_as_interval_contain_the_value(name, data, digits):
         value = _mp_value(x)
         eps = mpmath.mpf(10) ** -75 * max(1, abs(value))
         assert _mp_value(iv.lo) - eps <= value <= _mp_value(iv.hi) + eps
+
+
+def test_rational_returns_an_exact_fraction_as_is():
+    class Sub(Fraction):
+        pass
+
+    f = Fraction(-22, 7)
+    assert exactnum.rational(f) is f
+    for x in (Sub(-22, 7), -22, True):
+        got = exactnum.rational(x)
+        assert type(got) is Fraction and got == x
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(TypeError):
+            exactnum.rational(bad)
+
+
+EXACT_RATIONALS = st.one_of(st.integers(-(10**40), 10**40),
+                            st.fractions(max_denominator=10**30).map(Fraction))
+
+
+@settings(deadline=None, max_examples=400)
+@given(lo=EXACT_RATIONALS, hi=EXACT_RATIONALS)
+@example(lo=1, hi=Fraction(1, 2))
+@example(lo=Fraction(-1, 3), hi=Fraction(-1, 2))
+@example(lo=Fraction(5, 3), hi=Fraction(5, 3))
+@example(lo=2, hi=1)
+def test_rat_interval_refuses_out_of_order_ends(lo, hi):
+    if lo > hi:
+        with pytest.raises(ValueError, match="out of order"):
+            RatInterval(lo, hi)
+    else:
+        iv = RatInterval(lo, hi)
+        assert (iv.lo, iv.hi) == (lo, hi)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    P=st.integers(-(10**30), 10**30),
+    e=st.integers(1, 10**300).flatmap(lambda n: st.sampled_from((n, -n))),
+    D=st.sampled_from([2, 3, 5, 7, 13, 991]),
+    Q=st.integers(1, 10**40),
+    w_num=st.integers(1, 10**50),
+    w_den=st.integers(1, 10**400),
+)
+@example(P=0, e=1, D=2, Q=1, w_num=1, w_den=10**8)
+@example(P=0, e=1, D=2, Q=1, w_num=1, w_den=10**8 + 1)
+@example(P=0, e=3, D=2, Q=3, w_num=7, w_den=7)
+def test_quad_ends_precision_matches_the_fraction_formula(P, e, D, Q, w_num, w_den):
+    # c = ceil(need) for need = (|e|/Q)/width in Fractions, and k the least
+    # k = 1 (mod 8) with 10**k >= c, read off the ends' denominator Q*10**k
+    x = qi_normalize(P, e, D, Q)
+    width = Fraction(w_num, w_den)
+    need = Fraction(abs(x.e), x.Q) / width
+    c = -(-need.numerator // need.denominator)
+    k = 1
+    while 10**k < c:
+        k += 8
+    (_, d_lo), (_, d_hi) = exactnum._quad_ends(x, width)
+    assert d_lo == d_hi == x.Q * 10**k

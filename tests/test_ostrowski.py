@@ -18,6 +18,7 @@ from ratapprox import exactnum, ostrowski
 from ratapprox.cf import CFContext
 from ratapprox.errors import (
     GammaOnOrbit,
+    InsufficientDepth,
     InvariantViolation,
     OutOfRegime,
     RatApproxError,
@@ -43,9 +44,9 @@ from ratapprox.ostrowski import (
 )
 
 from oracles import (check_dist_document, check_ostrowski_real_document, convergent_pairs,
-                     dist_formula_terms, enumerate_ostrowski_values, quad_digits,
+                     dist_bound_reference, dist_formula_terms, enumerate_ostrowski_values, quad_digits,
                      real_digits_partial, reference_real_digits)
-from test_cli import GOLDEN
+from test_cli import GOLDEN, run_cli
 
 try:
     import resource
@@ -189,6 +190,37 @@ def test_real_digits_orbit_detection(contexts):
         ostrowski_real(gamma, ctx, depth=8)
     d = ostrowski_real(ctx.D(3), ctx, depth=8, allow_orbit=True)
     assert [n for n, b in enumerate(d.b) if b] == [3]
+
+
+def test_orbit_certificate_reads_u_and_v():
+    # alphas whose Q does not divide 2P among them, where v being an
+    # integer does not make u one
+    for alpha in KERNEL_ALPHAS[:6]:
+        ctx = CFContext(alpha)
+        for u in range(-2, 3):
+            for v in range(-2, 3):
+                gamma = alpha * v + u
+                assert ostrowski._gamma_orbit_certificate(gamma, alpha) == (v, u)
+                with pytest.raises(GammaOnOrbit) as info:
+                    ostrowski_real(gamma, ctx, depth=5)
+                assert str(info.value) == f"gamma = {u} + {v}*alpha"
+                for off in (Fraction(1, 3), Fraction(1, 2 * alpha.Q), alpha / 2):
+                    assert ostrowski._gamma_orbit_certificate(gamma + off, alpha) is None
+
+
+def test_delta_profile_depth_covers_the_integer_digits(contexts):
+    ctx = contexts[SQRT2_M1]
+    gamma = ctx.D(12) + ctx.D(15)
+    with pytest.raises(ValueError):
+        delta_profile(5, gamma, ctx, depth=0, allow_orbit=True)
+    for s in (1, 2, 5, 11, 1000):
+        c, M = ostrowski_int(s, ctx).c, ostrowski_int(s, ctx).M
+        for depth in sorted({1, max(1, M), M + 1, M + 3}):
+            prof = delta_profile(s, gamma, ctx, depth=depth, allow_orbit=True)
+            want = max(depth, M + 1)
+            b = reference_real_digits(gamma, ctx, want)[0]
+            assert prof.depth == want
+            assert prof.delta == [x - y for x, y in zip(c + [0] * (want - M - 1), b)]
 
 
 def test_real_digits_range_check(contexts):
@@ -358,6 +390,35 @@ def test_dist_formula_vs_direct_random(contexts):
                 if prof.delta[n]:
                     partial = prof.delta[n] * ctx.D(n) + partial
             assert recombined == partial
+
+
+def test_dist_bound_matches_reference():
+    # exact and certified gammas sharing the first m >= 4 digits of s, over
+    # exact alphas and one certified alpha (the last of KERNEL_CTX)
+    rng = random.Random(30)
+    for ctx in KERNEL_CTX:
+        done = 0
+        while done < 12:
+            s = rng.randint(ctx.q(5), 10**12)
+            ints = ostrowski_int(s, ctx)
+            m = rng.randint(4, ints.M)
+            digits = ints.c[:m] + _random_admissible_tail(ctx, rng, m, 30, ints.c[m - 1] > 0)
+            # the certified alpha encloses 1/phi: its gammas lie in that field
+            field = KERNEL_CTX[0] if isinstance(ctx.alpha, Certified) else ctx
+            gamma = Fraction(0)
+            for n, b in enumerate(digits):
+                if b:
+                    gamma = b * field.D(n) + gamma
+            if done % 2:
+                gamma = Certified("~", as_interval(gamma, Fraction(1, 10**150)))
+            try:
+                prof = delta_profile(s, gamma, ctx, depth=30, allow_orbit=True)
+            except RatApproxError:
+                continue
+            if prof.m is None or prof.m < 4:
+                continue
+            done += 1
+            assert dist_bound(prof, ctx) == dist_bound_reference(prof, ctx)
 
 
 def test_dist_bound_single_delta(contexts):
@@ -571,6 +632,53 @@ def test_real_digit_kernels_refuse_like_reference(case, message):
     assert _kernel_outcome(gamma, KERNEL_CTX[i], depth, precision) == want
 
 
+# a_23 of this alpha straddles an integer: its digits run out at step 22,
+# where the certified kernel reads a_23 and D_23
+SHORT_ALPHA = "dec:0.6180339887±1e-10"
+
+
+@pytest.mark.parametrize(
+    "gamma, message",
+    [
+        ("dec:0.1±0.01", "digit at position 7 undecidable"),  # gamma refuses first
+        ("dec:-0.2±1e-30", "digit at position 21 undecidable"),  # one step before alpha
+        ("dec:0.1±1e-30", "enclosure straddles an integer after 23 digits"),  # alpha first
+    ],
+)
+def test_certified_alpha_and_gamma_refuse_in_digit_order(capsys, gamma, message):
+    argv = ["ostrowski-real", "--alpha", SHORT_ALPHA, "--gamma", gamma, "--depth", "30"]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    assert json.loads(out) == {"error": "PrecisionExhausted", "message": message}
+
+
+def test_certified_alpha_digits_are_read_no_further_than_needed():
+    # SHORT_ALPHA's digits end at a_22 = 1: s = q_22 - 1 (M = 21) and a
+    # profile of depth 22 need a_0..a_22 and no more
+    quad = CFContext(INV_PHI)
+    s = quad.q(22) - 1
+    d = ostrowski_int(s, CFContext(Certified.parse(SHORT_ALPHA[4:])))
+    assert (d.M, d.c) == (21, ostrowski_int(s, quad).c)
+    with pytest.raises(InsufficientDepth):
+        ostrowski_int(quad.q(22), CFContext(Certified.parse(SHORT_ALPHA[4:])))
+    gamma = Certified.parse("0.1±1e-30")
+    prof = delta_profile(s, gamma, CFContext(Certified.parse(SHORT_ALPHA[4:])), depth=22)
+    want = reference_real_digits(gamma, CFContext(Certified.parse(SHORT_ALPHA[4:])), 22)[0]
+    assert prof.real_digits.b == want
+    assert prof.delta == [x - y for x, y in zip(d.c, want)]
+
+
+@pytest.mark.parametrize("alpha", ["0.6180339887±1e-10", "0.41421356237±1e-11", "0.7320508±1e-7"])
+def test_certified_alpha_refusals_match_reference(alpha):
+    # the reference reads a_{n+1} and D_{n+1} at step n, never ahead
+    for center in ("0.1", "0.35", "-0.2"):
+        for k in range(1, 40, 2):
+            gamma = Certified.parse(f"{center}±1e-{k}")
+            got = _kernel_outcome(gamma, CFContext(Certified.parse(alpha)), 40, 200)
+            want = _reference_outcome(gamma, CFContext(Certified.parse(alpha)), 40, 200)
+            assert got == want, (center, k)
+
+
 def _count_enclose(monkeypatch) -> list:
     calls = []
     real = exactnum.enclose
@@ -616,7 +724,9 @@ def test_d_enclosure_memo_matches_as_interval(i):
         memo = ctx.d_enclosures(width)
         assert ctx.d_enclosures(width) is memo
         for n in (5, 0, 40, 17, 80):  # out of order: the common denominator grows
-            assert memo.interval(n) == as_interval(ctx.D(n), width)
+            memo.ensure(n)
+            lo, hi = memo.num[n]
+            assert RatInterval(Fraction(lo, memo.den), Fraction(hi, memo.den)) == as_interval(ctx.D(n), width)
         for n, (lo, hi) in memo.num.items():
             assert RatInterval(Fraction(lo, memo.den), Fraction(hi, memo.den)) == as_interval(ctx.D(n), width)
 
