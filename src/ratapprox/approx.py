@@ -25,11 +25,10 @@ from .errors import (
 from .exactnum import (
     LN10_HI,
     ByValue,
-    RatInterval,
     RealTarget,
     Record,
     as_interval,
-    exp_bounds,
+    exp_dyadic_ends,
     exp_le_inverse_sum,
     frac_str,
     int_str,
@@ -147,21 +146,28 @@ class PsiSpec(ByValue):
 
     def numeric_feasible(self, t: int) -> bool:
         """Whether le_psi at argument t is computationally reasonable."""
-        return self.kind != "exp_decay" or self.c * t <= 2 * 10**6
+        return self.kind != "exp_decay" or self.c.numerator * t <= 2 * 10**6 * self.c.denominator
 
     def threshold_int_bracket(self, t: int) -> tuple[int, int]:
         """Integers lo <= 3/Psi(t) <= hi; q >= hi accepts, q < lo rejects,
         anything between is decided exactly by le_psi(3/q, t)."""
         exact = self.exact_value(t)
-        iv = RatInterval.point(3 / exact) if exact is not None else exp_bounds(self.c * t, 30) * 3
-        return floor(iv.lo), ceil(iv.hi)
+        if exact is not None:
+            v = 3 / exact
+            return floor(v), ceil(v)
+        # the ends m * 2**e of exp(c*t) at 30 digits, times 3, by shifts
+        (lo, lo_e), (hi, hi_e) = exp_dyadic_ends(self.c.numerator * t, self.c.denominator, 30)
+        return ((3 * lo << lo_e if lo_e >= 0 else 3 * lo >> -lo_e),
+                (3 * hi << hi_e if hi_e >= 0 else -(-3 * hi >> -hi_e)))
 
     def threshold_exceeds_digits(self, t: int, budget: int) -> bool:
         """Sound check: True guarantees 3/Psi(t) > 10**budget."""
         exact = self.exact_value(t)
         if exact is None:
-            # LN10_HI > ln 10, so this gives exp(c*t) >= 10**(budget + 1)
-            return self.c * t >= (budget + 1) * LN10_HI
+            # LN10_HI > ln 10, so c*t >= (budget + 1)*LN10_HI gives
+            # exp(c*t) >= 10**(budget + 1)
+            return (self.c.numerator * t * LN10_HI.denominator
+                    >= (budget + 1) * LN10_HI.numerator * self.c.denominator)
         # 3/Psi(t) = n/d > 2**(bits(n) - bits(d) - 1), and 0.30102 < log10 2
         bits = (3 * exact.denominator).bit_length() - exact.numerator.bit_length() - 1
         return bits * 30102 > budget * 100000
@@ -174,7 +180,9 @@ class PsiSpec(ByValue):
         if exact is not None:
             return Fraction(2, 3) * exact, None
         # LN10_HI > ln 10, so b <= c*t/LN10_HI gives 10**-b >= exp(-c*t)
-        return Fraction(0), max(0, min(cap, int(self.c * t / LN10_HI)))
+        b = (self.c.numerator * t * LN10_HI.denominator
+             // (self.c.denominator * LN10_HI.numerator))
+        return Fraction(0), max(0, min(cap, b))
 
     def to_json(self) -> dict:
         if self.kind == "exp_decay":

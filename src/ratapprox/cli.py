@@ -46,6 +46,8 @@ from .ostrowski import (DEFAULT_PRECISION_DIGITS, delta_profile, dist_bound, dis
 
 CONFIG_ENV_VAR = "RATAPPROX_CONFIG"
 
+_escape = json.encoder.encode_basestring_ascii
+
 # schema file (under ratapprox/schemas/) describing each subcommand's JSON
 SCHEMA_BY_COMMAND = {
     "cf": "cf",
@@ -84,6 +86,60 @@ CONFIG_FIELDS = (
     ("seed_bound", 10_000),
     ("prefix_exceptions", DEFAULT_PREFIX_EXCEPTIONS),
 )
+
+
+def json_text(doc) -> str:
+    """json.dumps(doc, indent=2), byte for byte, for a document of dicts with
+    str keys, lists, tuples, str, int, bool and None; TypeError for any
+    other type.  Strings go through json's C escaper; the indent-2 layout,
+    which json.dumps renders in pure Python, is written here."""
+    parts = []
+    put = parts.append
+
+    def walk(x, indent: str) -> None:
+        # indent is the newline and the indentation of the line x ends on
+        if isinstance(x, str):
+            put(_escape(x))
+        elif x is None:
+            put("null")
+        elif x is True:
+            put("true")
+        elif x is False:
+            put("false")
+        elif isinstance(x, dict):
+            if not x:
+                put("{}")
+                return
+            inner = indent + "  "
+            sep = "{" + inner
+            for k, v in x.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                put(sep + _escape(k) + ": ")
+                walk(v, inner)
+                sep = "," + inner
+            put(indent + "}")
+        elif isinstance(x, (list, tuple)):
+            if not x:
+                put("[]")
+                return
+            inner = indent + "  "
+            sep = "[" + inner
+            for v in x:
+                put(sep)
+                walk(v, inner)
+                sep = "," + inner
+            put(indent + "]")
+        else:
+            # an int, as json.dumps prints one; int.__repr__ refuses the rest
+            try:
+                put(int.__repr__(x))
+            except TypeError:
+                raise TypeError(
+                    f"Object of type {type(x).__name__} is not JSON serializable") from None
+
+    walk(doc, "\n")
+    return "".join(parts)
 
 
 def _field_parser(default):
@@ -223,7 +279,7 @@ def _refuse_booleans(doc) -> None:
     while todo:
         x = todo.pop()
         if x is True or x is False:
-            raise ValueError(f"JSON boolean {json.dumps(x)}; no input value is true or false")
+            raise ValueError(f"JSON boolean {json_text(x)}; no input value is true or false")
         if isinstance(x, dict):
             todo.extend(x.values())
         elif isinstance(x, list):
@@ -426,8 +482,7 @@ def _cmd_build_psi(args) -> dict:
                       "pairs": [[int_str(r), s] for r, s in zip(r_list, s_text)]}
         if args.pairs_out:
             with open(args.pairs_out, "w", encoding="utf-8") as fh:
-                json.dump(doc["set"], fh, indent=2)
-                fh.write("\n")
+                fh.write(json_text(doc["set"]) + "\n")
     return doc
 
 
@@ -660,12 +715,12 @@ def main(argv=None) -> int:
         doc = args.handler(args)
     except (RatApproxError, ValueError, ZeroDivisionError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json_text(payload) + "\n")
         return 1
     if isinstance(doc, str):
         sys.stdout.write(doc)
     else:
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(json_text(doc) + "\n")
     return 0
 
 

@@ -796,8 +796,10 @@ def _e_fixed(prec: int, up: bool) -> int:
     return _exp_taylor_fixed(1, 1, prec, up)
 
 
-def _exp_fixed(n: int, f: Fraction, prec: int, up: bool) -> Fraction:
-    """Bound on exp(n + f) by square-and-multiply on fixed-point values."""
+def _exp_fixed(n: int, p: int, q: int, prec: int, up: bool) -> tuple[int, int]:
+    """Bound (m, e), worth m * 2**e, on exp(n + p/q) for 0 <= p < q, by
+    square-and-multiply on fixed-point values.  The pair p/q need not be
+    reduced: each Taylor term is the floor or ceiling of the same rational."""
     base, base_e = _e_fixed(prec, up), -prec
     m, e = 1, 0
     while n:
@@ -806,41 +808,51 @@ def _exp_fixed(n: int, f: Fraction, prec: int, up: bool) -> Fraction:
         n >>= 1
         if n:
             base, base_e = _round_fixed(base * base, 2 * base_e, prec, up)
-    if f:
-        m, e = _round_fixed(m * _exp_taylor_fixed(f.numerator, f.denominator, prec, up),
-                            e - prec, prec, up)
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+    if p:
+        m, e = _round_fixed(m * _exp_taylor_fixed(p, q, prec, up), e - prec, prec, up)
+    return m, e
+
+
+def exp_dyadic_ends(num: int, den: int, digits: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ends (lo, hi) of exp_bounds(num/den, digits) for num >= 0 and
+    den > 0, as pairs (m, e) worth m * 2**e.  The pair num/den need not be
+    reduced."""
+    n, p = divmod(num, den)
+    # decimal guard digits for the target plus the amplification by n, in
+    # bits, plus 2*log2(n) bits for the roundings of the squarings
+    guard = digits + len(str(n + 1)) + 8
+    prec = (guard * 3322) // 1000 + 1 + 2 * n.bit_length()
+    return _exp_fixed(n, p, den, prec, False), _exp_fixed(n, p, den, prec, True)
+
+
+def _exp_pairs(x: Fraction, digits: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ends (lo, hi) of exp_bounds(x, digits) as integer pairs (n, d)
+    with n, d > 0, not reduced; for x < 0, the reciprocals of those of -x."""
+    num, den = x.numerator, x.denominator
+    (ln, ld), (hn, hd) = ((m << e, 1) if e >= 0 else (m, 1 << -e)
+                          for m, e in exp_dyadic_ends(abs(num), den, digits))
+    return ((hd, hn), (ld, ln)) if num < 0 else ((ln, ld), (hn, hd))
 
 
 def exp_bounds(x: Fraction, digits: int) -> RatInterval:
     """Certified enclosure of exp(x) with relative width below 10**-digits.
 
     x may be any exact rational; negative arguments go through reciprocals.
-    The endpoints are dyadic rationals with about `digits` significant digits
-    plus a guard.
+    The endpoints are dyadic rationals (their reciprocals for x < 0) with
+    about `digits` significant digits plus a guard.
     """
-    x = rational(x)
-    if x < 0:
-        pos = exp_bounds(-x, digits)
-        return RatInterval(1 / pos.hi, 1 / pos.lo)
-    n = x.numerator // x.denominator
-    f = x - n
-    # decimal guard digits for the target plus the amplification by n, in
-    # bits, plus 2*log2(n) bits for the roundings of the squarings
-    guard = digits + len(str(n + 1)) + 8
-    prec = (guard * 3322) // 1000 + 1 + 2 * n.bit_length()
-    return RatInterval(_exp_fixed(n, f, prec, False), _exp_fixed(n, f, prec, True))
+    return RatInterval(*(Fraction(n, d) for n, d in _exp_pairs(rational(x), digits)))
 
 
 def _exp_le_by(x: Fraction, le) -> bool:
-    """Decide exp(x) <= B exactly, where le(y) decides y <= B for rationals
-    y > 0 (terminates for x != 0: exp(x) is then irrational)."""
+    """Decide exp(x) <= B exactly, where le(n, d) decides n/d <= B for
+    integers n, d > 0 (terminates for x != 0: exp(x) is then irrational)."""
     digits = 30
     while True:
-        iv = exp_bounds(x, digits)
-        if le(iv.hi):
+        lo, hi = _exp_pairs(x, digits)
+        if le(*hi):
             return True
-        if not le(iv.lo):
+        if not le(*lo):
             return False
         digits *= 2
 
@@ -850,16 +862,20 @@ def exp_le(x: Fraction, bound: Fraction) -> bool:
     x, bound = rational(x), rational(bound)
     if bound <= 0:
         return False
-    return _exp_le_by(x, lambda y: y <= bound)
+    bn, bd = bound.numerator, bound.denominator
+    return _exp_le_by(x, lambda n, d: n * bd <= bn * d)
 
 
 def exp_le_inverse_sum(x: Fraction, head: Fraction, b: int | None) -> bool:
     """Decide exp(x) <= 1/(head + 10**-b) exactly, for head >= 0 and b >= 0
     (exp(x) <= 1/head for b None), without forming 10**-b:
-    y <= 1/(head + 10**-b) is 10**-b <= 1/y - head."""
-    def le(y: Fraction) -> bool:
-        u = 1 / y - head
-        return pow10_cmp(u.numerator, u.denominator, b) >= 0
+    y <= 1/(head + 10**-b) is 10**-b <= 1/y - head, and for y = n/d that
+    is (d*hd - n*hn)/(n*hd), compared unreduced."""
+    head = rational(head)
+    hn, hd = head.numerator, head.denominator
+
+    def le(n: int, d: int) -> bool:
+        return pow10_cmp(d * hd - n * hn, n * hd, b) >= 0
 
     return _exp_le_by(rational(x), le)
 

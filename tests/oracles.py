@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, isqrt
 
+from ratapprox import exactnum
 from ratapprox.cf import CFContext
 from ratapprox.errors import GammaOnOrbit, OutOfRegime, PrecisionExhausted
 from ratapprox.exactnum import (
@@ -339,6 +340,40 @@ def dist_bound_reference(profile, ctx) -> Fraction:
     if m is None or m < 4:
         raise OutOfRegime(f"m = {m} is outside the series regime")
     return (abs(profile.delta[m]) + 2) * abs(as_interval(ctx.D(m), DEFAULT_WIDTH)).hi
+
+
+def _exp_fixed_fraction(n: int, f: Fraction, prec: int, up: bool) -> Fraction:
+    """Bound on exp(n + f) for 0 <= f < 1, as the Fraction the library
+    formed before its fixed-point values stayed (m, e) pairs."""
+    base, base_e = exactnum._e_fixed(prec, up), -prec
+    m, e = 1, 0
+    while n:
+        if n & 1:
+            m, e = exactnum._round_fixed(m * base, e + base_e, prec, up)
+        n >>= 1
+        if n:
+            base, base_e = exactnum._round_fixed(base * base, 2 * base_e, prec, up)
+    if f:
+        m, e = exactnum._round_fixed(
+            m * exactnum._exp_taylor_fixed(f.numerator, f.denominator, prec, up),
+            e - prec, prec, up)
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def exp_bounds_reference(x: Fraction, digits: int) -> RatInterval:
+    """exp_bounds(x, digits) by the Fraction route: the reduced fractional
+    part f = x - n enters the Taylor sum, each bound is a Fraction, and a
+    negative x takes reciprocals of the interval of -x."""
+    x = Fraction(x)
+    if x < 0:
+        pos = exp_bounds_reference(-x, digits)
+        return RatInterval(1 / pos.hi, 1 / pos.lo)
+    n = x.numerator // x.denominator
+    f = x - n
+    guard = digits + len(str(n + 1)) + 8
+    prec = (guard * 3322) // 1000 + 1 + 2 * n.bit_length()
+    return RatInterval(_exp_fixed_fraction(n, f, prec, False),
+                       _exp_fixed_fraction(n, f, prec, True))
 
 
 def pair_value(pair):

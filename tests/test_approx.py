@@ -6,6 +6,8 @@ from math import isqrt
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ratapprox.approx import (
     ApproxSet,
@@ -23,8 +25,8 @@ from ratapprox.errors import BlowUp, InsufficientPairs, PrecisionExhausted, Sing
 from ratapprox.exactnum import (LN10_HI, Certified, QuadIrr, RatInterval, enclose, exp_bounds,
                                 exp_le, qi_normalize)
 
-from oracles import (_EXP_REACH, convergent_pairs, gamma_interval, pair_value,
-                     psi_certificate_reference, quad_cf_digits)
+from oracles import (_EXP_REACH, convergent_pairs, exp_bounds_reference, gamma_interval,
+                     pair_value, psi_certificate_reference, quad_cf_digits)
 
 PHI = qi_normalize(1, 1, 5, 2)
 INV_PHI = qi_normalize(-1, 1, 5, 2)
@@ -480,6 +482,40 @@ def test_numeric_feasible_is_the_reach_of_the_exp_checker():
         assert [psi.numeric_feasible(s) for s in (t - 1, t, t + 1)] == [True, True, False]
     for psi in (PsiSpec.power(2), PsiSpec.rational_table([(1, Fraction(1, 2))])):
         assert psi.numeric_feasible(10**30)
+
+
+@settings(deadline=None)
+@given(c=st.fractions(min_value=Fraction(1, 1000), max_value=3, max_denominator=1000),
+       t=st.integers(1, 5000))
+@example(c=Fraction(1), t=8)
+@example(c=Fraction(1, 12), t=1)
+@example(c=Fraction(3), t=5000)
+def test_threshold_int_bracket_is_3_exp_rounded_outward(c, t):
+    # floor and ceiling of 3 times the Fraction route's ends at 30 digits
+    ref = exp_bounds_reference(c * t, 30)
+    assert PsiSpec.exp_decay(c).threshold_int_bracket(t) == (math.floor(3 * ref.lo),
+                                                             math.ceil(3 * ref.hi))
+
+
+@settings(deadline=None)
+@given(t=st.integers(1, 10**6), budget=st.integers(0, 10**5), k=st.integers(1, 10**5),
+       den=st.integers(1, 10**9), delta=st.sampled_from([-1, 0, 1]),
+       cap=st.integers(-3, 10**6))
+@example(t=1, budget=0, k=0, den=1, delta=1, cap=5)
+@example(t=7, budget=100_000, k=43, den=10**9, delta=-1, cap=10**6)
+@example(t=10**6, budget=1, k=1, den=1, delta=0, cap=1)
+def test_psi_spec_exp_tests_at_their_exact_boundaries(t, budget, k, den, delta, cap):
+    # c*t placed at each test's boundary and one 1/den to either side,
+    # against the Fraction expressions the integer tests replace
+    def spec(x):
+        return PsiSpec.exp_decay((x + Fraction(delta, den)) / t)
+
+    psi = spec((budget + 1) * LN10_HI)
+    assert psi.threshold_exceeds_digits(t, budget) == (psi.c * t >= (budget + 1) * LN10_HI)
+    psi = spec(Fraction(2 * 10**6))
+    assert psi.numeric_feasible(t) == (psi.c * t <= 2 * 10**6)
+    psi = spec(k * LN10_HI)
+    assert psi.tail_pair(t, cap) == (0, max(0, min(cap, int(psi.c * t / LN10_HI))))
 
 
 def test_tail_pair_bounds_psi_within_the_cap():

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,9 +29,9 @@ from ratapprox.ostrowski import delta_profile, ostrowski_real
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratapprox.cli import (CONFIG_FIELDS, approx_set_json, load_approx_set, main, parse_psi,
-                           parse_target, read_config, schema_path, sci_str, target_json,
-                           value_from_json)
+from ratapprox.cli import (CONFIG_FIELDS, approx_set_json, json_text, load_approx_set, main,
+                           parse_psi, parse_target, read_config, schema_path, sci_str,
+                           target_json, value_from_json)
 from ratapprox.exactnum import KINDS, Certified, RatInterval, qi_normalize
 
 from oracles import check_psi_document, gamma_interval
@@ -1462,3 +1463,38 @@ def test_parse_target_quad_arity_message():
         with pytest.raises(ValueError) as exc:
             parse_target(text)
         assert str(exc.value) == "quad target needs P,e,D,Q"
+
+
+# strings with quotes, backslashes, controls, non-ASCII and lone surrogates;
+# ints of either sign, some past 4,300 digits
+_JSON_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\ud800", "\udfff x \ud83d", "  ", "é\U0001f600"])
+_JSON_INT = st.integers() | st.integers(10**4300, 10**4400).flatmap(
+    lambda n: st.sampled_from([n, -n]))
+_JSON_DOCS = st.recursive(
+    _JSON_TEXT | _JSON_INT | st.booleans() | st.none(),
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON_DOCS)
+def test_json_text_is_json_dumps_indent_2(doc):
+    # the digit limit, where the interpreter has one, is off as in cli.main
+    limited = hasattr(sys, "set_int_max_str_digits")
+    saved = sys.get_int_max_str_digits() if limited else None
+    if limited:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert json_text(doc) == json.dumps(doc, indent=2)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("value", [0.5, Fraction(1, 3), Decimal("1.5"), {1, 2}, {1: "a"},
+                                   {"a": [1, {"b": 2.0}]}, [None, {(1, 2): 3}]])
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        json_text(value)

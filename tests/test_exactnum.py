@@ -24,6 +24,7 @@ from ratapprox.exactnum import (
     RatInterval,
     enclose,
     exp_bounds,
+    exp_dyadic_ends,
     exp_le,
     exp_le_inverse_sum,
     int_str,
@@ -38,7 +39,8 @@ from ratapprox.exactnum import (
 )
 from ratapprox.ostrowski import RealDigits
 
-from oracles import bisect_enclose, minpoly_triple, poly_sign, quad_floor, surd_arith, surd_coords
+from oracles import (bisect_enclose, exp_bounds_reference, minpoly_triple, poly_sign, quad_floor,
+                     surd_arith, surd_coords)
 
 PHI = qi_normalize(1, 1, 5, 2)
 INV_PHI = qi_normalize(-1, 1, 5, 2)
@@ -531,6 +533,16 @@ def test_exp_le_decisions():
     assert not exp_le(Fraction(-8), Fraction(1, 2982))
 
 
+def test_exp_le_at_zero_meets_its_bound_exactly():
+    # exp(0) = 1 is rational: both ends are 1, and a bound of exactly 1 is
+    # met, which only the non-strict comparison of an end with it decides
+    assert exp_le(0, 1) and not exp_le(0, Fraction(99, 100)) and exp_le(0, Fraction(101, 100))
+    assert exp_le_inverse_sum(0, Fraction(0), 0) and exp_le_inverse_sum(0, Fraction(1), None)
+    assert not exp_le_inverse_sum(0, Fraction(1, 10**9), 0)
+    assert not exp_le_inverse_sum(0, Fraction(1), 30)
+    assert exp_bounds(0, 40) == RatInterval.point(1)
+
+
 def _pow10_cmp_screened(u: Fraction, b: int) -> tuple[int, bool]:
     """pow10_cmp(u, b), and whether its bit-length screen decided it (False:
     the exact comparison with 10**b did)."""
@@ -694,6 +706,55 @@ def test_exp_bounds_endpoints_stay_short(x, digits):
     for end in (iv.lo, iv.hi):
         assert end.numerator.bit_length() <= limit
         assert end.denominator.bit_length() <= limit
+
+
+def _dyadic(m: int, e: int) -> Fraction:
+    return Fraction(m) * Fraction(2) ** e
+
+
+@settings(deadline=None)
+@given(x=st.fractions(min_value=0, max_value=5000, max_denominator=1000),
+       scale=st.integers(1, 10**12), digits=st.integers(5, 80))
+@example(x=Fraction(0), scale=7, digits=5)
+@example(x=Fraction(1, 2), scale=1, digits=5)
+@example(x=Fraction(17711), scale=3, digits=30)
+@example(x=Fraction(4999, 1000), scale=10**12, digits=80)
+# n = 8 and 998: the guard's len(str(n + 1)) is one short of len(str(n + 2))
+@example(x=Fraction(17, 2), scale=5, digits=30)
+@example(x=Fraction(998), scale=1, digits=30)
+def test_exp_dyadic_ends_match_the_fraction_route(x, scale, digits):
+    # the ends (m, e) of exp(num/den) for an unreduced pair are the bounds
+    # the Fraction route gives for the reduced x; exp_bounds builds its
+    # interval from them, for x and for -x, and mpmath's enclosure lies inside
+    ref = exp_bounds_reference(x, digits)
+    num, den = x.numerator * scale, x.denominator * scale
+    lo, hi = exp_dyadic_ends(num, den, digits)
+    assert (_dyadic(*lo), _dyadic(*hi)) == (ref.lo, ref.hi)
+    assert lo[0] > 0 and hi[0] > 0
+    assert exp_bounds(x, digits) == ref
+    assert exp_bounds(-x, digits) == exp_bounds_reference(-x, digits)
+    mp_lo, mp_hi = _mpmath_exp_enclosure(x, digits + 40)
+    assert ref.lo <= mp_lo and mp_hi <= ref.hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.fractions(min_value=-200, max_value=200, max_denominator=50),
+       head=st.fractions(min_value=0, max_value=2, max_denominator=10**6),
+       b=st.none() | st.integers(0, 100))
+@example(x=Fraction(3), head=Fraction(0), b=1)
+@example(x=Fraction(-1), head=Fraction(0), b=None)
+def test_exp_le_inverse_sum_matches_the_formed_sum(x, head, b):
+    # the integer test of each end against 1/(head + 10**-b) decides as the
+    # Fraction route's ends, compared with the formed sum, do
+    assume(x != 0 and (head > 0 or b is not None))
+    bound = 1 / (head + (0 if b is None else Fraction(1, 10**b)))
+    digits = 30
+    while True:
+        ref = exp_bounds_reference(x, digits)
+        if ref.hi <= bound or ref.lo > bound:
+            break
+        digits *= 2
+    assert exp_le_inverse_sum(x, head, b) == exp_le(x, bound) == (ref.hi <= bound)
 
 
 # 2**15 bits (about 9,900 digits): the draws and examples probe each side

@@ -11,10 +11,12 @@ each op once on each side, alternating which side goes first, until
 on both sides alike, where separate harness runs of a few seconds each can
 land in different phases.
 
-Prints, per seed, each side's throughput (ops per second of op time) and its
-p50 and p90 latency, the change relative to the parent, and how many
-first-round outputs differ between the two sides.  Standard library only;
-not part of the Tier-1 tests.
+Prints, per seed, each side's throughput (ops per second of op time), its
+p50 and p90 latency and its throughput per stratum (psi-exp's `stratum`,
+dist-batch's `kind`), the change relative to the parent, how many rounds the
+change's round time beat the parent's, and how many first-round outputs
+differ between the two sides.  Standard library only; not part of the Tier-1
+tests.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+STRATUM = {"psi-exp": "stratum", "dist-batch": "kind"}  # the op field that names the stratum
 
 
 def load(tree: Path, name: str, into: Path):
@@ -53,14 +56,17 @@ def run_op(W, state, op):
 
 def compare(W, pkgs, seed: int, seconds: float, percentile) -> str:
     ops = W.generate(seed)
+    strata = [op[STRATUM[W.NAME]] for op in ops]
     states = [W.setup(pkg, ops) for pkg in pkgs]
     gc.collect()
     lat = ([], [])
+    per_stratum = ({}, {})  # stratum -> [ops, seconds], per side
     failed = [0, 0]
     differ = 0
     busy = 0.0
-    rounds = 0
+    rounds = won = 0
     while rounds == 0 or busy < seconds:
+        round_time = [0.0, 0.0]
         for i, op in enumerate(ops):
             # which side goes first flips from op to op and from round to round
             order = (0, 1) if (i + rounds) % 2 == 0 else (1, 0)
@@ -68,10 +74,15 @@ def compare(W, pkgs, seed: int, seconds: float, percentile) -> str:
             for side in order:
                 dt, outs[side] = run_op(W, states[side], op)
                 lat[side].append(dt)
+                tally = per_stratum[side].setdefault(strata[i], [0, 0.0])
+                tally[0] += 1
+                tally[1] += dt
+                round_time[side] += dt
                 failed[side] += outs[side] is None
                 busy += dt
             if rounds == 0 and None not in outs:
                 differ += W.digest(outs[0]) != W.digest(outs[1])
+        won += round_time[1] < round_time[0]
         rounds += 1
     lines = [f"seed {seed}: {len(lat[0])} ops per side, {differ} first-round outputs differ, "
              f"failed {failed[0]} / {failed[1]}"]
@@ -81,9 +92,12 @@ def compare(W, pkgs, seed: int, seconds: float, percentile) -> str:
         p50, p90 = (1000 * percentile(lat[side], p) for p in (50, 90))
         stats.append((thr, p50, p90))
         lines.append(f"  {SIDES[side]:6s} throughput {thr:9.1f} ops/s  p50 {p50:.4f} ms  p90 {p90:.4f} ms")
+        lines.append("         per stratum " + "  ".join(
+            f"{name} {n / t:.1f}" for name, (n, t) in sorted(per_stratum[side].items())))
     (t0, a0, b0), (t1, a1, b1) = stats
     lines.append(f"  change throughput {100 * (t1 / t0 - 1):+.1f} %  p50 {100 * (a1 / a0 - 1):+.1f} %  "
                  f"p90 {100 * (b1 / b0 - 1):+.1f} %")
+    lines.append(f"  change round time below the parent's in {won} of {rounds} rounds")
     return "\n".join(lines)
 
 
