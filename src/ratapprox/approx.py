@@ -142,7 +142,7 @@ class PsiSpec(ByValue):
         if exact is not None:
             u = exact - v
             return pow10_cmp(u.numerator, u.denominator, b) >= 0
-        return exp_le_inverse_sum(self.c * t, v, b)
+        return exp_le_inverse_sum(self.c.numerator * t, self.c.denominator, v, b)
 
     def numeric_feasible(self, t: int) -> bool:
         """Whether le_psi at argument t is computationally reasonable."""
@@ -160,17 +160,20 @@ class PsiSpec(ByValue):
         return ((3 * lo << lo_e if lo_e >= 0 else 3 * lo >> -lo_e),
                 (3 * hi << hi_e if hi_e >= 0 else -(-3 * hi >> -hi_e)))
 
+    def _decades(self, t: int) -> int:
+        """floor(c*t/LN10_HI): LN10_HI > ln 10, so 10**-b >= exp(-c*t) for b up to it."""
+        return (self.c.numerator * t * LN10_HI.denominator
+                // (self.c.denominator * LN10_HI.numerator))
+
     def threshold_exceeds_digits(self, t: int, budget: int) -> bool:
-        """Sound check: True guarantees 3/Psi(t) > 10**budget."""
+        """Sound check: True guarantees 3/Psi(t) >= _q_blowup(budget), so
+        that no convergent denominator the budget admits meets the
+        threshold."""
         exact = self.exact_value(t)
         if exact is None:
-            # LN10_HI > ln 10, so c*t >= (budget + 1)*LN10_HI gives
-            # exp(c*t) >= 10**(budget + 1)
-            return (self.c.numerator * t * LN10_HI.denominator
-                    >= (budget + 1) * LN10_HI.numerator * self.c.denominator)
-        # 3/Psi(t) = n/d > 2**(bits(n) - bits(d) - 1), and 0.30102 < log10 2
-        bits = (3 * exact.denominator).bit_length() - exact.numerator.bit_length() - 1
-        return bits * 30102 > budget * 100000
+            # exp(c*t) >= 10**(budget + 1), which is above _q_blowup(budget)
+            return self._decades(t) > budget
+        return 3 * exact.denominator >= _q_blowup(budget) * exact.numerator
 
     def tail_pair(self, t: int, cap: int) -> tuple[Fraction, int | None]:
         """The bound pair (head, b) on gamma's tail when no next index fits
@@ -179,10 +182,7 @@ class PsiSpec(ByValue):
         exact = self.exact_value(t)
         if exact is not None:
             return Fraction(2, 3) * exact, None
-        # LN10_HI > ln 10, so b <= c*t/LN10_HI gives 10**-b >= exp(-c*t)
-        b = (self.c.numerator * t * LN10_HI.denominator
-             // (self.c.denominator * LN10_HI.numerator))
-        return Fraction(0), max(0, min(cap, b))
+        return Fraction(0), max(0, min(cap, self._decades(t)))
 
     def to_json(self) -> dict:
         if self.kind == "exp_decay":
@@ -369,6 +369,12 @@ class PsiConstruction(Record):
                 ((hi_n * t_d + t_n * hi_d, hi_d * t_d), 1))
 
 
+def _q_blowup(budget: int) -> int:
+    """The least q past the digit budget, a power of two: the least q whose
+    bit length m has floor(0.30103 * m) > budget."""
+    return 1 << max(0, -(-(budget + 1) * 100000 // 30103) - 1)
+
+
 def construct_psi(
     alpha: RealTarget,
     psi: PsiSpec,
@@ -392,8 +398,7 @@ def construct_psi(
     if ctx.a(0) != 0:
         raise ValueError("alpha must lie in (0, 1)")
 
-    # q_blowup is the least q past the budget, a power of two
-    q_blowup = 1 << max(0, -(-(digit_budget + 1) * 100000 // 30103) - 1)
+    q_blowup = _q_blowup(digit_budget)
 
     def find_next(prev_n: int) -> int:
         t = ctx.q(prev_n + 1)

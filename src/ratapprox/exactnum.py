@@ -12,13 +12,13 @@ import decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, gcd, isqrt
+from operator import index
 
 from .errors import DegenerateRational, InvariantViolation, MixedField, PrecisionExhausted
 
 SQUAREFREE_TRIAL_BOUND = 10**6
 
-# Certified bounds on ln(10), verified against exp_bounds in the test suite.
-LN10_LO = Fraction(23025850929940456, 10**16)
+# A certified upper bound on ln(10), checked in the test suite.
 LN10_HI = Fraction(23025850929940458, 10**16)
 
 
@@ -688,15 +688,6 @@ def operand(x):
     return x.enclosure if isinstance(x, Certified) else x
 
 
-def sqrt_bounds(n: int, scale_digits: int) -> RatInterval:
-    """Certified enclosure of sqrt(n) of width 10**-scale_digits."""
-    m = 10**scale_digits
-    r = isqrt(n * m * m)
-    if r * r == n * m * m:
-        return RatInterval.point(Fraction(r, m))
-    return RatInterval(Fraction(r, m), Fraction(r + 1, m))
-
-
 def _positive_width(width) -> Fraction:
     width = rational(width)
     if width <= 0:
@@ -814,9 +805,12 @@ def _exp_fixed(n: int, p: int, q: int, prec: int, up: bool) -> tuple[int, int]:
 
 
 def exp_dyadic_ends(num: int, den: int, digits: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The ends (lo, hi) of exp_bounds(num/den, digits) for num >= 0 and
-    den > 0, as pairs (m, e) worth m * 2**e.  The pair num/den need not be
-    reduced."""
+    """Bounds lo <= exp(num/den) <= hi for num >= 0 and den > 0, with hi - lo
+    below lo * 10**-digits, as pairs (m, e) worth m * 2**e.  The pair
+    num/den need not be reduced."""
+    num, den = index(num), index(den)
+    if num < 0 or den <= 0:
+        raise ValueError("exp_dyadic_ends needs num >= 0 and den > 0")
     n, p = divmod(num, den)
     # decimal guard digits for the target plus the amplification by n, in
     # bits, plus 2*log2(n) bits for the roundings of the squarings
@@ -825,59 +819,24 @@ def exp_dyadic_ends(num: int, den: int, digits: int) -> tuple[tuple[int, int], t
     return _exp_fixed(n, p, den, prec, False), _exp_fixed(n, p, den, prec, True)
 
 
-def _exp_pairs(x: Fraction, digits: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The ends (lo, hi) of exp_bounds(x, digits) as integer pairs (n, d)
-    with n, d > 0, not reduced; for x < 0, the reciprocals of those of -x."""
-    num, den = x.numerator, x.denominator
-    (ln, ld), (hn, hd) = ((m << e, 1) if e >= 0 else (m, 1 << -e)
-                          for m, e in exp_dyadic_ends(abs(num), den, digits))
-    return ((hd, hn), (ld, ln)) if num < 0 else ((ln, ld), (hn, hd))
-
-
-def exp_bounds(x: Fraction, digits: int) -> RatInterval:
-    """Certified enclosure of exp(x) with relative width below 10**-digits.
-
-    x may be any exact rational; negative arguments go through reciprocals.
-    The endpoints are dyadic rationals (their reciprocals for x < 0) with
-    about `digits` significant digits plus a guard.
-    """
-    return RatInterval(*(Fraction(n, d) for n, d in _exp_pairs(rational(x), digits)))
-
-
-def _exp_le_by(x: Fraction, le) -> bool:
-    """Decide exp(x) <= B exactly, where le(n, d) decides n/d <= B for
-    integers n, d > 0 (terminates for x != 0: exp(x) is then irrational)."""
-    digits = 30
-    while True:
-        lo, hi = _exp_pairs(x, digits)
-        if le(*hi):
-            return True
-        if not le(*lo):
-            return False
-        digits *= 2
-
-
-def exp_le(x: Fraction, bound: Fraction) -> bool:
-    """Decide exp(x) <= bound exactly (terminates: exp(x) is irrational)."""
-    x, bound = rational(x), rational(bound)
-    if bound <= 0:
-        return False
-    bn, bd = bound.numerator, bound.denominator
-    return _exp_le_by(x, lambda n, d: n * bd <= bn * d)
-
-
-def exp_le_inverse_sum(x: Fraction, head: Fraction, b: int | None) -> bool:
-    """Decide exp(x) <= 1/(head + 10**-b) exactly, for head >= 0 and b >= 0
-    (exp(x) <= 1/head for b None), without forming 10**-b:
-    y <= 1/(head + 10**-b) is 10**-b <= 1/y - head, and for y = n/d that
-    is (d*hd - n*hn)/(n*hd), compared unreduced."""
+def exp_le_inverse_sum(num: int, den: int, head: Fraction, b: int | None) -> bool:
+    """Decide exp(num/den) <= 1/(head + 10**-b) exactly, for num >= 0, den > 0,
+    head >= 0 and b >= 0 (exp(num/den) <= 1/head for b None), without forming
+    10**-b: y <= 1/(head + 10**-b) is 10**-b <= 1/y - head, and for y = n/d
+    that is (d*hd - n*hn)/(n*hd), compared unreduced.  The digits double until
+    an end decides: exp(num/den) is irrational for num > 0, and for num = 0
+    both ends are 1, which the first round decides."""
     head = rational(head)
     hn, hd = head.numerator, head.denominator
-
-    def le(n: int, d: int) -> bool:
-        return pow10_cmp(d * hd - n * hn, n * hd, b) >= 0
-
-    return _exp_le_by(rational(x), le)
+    digits = 30
+    while True:
+        (lo_n, lo_d), (hi_n, hi_d) = ((m << e, 1) if e >= 0 else (m, 1 << -e)
+                                      for m, e in exp_dyadic_ends(num, den, digits))
+        if pow10_cmp(hi_d * hd - hi_n * hn, hi_n * hd, b) >= 0:
+            return True
+        if pow10_cmp(lo_d * hd - lo_n * hn, lo_n * hd, b) < 0:
+            return False
+        digits *= 2
 
 
 def _pow10_screen(bits: int, b: int) -> int:

@@ -20,7 +20,6 @@ from ratapprox.exactnum import (
     QuadIrr,
     RatInterval,
     as_interval,
-    exp_le,
     kind_of,
     operand,
 )
@@ -361,9 +360,13 @@ def _exp_fixed_fraction(n: int, f: Fraction, prec: int, up: bool) -> Fraction:
 
 
 def exp_bounds_reference(x: Fraction, digits: int) -> RatInterval:
-    """exp_bounds(x, digits) by the Fraction route: the reduced fractional
-    part f = x - n enters the Taylor sum, each bound is a Fraction, and a
-    negative x takes reciprocals of the interval of -x."""
+    """The enclosure of exp(x) at `digits` by the library's former Fraction
+    route: the reduced fractional part f = x - n enters the Taylor sum, each
+    bound is a Fraction, and a negative x takes reciprocals of the interval
+    of -x.  A regression reference, not an independent oracle: it runs the
+    kernel's own _e_fixed, _round_fixed and _exp_taylor_fixed, so it pins
+    exactnum.exp_dyadic_ends' ends bit for bit but cannot judge them;
+    exp_le_reference and mpmath's enclosures do that."""
     x = Fraction(x)
     if x < 0:
         pos = exp_bounds_reference(-x, digits)
@@ -374,6 +377,45 @@ def exp_bounds_reference(x: Fraction, digits: int) -> RatInterval:
     prec = (guard * 3322) // 1000 + 1 + 2 * n.bit_length()
     return RatInterval(_exp_fixed_fraction(n, f, prec, False),
                        _exp_fixed_fraction(n, f, prec, True))
+
+
+def exp_le_reference(x, bound) -> bool:
+    """exp(x) <= bound for rationals x and bound, decided as x <= ln(bound)
+    by mpmath interval logarithms, doubling the precision until the interval
+    of ln(bound) - x excludes 0.  exp(0) = 1 is the only rational value of
+    exp at a rational, so only x = 0 can meet its bound, and it is compared
+    exactly."""
+    from mpmath import iv
+
+    x, bound = Fraction(x), Fraction(bound)
+    if bound <= 0:
+        return False
+    if x == 0:
+        return bound >= 1
+    saved, prec = iv.prec, 64 + 4 * x.numerator.bit_length()
+    try:
+        while prec < 1 << 24:
+            iv.prec = prec
+            gap = (iv.log(iv.mpf(bound.numerator) / bound.denominator)
+                   - iv.mpf(x.numerator) / x.denominator)
+            if gap.a > 0:
+                return True
+            if gap.b < 0:
+                return False
+            prec *= 2
+    finally:
+        iv.prec = saved
+    raise ArithmeticError("exp comparison undecided")
+
+
+def sqrt_bounds(n: int, scale_digits: int) -> RatInterval:
+    """Enclosure of sqrt(n) of width 10**-scale_digits, from one isqrt: a
+    point when n * 10**(2*scale_digits) is a square."""
+    m = 10**scale_digits
+    r = isqrt(n * m * m)
+    if r * r == n * m * m:
+        return RatInterval.point(Fraction(r, m))
+    return RatInterval(Fraction(r, m), Fraction(r + 1, m))
 
 
 def pair_value(pair):
@@ -397,8 +439,8 @@ def psi_certificate_reference(cons, digit_budget: int):
     """The tail and each certificate line's (route, ok, bound) of the Psi
     construction `cons`, as exact Fractions recomputed with the tail 10**-b
     formed: the route approx._package took before it kept b apart.  Psi
-    comparisons are the plain ones on the formed sum: exp_le for the exp
-    family, a Fraction comparison for the others."""
+    comparisons are the plain ones on the formed sum: exp_le_reference for
+    the exp family, a Fraction comparison for the others."""
     ctx, psi, indices = CFContext(cons.alpha), cons.psi, cons.indices
     s_list = [sum(ctx.q(n) for n in indices[:k]) for k in range(1, len(indices) + 1)]
     t_last = ctx.q(indices[-1] + 1)
@@ -418,13 +460,13 @@ def psi_certificate_reference(cons, digit_budget: int):
         head = sum((ctx.d_abs_upper(n) for n in indices[k:]), Fraction(0))
         bound = min(cap, head + tail)
         exact = psi.exact_value(s_k)
-        ok = bound <= exact if exact is not None else exp_le(psi.c * s_k, 1 / bound)
+        ok = bound <= exact if exact is not None else exp_le_reference(psi.c * s_k, 1 / bound)
         lines.append(("numeric", ok, bound))
     return tail, lines
 
 
-# the largest argument c*s at which the checker below decides exp(-c*s) by
-# exp_le, the library's own reach for a numeric certificate line
+# the largest argument c*s at which the checker below decides exp(-c*s),
+# the library's own reach for a numeric certificate line
 _EXP_REACH = 2 * 10**6
 
 
@@ -440,7 +482,7 @@ def _psi_le(psi: dict, v: Fraction, s: int) -> bool | None:
         values = [Fraction(value) for row, value in psi["rows"] if int(row) <= s]
         return v <= values[-1] if values else None
     x = Fraction(psi["c"]) * s
-    return exp_le(x, 1 / v) if x <= _EXP_REACH else None
+    return exp_le_reference(x, 1 / v) if x <= _EXP_REACH else None
 
 
 def _relative_enclosure(x) -> RatInterval:

@@ -19,10 +19,10 @@ from ratapprox.approx import ApproxSet
 from ratapprox.cf import CFContext
 from ratapprox.conic import ConicForm, conic_orbit, laurent_expansion, minimal_polynomial, periodic_construction
 from ratapprox.errors import BlowUp
-from ratapprox.exactnum import QuadIrr, enclose, exp_bounds, exp_le, qi_normalize
+from ratapprox.exactnum import QuadIrr, enclose, qi_normalize
 from ratapprox.ostrowski import check_admissible, delta_profile, dist_bound, dist_direct, dist_formula, ostrowski_int
 
-from oracles import enumerate_ostrowski_values, pair_value, sqrt_series_coeffs
+from oracles import enumerate_ostrowski_values, exp_le_reference, pair_value, sqrt_series_coeffs
 
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(0)
@@ -186,13 +186,12 @@ def test_criterion_6_psi_exponential():
         digit_count = (cons.s[-1].bit_length() * 30103) // 100000
         assert digit_count <= 100_000
         assert growth_profile(cons.s).classification == "super_exponential"
-        # independent minimality check of n_2 and n_3 against certified exp bounds
+        # independent minimality check of n_2 and n_3 by mpmath interval logarithms
         ctx = CFContext(INV_PHI, depth=64)
-        assert not exp_le(Fraction(8), Fraction(ctx.q(19), 3))  # 3/q_19 > e^-8
-        assert exp_le(Fraction(8), Fraction(ctx.q(20), 3))  # 3/q_20 <= e^-8
-        big = exp_bounds(Fraction(ctx.q(21)), 40) * 3
-        assert Fraction(ctx.q(36807)) < big.lo
-        assert Fraction(ctx.q(36808)) >= big.hi
+        assert not exp_le_reference(8, Fraction(ctx.q(19), 3))  # 3/q_19 > e^-8
+        assert exp_le_reference(8, Fraction(ctx.q(20), 3))  # 3/q_20 <= e^-8
+        assert not exp_le_reference(ctx.q(21), Fraction(ctx.q(36807), 3))
+        assert exp_le_reference(ctx.q(21), Fraction(ctx.q(36808), 3))
         with pytest.raises(BlowUp) as exc:
             construct_psi(INV_PHI, PsiSpec.exp_decay(1), 4)
         assert exc.value.partial is not None

@@ -22,11 +22,10 @@ from ratapprox.approx import (
 )
 from ratapprox.cf import CFContext
 from ratapprox.errors import BlowUp, InsufficientPairs, PrecisionExhausted, SingularSystem
-from ratapprox.exactnum import (LN10_HI, Certified, QuadIrr, RatInterval, enclose, exp_bounds,
-                                exp_le, qi_normalize)
+from ratapprox.exactnum import LN10_HI, Certified, QuadIrr, RatInterval, enclose, qi_normalize
 
-from oracles import (_EXP_REACH, convergent_pairs, exp_bounds_reference, gamma_interval,
-                     pair_value, psi_certificate_reference, quad_cf_digits)
+from oracles import (_EXP_REACH, convergent_pairs, exp_bounds_reference, exp_le_reference,
+                     gamma_interval, pair_value, psi_certificate_reference, quad_cf_digits)
 
 PHI = qi_normalize(1, 1, 5, 2)
 INV_PHI = qi_normalize(-1, 1, 5, 2)
@@ -203,17 +202,17 @@ def test_construct_psi_certificate_matches_the_exact_fraction_route(seed):
 @pytest.mark.parametrize("b", [1, 12, 45, None])
 def test_le_psi_with_tail_exponent_is_the_formed_sum(psi, b):
     # heads on both sides of Psi(t) - 10**-b, where v and v + 10**-b part;
-    # the formed sum v + 10**-b (v for b None) is compared by exp_le or
-    # exactly
+    # the formed sum v + 10**-b (v for b None) is compared by the oracle's
+    # exp_le_reference or exactly
     t = 11
     ten = Fraction(0) if b is None else Fraction(1, 10**b)
-    value = psi.exact_value(t) or exp_bounds(-psi.c * t, (b or 0) + 20).mid
+    value = psi.exact_value(t) or exp_bounds_reference(-psi.c * t, (b or 0) + 20).mid
     for v in (Fraction(0), value - ten - ten / 2, value - ten / 2, value - 2 * ten, value,
               2 * value):
         if v >= 0:
             formed = v + ten
             want = (formed <= psi.exact_value(t) if psi.kind == "power"
-                    else formed == 0 or exp_le(psi.c * t, 1 / formed))
+                    else formed == 0 or exp_le_reference(psi.c * t, 1 / formed))
             assert psi.le_psi(v, t, b) == want, v
 
 
@@ -406,20 +405,47 @@ def test_threshold_exceeds_digits_is_sound_where_2_to_the_bits_is_below_budget(b
     assert below >= 3
 
 
-def test_threshold_past_the_budget_is_a_true_blowup():
-    # 3/Psi scores 1671 bits, the least count whose 0.30102 multiple passes
-    # 503, so the next index is refused with a message the exact 3/Psi bears
-    # out; the search alone would reach q_n >= 3/Psi below its q_blowup
+def test_threshold_past_ten_to_the_budget_below_q_blowup_is_searched():
+    # 3/Psi lies above 10**503 but below 2**1674, the least q the budget
+    # refuses, so the search finds the least q_n >= 3/Psi within the budget
     value = next(_edge_psi_values(1671))
-    assert 3 * value.denominator > 10**503 * value.numerator
-    with pytest.raises(BlowUp, match="^next index after n=4 needs more than 503 digits$"):
-        construct_psi(INV_PHI, PsiSpec.rational_table([(1, value)]), 2, digit_budget=503)
+    assert 10**503 * value.numerator < 3 * value.denominator < 2**1674 * value.numerator
+    cons = construct_psi(INV_PHI, PsiSpec.rational_table([(1, value)]), 2, digit_budget=503)
+    q = [1, 1]
+    while q[-1] * value.numerator < 3 * value.denominator:
+        q.append(q[-1] + q[-2])
+    assert cons.indices == [4, len(q) - 1] and cons.certified
+    assert (q[-1].bit_length() * 30103) // 100000 == 503
+
+
+def _least_refused_q(budget: int) -> int:
+    """The least q the digit budget refuses, by a scan over bit lengths:
+    2**(m - 1) for the least m with floor(0.30103 * m) > budget."""
+    m = 1
+    while m * 30103 // 100000 <= budget:
+        m += 1
+    return 2 ** (m - 1)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 12, 503, 4004])
+def test_threshold_exceeds_digits_is_the_q_rule_for_exact_families(budget):
+    # True exactly when 3/Psi(t) reaches the least q the budget refuses,
+    # for 3/Psi one below, at and one above it, with Psi(t) in lowest terms
+    # and not
+    edge = _least_refused_q(budget)
+    for three_over_psi, want in ((edge - 1, False), (edge, True), (edge + 1, True)):
+        for scale in (1, 7):
+            psi = PsiSpec.rational_table([(1, Fraction(3 * scale, three_over_psi * scale))])
+            assert psi.threshold_exceeds_digits(5, budget) is want, (three_over_psi, scale)
+    assert PsiSpec.power(2).threshold_exceeds_digits(isqrt(edge // 3) + 1, budget)
+    assert not PsiSpec.power(2).threshold_exceeds_digits(isqrt((edge - 1) // 3), budget)
 
 
 def test_threshold_test_is_strict_at_an_exact_budget_multiple():
-    # 3/Psi scores 50,000 bits and 50,000 * 0.30102 = 15051 exactly, which
-    # the test does not count as past the budget; the least q_n >= 3/Psi has
-    # 50,001 bits, within the budget rule (floor(50001 * 0.30103) = 15051)
+    # 3/Psi scores 50,000 bits and 50,000 * 0.30102 = 15051 exactly; it lies
+    # below 2**50001, the least q the budget refuses, and the least q_n >=
+    # 3/Psi has 50,001 bits, within the budget rule (floor(50001 * 0.30103)
+    # = 15051)
     value = next(v for v in _edge_psi_values(50000)
                  if 3 * v.denominator * 1024 < 2**50000 * 1025 * v.numerator)
     cons = construct_psi(INV_PHI, PsiSpec.rational_table([(1, value)]), 2, digit_budget=15051)
@@ -438,10 +464,10 @@ def test_threshold_exceeds_digits_is_sound_for_exp_decay(budget):
         claimed = psi.threshold_exceeds_digits(t, budget)
         assert claimed == (t > (budget + 1) * math.log(10))
         if claimed:
-            assert not exp_le(t, Fraction(10**budget, 3))
+            assert not exp_le_reference(t, Fraction(10**budget, 3))
     # c*t = (budget + 1)*LN10_HI, where exp(c*t) is just above 10**(budget + 1)
     assert PsiSpec.exp_decay(LN10_HI).threshold_exceeds_digits(budget + 1, budget)
-    assert not exp_le(LN10_HI * (budget + 1), 10 ** (budget + 1))
+    assert not exp_le_reference(LN10_HI * (budget + 1), 10 ** (budget + 1))
 
 
 def test_construct_psi_decides_a_convergent_inside_the_exp_bracket_exactly():
@@ -526,7 +552,7 @@ def test_tail_pair_bounds_psi_within_the_cap():
     psi = PsiSpec.exp_decay(1)
     head, b = psi.tail_pair(100, 10**6)
     assert (head, b) == (0, 43)
-    assert not exp_le(100, 10**b) and exp_le(100, 10 ** (b + 1))
+    assert not exp_le_reference(100, 10**b) and exp_le_reference(100, 10 ** (b + 1))
     assert [psi.tail_pair(100, cap)[1] for cap in (20, 0, -3)] == [20, 0, 0]
 
 

@@ -20,12 +20,9 @@ from ratapprox.exactnum import (
     QuadIrr,
     Record,
     LN10_HI,
-    LN10_LO,
     RatInterval,
     enclose,
-    exp_bounds,
     exp_dyadic_ends,
-    exp_le,
     exp_le_inverse_sum,
     int_str,
     outward_str,
@@ -33,14 +30,13 @@ from ratapprox.exactnum import (
     qi_normalize,
     qi_pair,
     sci_str,
-    sqrt_bounds,
     squarefree_decompose,
     surd_floor,
 )
 from ratapprox.ostrowski import RealDigits
 
-from oracles import (bisect_enclose, exp_bounds_reference, minpoly_triple, poly_sign, quad_floor,
-                     surd_arith, surd_coords)
+from oracles import (bisect_enclose, exp_bounds_reference, exp_le_reference, minpoly_triple,
+                     poly_sign, quad_floor, sqrt_bounds, surd_arith, surd_coords)
 
 PHI = qi_normalize(1, 1, 5, 2)
 INV_PHI = qi_normalize(-1, 1, 5, 2)
@@ -509,38 +505,63 @@ def test_interval_dist_to_nearest_int():
     )
 
 
+def _dyadic(m: int, e: int) -> Fraction:
+    return Fraction(m) * Fraction(2) ** e
+
+
+def _exp_ends(x: Fraction, digits: int) -> RatInterval:
+    """exp_dyadic_ends of x >= 0 as a RatInterval of Fractions."""
+    lo, hi = exp_dyadic_ends(x.numerator, x.denominator, digits)
+    return RatInterval(_dyadic(*lo), _dyadic(*hi))
+
+
 def test_exp_bounds_basic():
-    iv = exp_bounds(Fraction(1), 30)
+    iv = _exp_ends(Fraction(1), 30)
     e_30 = Fraction("2.71828182845904523536028747135266249775724709")
     assert iv.lo <= e_30 <= iv.hi
     assert iv.width / iv.lo < Fraction(1, 10**28)
-    iv = exp_bounds(Fraction(-3), 25)
-    assert Fraction("0.0497870683") < iv.lo < iv.hi < Fraction("0.0497870684")
-    prod = exp_bounds(Fraction(3), 25) * iv
-    assert prod.contains(1)
+    iv = _exp_ends(Fraction(3), 25)
+    assert Fraction("20.0855369231") < iv.lo < iv.hi < Fraction("20.0855369232")
 
 
 def test_exp_bounds_large_argument():
-    iv = exp_bounds(Fraction(100), 20)
+    iv = _exp_ends(Fraction(100), 20)
     assert iv.lo > 0 and (iv.width / iv.lo) < Fraction(1, 10**18)
     assert len(str(iv.lo.numerator // iv.lo.denominator)) == 44  # e^100 ~ 2.7e43
 
 
 def test_exp_le_decisions():
-    assert exp_le(Fraction(1), Fraction(3))
-    assert not exp_le(Fraction(1), Fraction(27, 10))
-    assert exp_le(Fraction(-8), Fraction(1, 2980))
-    assert not exp_le(Fraction(-8), Fraction(1, 2982))
+    # exp(num/den) <= 1/head for b None: e <= 3, e > 2.7, and exp(8) lies
+    # between 2980 and 2981
+    assert exp_le_inverse_sum(1, 1, Fraction(1, 3), None)
+    assert not exp_le_inverse_sum(1, 1, Fraction(10, 27), None)
+    assert exp_le_inverse_sum(8, 1, Fraction(1, 2981), None)
+    assert not exp_le_inverse_sum(8, 1, Fraction(1, 2980), None)
+    # 10**-b kept apart: exp(8) <= 1/(1/2981 + 10**-9), not 1/(1/2981 + 10**-7)
+    assert exp_le_inverse_sum(16, 2, Fraction(1, 2981), 9)
+    assert not exp_le_inverse_sum(16, 2, Fraction(1, 2981), 7)
 
 
 def test_exp_le_at_zero_meets_its_bound_exactly():
     # exp(0) = 1 is rational: both ends are 1, and a bound of exactly 1 is
     # met, which only the non-strict comparison of an end with it decides
-    assert exp_le(0, 1) and not exp_le(0, Fraction(99, 100)) and exp_le(0, Fraction(101, 100))
-    assert exp_le_inverse_sum(0, Fraction(0), 0) and exp_le_inverse_sum(0, Fraction(1), None)
-    assert not exp_le_inverse_sum(0, Fraction(1, 10**9), 0)
-    assert not exp_le_inverse_sum(0, Fraction(1), 30)
-    assert exp_bounds(0, 40) == RatInterval.point(1)
+    assert exp_dyadic_ends(0, 7, 40) == ((1, 0), (1, 0))
+    assert exp_le_inverse_sum(0, 1, Fraction(0), 0) and exp_le_inverse_sum(0, 3, Fraction(1), None)
+    assert not exp_le_inverse_sum(0, 1, Fraction(1, 10**9), 0)
+    assert not exp_le_inverse_sum(0, 1, Fraction(1), 30)
+    assert exp_le_inverse_sum(0, 1, Fraction(99, 100), None)
+    assert not exp_le_inverse_sum(0, 1, Fraction(101, 100), None)
+    assert exp_le_reference(0, 1) and not exp_le_reference(0, Fraction(99, 100))
+
+
+def test_exp_kernel_refuses_a_negative_argument_or_denominator():
+    # num/den < 0 would never end the square-and-multiply loop; den = 0 has
+    # no value
+    for num, den in ((-1, 1), (1, -1), (0, 0), (-3, -2)):
+        with pytest.raises(ValueError, match="^exp_dyadic_ends needs num >= 0 and den > 0$"):
+            exp_dyadic_ends(num, den, 30)
+        with pytest.raises(ValueError):
+            exp_le_inverse_sum(num, den, Fraction(1), None)
 
 
 def _pow10_cmp_screened(u: Fraction, b: int) -> tuple[int, bool]:
@@ -617,21 +638,24 @@ def test_pow10_cmp_at_the_edges_of_its_screen(b):
 @pytest.mark.parametrize("x", [Fraction(1), Fraction(7, 3), Fraction(40)])
 @pytest.mark.parametrize("b", [0, 1, 5, 18, 60, None])
 def test_exp_le_inverse_sum_matches_exp_le(x, b):
-    # exp(x) <= 1/(head + 10**-b), decided with 10**-b kept apart and summed
-    # (1/head for b None); the last heads put head + 10**-b within 10**-40 or
-    # so of exp(-x)
-    inv = 1 / exp_bounds(x, 40).mid
+    # exp(x) <= 1/(head + 10**-b), decided with 10**-b kept apart, against
+    # the oracle's log-space decision on the formed sum (1/head for b None);
+    # the last heads put head + 10**-b within 10**-40 or so of exp(-x)
+    inv = 1 / _exp_ends(x, 40).mid
     ten = Fraction(0) if b is None else Fraction(1, 10**b)
     tiny = Fraction(1, 10**((b or 40) + 3))
     for head in (Fraction(0), Fraction(1, 2), inv, inv - ten):
         for nudge in (Fraction(0), tiny, -tiny):
             h = head + nudge
             if h >= 0 and h + ten > 0:
-                assert exp_le_inverse_sum(x, h, b) == exp_le(x, 1 / (h + ten))
+                assert (exp_le_inverse_sum(x.numerator, x.denominator, h, b)
+                        == exp_le_reference(x, 1 / (h + ten)))
 
 
 def test_ln10_constants_bracket():
-    assert exp_bounds(LN10_LO, 25).hi < 10 < exp_bounds(LN10_HI, 25).lo
+    # LN10_HI is above ln 10, by less than 2 * 10**-16
+    assert _exp_ends(LN10_HI, 25).lo > 10 > _exp_ends(LN10_HI - Fraction(2, 10**16), 25).hi
+    assert not exp_le_reference(LN10_HI, 10)
 
 
 def _mpmath_exp_enclosure(x: Fraction, dps: int) -> tuple[Fraction, Fraction]:
@@ -665,11 +689,11 @@ def test_exp_bounds_same_with_the_e_memo_cold_and_warm(x):
 
     try:
         exactnum._e_fixed = series
-        reference = {digits: exp_bounds(x, digits) for digits in levels}
+        reference = {digits: _exp_ends(x, digits) for digits in levels}
         exactnum._e_fixed = checked
         memo.cache_clear()
         for digits in levels + levels[::-1]:  # cold on the way up, warm on the way down
-            assert exp_bounds(x, digits) == reference[digits]
+            assert _exp_ends(x, digits) == reference[digits]
     finally:
         exactnum._e_fixed = memo
     assert memo.cache_info().hits >= 2 * len(levels)
@@ -678,17 +702,15 @@ def test_exp_bounds_same_with_the_e_memo_cold_and_warm(x):
         assert iv.lo <= lo and hi <= iv.hi
 
 
-_EXP_ARGS = st.fractions(min_value=-50_000, max_value=50_000, max_denominator=1000)
-
-
 @settings(deadline=None)
-@given(x=_EXP_ARGS, digits=st.integers(1, 80))
+@given(x=st.fractions(min_value=0, max_value=50_000, max_denominator=1000),
+       digits=st.integers(1, 80))
 @example(x=Fraction(0), digits=1)
 @example(x=Fraction(50_000), digits=80)
-@example(x=Fraction(-50_000), digits=80)
+@example(x=Fraction(1, 1000), digits=80)
 @example(x=Fraction(17711), digits=30)
 def test_exp_bounds_contains_exp_with_relative_width(x, digits):
-    iv = exp_bounds(x, digits)
+    iv = _exp_ends(x, digits)
     lo, hi = _mpmath_exp_enclosure(x, digits + 40)
     assert iv.lo <= lo and hi <= iv.hi
     assert iv.width < iv.lo / 10**digits
@@ -701,15 +723,11 @@ def test_exp_bounds_contains_exp_with_relative_width(x, digits):
 def test_exp_bounds_endpoints_stay_short(x, digits):
     # exp(x) has about x*log2(e) bits before the point; the endpoints carry
     # about `digits` digits more, not a power of a Taylor-sum denominator
-    iv = exp_bounds(x, digits)
+    iv = _exp_ends(x, digits)
     limit = float(x) * math.log2(math.e) + 4 * digits + 64
     for end in (iv.lo, iv.hi):
         assert end.numerator.bit_length() <= limit
         assert end.denominator.bit_length() <= limit
-
-
-def _dyadic(m: int, e: int) -> Fraction:
-    return Fraction(m) * Fraction(2) ** e
 
 
 @settings(deadline=None)
@@ -722,30 +740,34 @@ def _dyadic(m: int, e: int) -> Fraction:
 # n = 8 and 998: the guard's len(str(n + 1)) is one short of len(str(n + 2))
 @example(x=Fraction(17, 2), scale=5, digits=30)
 @example(x=Fraction(998), scale=1, digits=30)
+# guards 31 and 25: 3.322 and 3.323 bits per digit give different precisions
+# at 31, and a division by 1000 and by 1001 at 25
+@example(x=Fraction(1, 2), scale=1, digits=22)
+@example(x=Fraction(1, 2), scale=1, digits=16)
 def test_exp_dyadic_ends_match_the_fraction_route(x, scale, digits):
     # the ends (m, e) of exp(num/den) for an unreduced pair are the bounds
-    # the Fraction route gives for the reduced x; exp_bounds builds its
-    # interval from them, for x and for -x, and mpmath's enclosure lies inside
+    # the Fraction route gives for the reduced x, and mpmath's enclosure
+    # lies inside
     ref = exp_bounds_reference(x, digits)
     num, den = x.numerator * scale, x.denominator * scale
     lo, hi = exp_dyadic_ends(num, den, digits)
     assert (_dyadic(*lo), _dyadic(*hi)) == (ref.lo, ref.hi)
     assert lo[0] > 0 and hi[0] > 0
-    assert exp_bounds(x, digits) == ref
-    assert exp_bounds(-x, digits) == exp_bounds_reference(-x, digits)
     mp_lo, mp_hi = _mpmath_exp_enclosure(x, digits + 40)
     assert ref.lo <= mp_lo and mp_hi <= ref.hi
 
 
 @settings(max_examples=60, deadline=None)
-@given(x=st.fractions(min_value=-200, max_value=200, max_denominator=50),
+@given(x=st.fractions(min_value=0, max_value=200, max_denominator=50),
+       scale=st.integers(1, 10**6),
        head=st.fractions(min_value=0, max_value=2, max_denominator=10**6),
        b=st.none() | st.integers(0, 100))
-@example(x=Fraction(3), head=Fraction(0), b=1)
-@example(x=Fraction(-1), head=Fraction(0), b=None)
-def test_exp_le_inverse_sum_matches_the_formed_sum(x, head, b):
-    # the integer test of each end against 1/(head + 10**-b) decides as the
-    # Fraction route's ends, compared with the formed sum, do
+@example(x=Fraction(3), scale=1, head=Fraction(0), b=1)
+@example(x=Fraction(1), scale=1, head=Fraction(0), b=None)
+def test_exp_le_inverse_sum_matches_the_formed_sum(x, scale, head, b):
+    # the integer test of each end against 1/(head + 10**-b), the pair
+    # unreduced, decides as the oracle does on the formed sum, and as the
+    # Fraction route's ends compared with it do
     assume(x != 0 and (head > 0 or b is not None))
     bound = 1 / (head + (0 if b is None else Fraction(1, 10**b)))
     digits = 30
@@ -754,7 +776,8 @@ def test_exp_le_inverse_sum_matches_the_formed_sum(x, head, b):
         if ref.hi <= bound or ref.lo > bound:
             break
         digits *= 2
-    assert exp_le_inverse_sum(x, head, b) == exp_le(x, bound) == (ref.hi <= bound)
+    decided = exp_le_inverse_sum(x.numerator * scale, x.denominator * scale, head, b)
+    assert decided == exp_le_reference(x, bound) == (ref.hi <= bound)
 
 
 # 2**15 bits (about 9,900 digits): the draws and examples probe each side
@@ -1083,9 +1106,9 @@ _ENTRY_POINTS = {
     "RatInterval.point": RatInterval.point,
     "RatInterval.contains": lambda v: RatInterval(0, 1).contains(v),
     "sign_of": exactnum.sign_of,
-    "exp_bounds": lambda v: exp_bounds(v, 5),
-    "exp_le": lambda v: exp_le(v, 2),
-    "exp_le-bound": lambda v: exp_le(1, v),
+    "exp_le_inverse_sum-num": lambda v: exp_le_inverse_sum(v, 1, Fraction(1), None),
+    "exp_le_inverse_sum-den": lambda v: exp_le_inverse_sum(1, v, Fraction(1), None),
+    "exp_le_inverse_sum-head": lambda v: exp_le_inverse_sum(1, 1, v, None),
     "PsiSpec.exp_decay": PsiSpec.exp_decay,
     "PsiSpec.power": PsiSpec.power,
     "PsiSpec.rational_table-s": lambda v: PsiSpec.rational_table([(v, Fraction(1, 2))]),
@@ -1105,8 +1128,9 @@ _ENTRY_POINTS = {
 @example(entry="RatInterval.point", value=0.1)
 @example(entry="RatInterval.contains", value=0.1)
 @example(entry="sign_of", value=0.1)
-@example(entry="exp_bounds", value=0.1)
-@example(entry="exp_le", value=0.1)
+@example(entry="exp_le_inverse_sum-num", value=1.0)
+@example(entry="exp_le_inverse_sum-den", value=1.0)
+@example(entry="exp_le_inverse_sum-head", value=0.5)
 @example(entry="PsiSpec.exp_decay", value=0.1)
 @example(entry="enclose", value=0.5)
 @example(entry="PsiSpec.power", value=2.5)
