@@ -11,10 +11,13 @@ inputs: no timestamps, no environment echoes, insertion-ordered keys.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
+
+# json's C string escaper, the one json.encoder re-exports: importing json
+# itself would load its decoder too, which only read_input needs
+from _json import encode_basestring_ascii as _escape
 
 from .approx import (
     DEFAULT_DIGIT_BUDGET, DEFAULT_PREFIX_EXCEPTIONS, DEFAULT_REL_TOLERANCE, DEFAULT_WINDOW,
@@ -46,7 +49,15 @@ from .ostrowski import (DEFAULT_PRECISION_DIGITS, delta_profile, dist_bound, dis
 
 CONFIG_ENV_VAR = "RATAPPROX_CONFIG"
 
-_escape = json.encoder.encode_basestring_ascii
+
+def __getattr__(name: str):
+    # `cli.json` is still the json module for code that reads it there
+    # (perfbench's tracer wraps its dumps), imported when first read
+    if name == "json":
+        import json
+        return json
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # schema file (under ratapprox/schemas/) describing each subcommand's JSON
 SCHEMA_BY_COMMAND = {
@@ -290,6 +301,8 @@ def read_input(path: str, decode):
     """decode(the JSON document in `path`); a file that is not JSON, holds a
     JSON number that is not an integer or a boolean anywhere, or lacks the
     expected keys, shape or values, raises ValueError naming the file."""
+    import json  # here, not at the top: most calls read no file
+
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=_refuse_inexact, parse_constant=_refuse_inexact)
@@ -572,98 +585,109 @@ def _cmd_growth(args) -> dict:
 # wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
+# flag keyword arguments that many subcommands share
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_SWITCH = {"action": "store_true"}
+
+# each subcommand's help line and flags, in the order of the usage line; its
+# handler is _cmd_<name> with underscores for dashes
+COMMANDS = {
+    "cf": ("continued-fraction expansion",
+           {"--alpha": _REQUIRED, "--depth": {"type": int, "default": 32}}),
+    "convergents": ("principal convergents",
+                    {"--alpha": _REQUIRED, "--n": {"type": int, "default": 10}}),
+    "ostrowski-int": ("integer Ostrowski digits", {"--alpha": _REQUIRED, "--s": _REQUIRED_INT}),
+    "ostrowski-real": ("real Ostrowski digits",
+                       {"--alpha": _REQUIRED, "--gamma": _REQUIRED,
+                        "--depth": {"type": int, "default": 24}, "--allow-orbit": _SWITCH}),
+    "dist": ("distance ||s*alpha - gamma||",
+             {"--alpha": _REQUIRED, "--gamma": _REQUIRED, "--s": _REQUIRED_INT,
+              "--depth": {"type": int, "default": 24},
+              "--width-digits": {"type": int, "default": 30}, "--allow-orbit": _SWITCH}),
+    "approx-fit": ("fit expansion coefficients",
+                   {"--alpha": _REQUIRED, "--order": _REQUIRED_INT, "--pairs": _REQUIRED,
+                    "--csv": _SWITCH}),
+    "approx-verify": ("verify an ApproxSet file", {"--set": _REQUIRED, "--csv": _SWITCH}),
+    "build-psi": ("Psi-driven existence construction",
+                  {"--alpha": _REQUIRED, "--psi": _REQUIRED, "--count": _REQUIRED_INT,
+                   "--with-pairs": _SWITCH, "--pairs-out": {}}),
+    "line": ("rational line set b*r = a*s + d",
+             {"--a": _REQUIRED_INT, "--b": _REQUIRED_INT, "--d": _REQUIRED_INT,
+              "--count": _REQUIRED_INT}),
+    "detect-line": ("detect a rational line", {"--pairs": _REQUIRED}),
+    "conic-orbit": ("Pell-type conic orbit",
+                    {"--form": {"required": True, "help": "a,b,c"}, "--d": _REQUIRED_INT,
+                     "--count": _REQUIRED_INT, "--seed": {"help": "r,s"}}),
+    "laurent": ("exact Laurent coefficients of a conic",
+                {"--form": {"required": True, "help": "a,b,c"}, "--d": _REQUIRED_INT,
+                 "--terms": {"type": int, "default": 4}}),
+    "build-periodic": ("periodic-expansion construction",
+                       {"--alpha": _REQUIRED, "--count": _REQUIRED_INT, "--csv": _SWITCH}),
+    "detect-quad": ("detect a conic form", {"--pairs": _REQUIRED}),
+    "growth": ("denominator growth classification",
+               {"--s": {"help": "comma-separated denominators"},
+                "--pairs": {"help": "pairs file"}}),
+}
+
+# each top-level option of build_parser, and whether it takes a value
+_TOP_OPTIONS = {"-h": False, "--help": False, "--config": True,
+                **{"--" + name.replace("_", "-"): True for name, _ in CONFIG_FIELDS}}
+
+
+def _terminal_columns() -> int:
+    """shutil.get_terminal_size().columns, worked out as shutil does without
+    importing it (and bz2, lzma and fnmatch with it): COLUMNS when it is a
+    positive integer, else the width of the terminal on stdout, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter at its own default width, from _terminal_columns."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        if width is None:
+            width = _terminal_columns() - 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with the subparser of `command` only, or with
+    every subparser for None: the top-level help and the usage errors of a
+    missing or unknown command list them all."""
     top = argparse.ArgumentParser(
         prog="ratapprox",
         description="order-N rational approximation toolkit",
         allow_abbrev=False,
+        formatter_class=_HelpFormatter,
     )
     top.add_argument("--config", help="path to key=value config file")
     for name, default in CONFIG_FIELDS:
         top.add_argument("--" + name.replace("_", "-"), type=_field_parser(default),
                          default=None)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def cmd(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = cmd("cf", _cmd_cf, help="continued-fraction expansion")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--depth", type=int, default=32)
-
-    p = cmd("convergents", _cmd_convergents, help="principal convergents")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--n", type=int, default=10)
-
-    p = cmd("ostrowski-int", _cmd_ostrowski_int, help="integer Ostrowski digits")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--s", type=int, required=True)
-
-    p = cmd("ostrowski-real", _cmd_ostrowski_real, help="real Ostrowski digits")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--depth", type=int, default=24)
-    p.add_argument("--allow-orbit", action="store_true")
-
-    p = cmd("dist", _cmd_dist, help="distance ||s*alpha - gamma||")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--depth", type=int, default=24)
-    p.add_argument("--width-digits", type=int, default=30)
-    p.add_argument("--allow-orbit", action="store_true")
-
-    p = cmd("approx-fit", _cmd_approx_fit, help="fit expansion coefficients")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--csv", action="store_true")
-
-    p = cmd("approx-verify", _cmd_approx_verify, help="verify an ApproxSet file")
-    p.add_argument("--set", required=True)
-    p.add_argument("--csv", action="store_true")
-
-    p = cmd("build-psi", _cmd_build_psi, help="Psi-driven existence construction")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--psi", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--with-pairs", action="store_true")
-    p.add_argument("--pairs-out")
-
-    p = cmd("line", _cmd_line, help="rational line set b*r = a*s + d")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-
-    p = cmd("detect-line", _cmd_detect_line, help="detect a rational line")
-    p.add_argument("--pairs", required=True)
-
-    p = cmd("conic-orbit", _cmd_conic_orbit, help="Pell-type conic orbit")
-    p.add_argument("--form", required=True, help="a,b,c")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", help="r,s")
-
-    p = cmd("laurent", _cmd_laurent, help="exact Laurent coefficients of a conic")
-    p.add_argument("--form", required=True, help="a,b,c")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--terms", type=int, default=4)
-
-    p = cmd("build-periodic", _cmd_build_periodic, help="periodic-expansion construction")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--csv", action="store_true")
-
-    p = cmd("detect-quad", _cmd_detect_quad, help="detect a conic form")
-    p.add_argument("--pairs", required=True)
-
-    p = cmd("growth", _cmd_growth, help="denominator growth classification")
-    p.add_argument("--s", help="comma-separated denominators")
-    p.add_argument("--pairs", help="pairs file")
-
+    # the full choice list keeps the usage line of a one-subparser parser;
+    # without one, argparse derives that list and names the action "command"
+    # in its errors
+    sub = top.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else (command,):
+        help_text, flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
+        # read when the parser is built, so that a wrapper put on a handler
+        # after import (perfbench's tracer) is the one called
+        p.set_defaults(handler=globals()["_cmd_" + name.replace("-", "_")])
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
     return top
 
 
@@ -681,35 +705,42 @@ def load_config(args) -> None:
     _refuse_non_positive(vars(args))
 
 
-def _reject_unknown_top_options(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Usage error naming an unknown option ahead of the subcommand; argparse
-    itself would take the option's value for the subcommand and blame it."""
-    known = parser._option_string_actions
-    i = 0
+def _command_of(argv: list[str]) -> str | None:
+    """The subcommand argv names after its top-level options; None when it
+    names none or asks for the top-level help.  An unknown option ahead of
+    the subcommand is a usage error here: argparse would take the option's
+    value for the subcommand and blame that."""
+    i, top_help = 0, False
     while i < len(argv) and argv[i].startswith("-"):
         name, eq, _ = argv[i].partition("=")
-        action = known.get(name)
-        if action is None:
-            parser.error(f"unrecognized arguments: {name}")
-        i += 1 if eq or action.nargs == 0 else 2
+        takes_value = _TOP_OPTIONS.get(name)
+        if takes_value is None:
+            _parser(None).error(f"unrecognized arguments: {name}")
+        top_help = top_help or not takes_value
+        i += 2 if takes_value and not eq else 1
+    if top_help or i >= len(argv) or argv[i] not in COMMANDS:
+        return None
+    return argv[i]
 
 
-# the parser main builds on its first call and reuses; argparse keeps no
-# state between parse_args calls
-_parser: argparse.ArgumentParser | None = None
+# the parsers main has built, by the subcommand they serve (None: all);
+# argparse keeps no state between parse_args calls
+_parsers: dict[str | None, argparse.ArgumentParser] = {}
+
+
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    if command not in _parsers:
+        _parsers[command] = build_parser(command)
+    return _parsers[command]
 
 
 def main(argv=None) -> int:
-    global _parser
     # denominators legitimately reach thousands of digits; decimal-string
     # output is part of the contract
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else list(argv)
-    if _parser is None:
-        _parser = build_parser()
-    _reject_unknown_top_options(_parser, argv)
-    args = _parser.parse_args(argv)
+    args = _parser(_command_of(argv)).parse_args(argv)
     try:
         load_config(args)
         doc = args.handler(args)

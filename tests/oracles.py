@@ -435,12 +435,34 @@ def gamma_interval(cons) -> RatInterval:
     return RatInterval(base.lo - tail, base.hi + tail)
 
 
+# the largest argument c*s at which a numeric certificate line, and the
+# checker below, decide exp(-c*s)
+_EXP_REACH = 2 * 10**6
+
+
+def tail_exponent_reference(x: Fraction, cap: int) -> int:
+    """The largest b <= cap with 10**-b >= exp(-x), for x >= 0 (0 for a cap
+    below 0), each candidate decided by exp_le_reference; the start, from a
+    13-digit ln 10, is a guess that the two loops correct."""
+    def sound(b):
+        return exp_le_reference(-x, Fraction(1, 10**b))
+
+    b = max(0, min(cap, floor(x * 10**12 / 2302585092994)))
+    while b > 0 and not sound(b):
+        b -= 1
+    while b < cap and sound(b + 1):
+        b += 1
+    return b
+
+
 def psi_certificate_reference(cons, digit_budget: int):
     """The tail and each certificate line's (route, ok, bound) of the Psi
     construction `cons`, as exact Fractions recomputed with the tail 10**-b
     formed: the route approx._package took before it kept b apart.  Psi
     comparisons are the plain ones on the formed sum: exp_le_reference for
-    the exp family, a Fraction comparison for the others."""
+    the exp family, a Fraction comparison for the others.  The exp family's
+    route (numeric up to _EXP_REACH) and tail exponent are decided here, not
+    read from PsiSpec."""
     ctx, psi, indices = CFContext(cons.alpha), cons.psi, cons.indices
     s_list = [sum(ctx.q(n) for n in indices[:k]) for k in range(1, len(indices) + 1)]
     t_last = ctx.q(indices[-1] + 1)
@@ -449,11 +471,16 @@ def psi_certificate_reference(cons, digit_budget: int):
     elif psi.exact_value(t_last) is not None:
         tail = Fraction(2, 3) * psi.exact_value(t_last)
     else:
-        tail = Fraction(1, 10**psi.tail_pair(t_last, digit_budget)[1])
+        # LN10_HI rounds ln 10 up, so the library's b may be one short of
+        # the largest sound one, never above it
+        b_ref, b = tail_exponent_reference(psi.c * t_last, digit_budget), cons.tail[1]
+        if b not in (b_ref, b_ref - 1):
+            raise AssertionError(f"tail exponent {b}, where the largest sound one is {b_ref}")
+        tail = Fraction(1, 10**b)
     lines = []
     for k, s_k in enumerate(s_list, start=1):
         next_idx = indices[k] if k < len(indices) else cons.n_next
-        if next_idx is None or not psi.numeric_feasible(s_k):
+        if next_idx is None or (psi.kind == "exp_decay" and psi.c * s_k > _EXP_REACH):
             lines.append(("monotone", s_k <= ctx.q(indices[k - 1] + 1), None))
             continue
         cap = Fraction(3, ctx.q(next_idx + 1))
@@ -463,11 +490,6 @@ def psi_certificate_reference(cons, digit_budget: int):
         ok = bound <= exact if exact is not None else exp_le_reference(psi.c * s_k, 1 / bound)
         lines.append(("numeric", ok, bound))
     return tail, lines
-
-
-# the largest argument c*s at which the checker below decides exp(-c*s),
-# the library's own reach for a numeric certificate line
-_EXP_REACH = 2 * 10**6
 
 
 def _psi_le(psi: dict, v: Fraction, s: int) -> bool | None:

@@ -25,7 +25,8 @@ from ratapprox.errors import BlowUp, InsufficientPairs, PrecisionExhausted, Sing
 from ratapprox.exactnum import LN10_HI, Certified, QuadIrr, RatInterval, enclose, qi_normalize
 
 from oracles import (_EXP_REACH, convergent_pairs, exp_bounds_reference, exp_le_reference,
-                     gamma_interval, pair_value, psi_certificate_reference, quad_cf_digits)
+                     gamma_interval, pair_value, psi_certificate_reference, quad_cf_digits,
+                     tail_exponent_reference)
 
 PHI = qi_normalize(1, 1, 5, 2)
 INV_PHI = qi_normalize(-1, 1, 5, 2)
@@ -554,6 +555,25 @@ def test_tail_pair_bounds_psi_within_the_cap():
     assert (head, b) == (0, 43)
     assert not exp_le_reference(100, 10**b) and exp_le_reference(100, 10 ** (b + 1))
     assert [psi.tail_pair(100, cap)[1] for cap in (20, 0, -3)] == [20, 0, 0]
+
+
+# (x, cap, the oracle's b, the library's b): LN10_HI rounds ln 10 up, so
+# just below 10**5 * LN10_HI the library stops one short of the largest b
+TAIL_EXPONENTS = [
+    (Fraction(100), 10**6, 43, 43),
+    (10**5 * LN10_HI - Fraction(1, 10**12), 10**6, 10**5, 10**5 - 1),
+    (10**5 * LN10_HI - 1, 10**6, 10**5 - 1, 10**5 - 1),
+    (Fraction(100), 20, 20, 20),
+    (Fraction(100), 0, 0, 0),
+    (Fraction(100), -3, 0, 0),
+]
+
+
+@pytest.mark.parametrize("x, cap, b_ref, b", TAIL_EXPONENTS)
+def test_tail_pair_is_the_oracles_exponent_or_one_short(x, cap, b_ref, b):
+    # the oracle decides each candidate b by mpmath (exp_le_reference)
+    assert tail_exponent_reference(x, cap) == b_ref
+    assert PsiSpec.exp_decay(x / 7).tail_pair(7, cap) == (0, b)
 
 
 def test_construct_psi_rational_table():

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import functools
@@ -7,6 +8,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -20,6 +22,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 import ratapprox
+from ratapprox import cli
 from ratapprox.approx import (ApproxSet, construct_psi, detect_line, fit_coefficients,
                               nearest_numerators, verify_order)
 from ratapprox.cf import CFContext
@@ -603,7 +606,8 @@ def test_main_reuses_its_parser_without_carrying_state(capsys):
 
 
 def test_importing_cli_builds_no_parser():
-    # the parser is built on main's first call, not at import
+    # each parser is built on the first call that needs it, not at import:
+    # the per-command cache starts empty
     src = os.path.dirname(os.path.dirname(os.path.abspath(ratapprox.__file__)))
     code = (
         "import sys\n"
@@ -614,11 +618,126 @@ def test_importing_cli_builds_no_parser():
         "sys.setprofile(seen)\n"
         "import ratapprox.cli\n"
         "sys.setprofile(None)\n"
-        "print(len(calls), ratapprox.cli._parser)\n"
+        "print(len(calls), ratapprox.cli._parsers)\n"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
-    assert out == "0 None\n"
+    assert out == "0 {}\n"
+
+
+def _main_outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# the help and usage errors a parser with one subcommand must print as one
+# with all of them does: the top-level help, each subcommand's help, a
+# missing and an unknown command, and the errors that print the top-level
+# usage line or a subcommand's
+USAGE_ARGVS = [
+    ["--help"], *([name, "--help"] for name in cli.COMMANDS), [], ["no-such-command"],
+    ["--digit-budget", "x", "cf", "--alpha", "rat:1/2"],
+    ["--bogus", "1", "cf", "--alpha", "rat:1/2"],
+    ["cf", "--alpha", "rat:1/2", "--bogus"],
+    ["cf", "--alpha"],
+]
+
+
+@pytest.mark.parametrize("columns", [None, "60", "200"])
+def test_usage_and_help_match_the_parser_of_every_subcommand(columns, capsys, monkeypatch):
+    # the reference builds every subcommand's parser and formats with
+    # argparse's own HelpFormatter, whose width comes from shutil
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.setattr(cli, "_parsers", {})
+    got = [_main_outcome(capsys, argv) for argv in USAGE_ARGVS]
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parsers", {})
+    monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+    monkeypatch.setattr(cli, "build_parser", lambda command: build(None))
+    want = [_main_outcome(capsys, argv) for argv in USAGE_ARGVS]
+    assert got == want
+    assert [code for code, _, _ in got] == [0] * (1 + len(cli.COMMANDS)) + [2] * 6
+    assert "{" + ",".join(cli.COMMANDS) + "}" in got[-4][2]
+
+
+@pytest.mark.parametrize("columns", [None, "60", "200", "1", "0", "-4", "wide"])
+@pytest.mark.parametrize("terminal", [None, 0, 123])
+def test_terminal_columns_is_the_width_shutil_reads(columns, terminal, monkeypatch):
+    # terminal: the width os.get_terminal_size reports, None when stdout is
+    # not a terminal
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+    def size(fd):
+        if terminal is None:
+            raise OSError("not a terminal")
+        return os.terminal_size((terminal, 40))
+
+    monkeypatch.setattr(os, "get_terminal_size", size)
+    assert cli._terminal_columns() == shutil.get_terminal_size().columns
+    # and the layout argparse's own formatter would take from it
+    ours, theirs = cli._HelpFormatter("ratapprox"), argparse.HelpFormatter("ratapprox")
+    assert ((ours._width, ours._max_help_position, ours._indent_increment)
+            == (theirs._width, theirs._max_help_position, theirs._indent_increment))
+
+
+def test_build_parser_adds_only_the_named_subcommand():
+    # its top-level options are the ones main's argv scan knows
+    for command in (*cli.COMMANDS, None):
+        parser = cli.build_parser(command)
+        assert {flag: action.nargs != 0 for flag, action in
+                parser._option_string_actions.items()} == cli._TOP_OPTIONS
+        sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == ([command] if command else list(cli.COMMANDS))
+        for name, p in sub.choices.items():
+            assert p.get_default("handler") is getattr(cli, "_cmd_" + name.replace("-", "_"))
+
+
+# an argv, a flag it leaves out, and the flag's default; the call prints
+# something else at the default plus one
+FLAG_DEFAULTS = [
+    (["cf", "--alpha", "quad:1,1,5,2"], "--depth", 32),
+    (["convergents", "--alpha", "quad:0,1,2,1"], "--n", 10),
+    (["ostrowski-real", "--alpha", "quad:-1,1,5,2", "--gamma", "rat:1/3"], "--depth", 24),
+    # gamma is {(7 + F_24)·alpha}, whose digits part from those of s = 7 at 24
+    (["dist", "--alpha", "quad:-1,1,5,2", "--gamma", "quad:-167776,75032,5,2", "--s", "7",
+      "--allow-orbit"], "--depth", 24),
+    (["dist", "--alpha", "quad:-1,1,5,2", "--gamma", "rat:1/3", "--s", "1000"],
+     "--width-digits", 30),
+    (["laurent", "--form", "1,-1,-1", "--d", "1"], "--terms", 4),
+]
+
+
+@pytest.mark.parametrize("argv, flag, default", FLAG_DEFAULTS,
+                         ids=[f"{argv[0]}{flag}" for argv, flag, _ in FLAG_DEFAULTS])
+def test_subcommand_flag_defaults(capsys, argv, flag, default):
+    left_out = run_cli(capsys, argv)
+    assert left_out == run_cli(capsys, argv + [flag, str(default)])
+    assert left_out != run_cli(capsys, argv + [flag, str(default + 1)])
+    assert left_out[0] == 0
+
+
+def test_fresh_file_call_reads_its_file(tmp_path):
+    # json is imported by read_input alone, in a process that has not
+    # loaded it before
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ratapprox.__file__)))
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([[3 * s + 1, 7 * s] for s in range(1, 9)]))
+    child = subprocess.run([sys.executable, "-S", "-m", "ratapprox", "detect-line", "--pairs",
+                            str(pairs)], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == {
+        "line": {"a": "3", "b": "7", "d": "7", "exceptions": 0}}
 
 
 def test_pairs_file_roundtrip(tmp_path, capsys):
@@ -1254,6 +1373,30 @@ def test_cli_import_stays_light():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout.splitlines()
     assert out == ["[]", "[]", repr(PUBLIC_NAMES)]
+    # a whole call that reads no file builds one subparser and leaves out
+    # shutil (which argparse's own HelpFormatter imports, with bz2 and lzma)
+    # and json's decoder
+    code = (
+        "import argparse, runpy, sys\n"
+        "built = []\n"
+        "add = argparse._SubParsersAction.add_parser\n"
+        "def counted(self, name, **kwargs):\n"
+        "    built.append(name)\n"
+        "    return add(self, name, **kwargs)\n"
+        "argparse._SubParsersAction.add_parser = counted\n"
+        "sys.argv = ['ratapprox', 'cf', '--alpha', 'quad:1,1,5,2', '--depth', '5']\n"
+        "try:\n"
+        "    runpy.run_module('ratapprox.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, built, sorted(m for m in ('shutil', 'bz2', 'lzma', 'json',\n"
+        "                                              'json.decoder', 'dataclasses', 'typing',\n"
+        "                                              'inspect') if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout.splitlines()
+    assert out[-1] == "0 ['cf'] []"
+    assert json.loads("\n".join(out[:-1])) == {"a": [1] * 5, "K": 0, "L": 1}
 
 
 def test_library_has_no_assert():
